@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EngineError, Model, ObsBlock, check_expr_refs, expr_env, fit, generate
+from .engine import _draw_latent, _kriging
 from .exprs import parse_expr
 from .sparse import chol
 
@@ -134,11 +135,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         theta = np.array([hp.prior.sample(rng) for _, _, hp in model.theta_entries])
         comp_vals, obs_vals = model.natural_values(theta)
         prior_factor = chol(model.precision(comp_vals))
-        u = mu + prior_factor.solve_lt(rng.standard_normal(model.n_latent))
-        if C is not None:
-            W = prior_factor.solve(C.T)
-            S = C @ W
-            u = u - W @ np.linalg.solve(S, C @ u)
+        u = _draw_latent(mu, prior_factor, C, _kriging(prior_factor, C), rng)
         ys = [
             b.family.sample(rng, model.eta_block(b, u), obs_vals[i])
             for i, b in enumerate(model.obs)

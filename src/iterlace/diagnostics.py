@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import _obs_grad_hess
+from .engine import _mode_point, _obs_grad_hess, _posterior_draws
 from .sparse import FactorizationError, SparseSym, chol
 
 
@@ -34,10 +34,6 @@ class KlReport:
     kl_lin_to_nonlin: float
     kl_nonlin_to_lin: float
     g_matrix_norm: float
-
-
-def _mode_point(fit):
-    return max(fit.grid, key=lambda p: p.log_post)
 
 
 def _pair_pattern(bmat):
@@ -80,10 +76,10 @@ def correction_matrix(fit):
     psi(u) = g^T eta(u) over the coupling pattern of the predictor.
     """
     model, lin = fit.model, fit.linearisation
-    point = _mode_point(fit)
+    point = _mode_point(fit.grid)
     _, obs_vals = model.natural_values(point.theta)
     # at the anchor the linearised and exact predictors coincide
-    g_star, _, _ = _obs_grad_hess(model, lin, lin.u0, obs_vals)
+    g_star, _ = _obs_grad_hess(model, lin, lin.u0, obs_vals)
 
     u0 = lin.u0
     d = u0.size
@@ -150,11 +146,11 @@ def kl_divergences(fit):
     raises DiagnosticsError.
     """
     model, lin = fit.model, fit.linearisation
-    point = _mode_point(fit)
+    point = _mode_point(fit.grid)
     comp_vals, obs_vals = model.natural_values(point.theta)
 
     m_bar = point.mode
-    _, h_bar, _ = _obs_grad_hess(model, lin, m_bar, obs_vals)
+    _, h_bar = _obs_grad_hess(model, lin, m_bar, obs_vals)
     q_prior = model.precision(comp_vals).csc
     q_bar = (q_prior - (lin.B.T @ sp.diags(h_bar) @ lin.B)).tocsc()
 
@@ -216,20 +212,8 @@ def linearisation_deviation(fit, n_samples=1000, seed=0):
         bad = int(np.flatnonzero(~(var > 0.0))[0])
         raise DiagnosticsError(f"zero predictor variance row {bad}")
 
-    rng = np.random.default_rng(seed)
-    grid = fit.grid
-    weights = np.array([p.weight for p in grid])
-    d = model.n_latent
-    C = model.constraints
     acc = np.zeros(var.size)
-    for _ in range(int(n_samples)):
-        m = int(rng.choice(len(grid), p=weights))
-        point = grid[m]
-        z = rng.standard_normal(d)
-        u = point.mode + point.factor.solve_lt(z)
-        if C is not None:
-            W, S = point.constraint_proj
-            u = u - W @ np.linalg.solve(S, C @ u)
+    for u in _posterior_draws(fit, int(n_samples), np.random.default_rng(seed)):
         gap = lin.eval(u) - model.eta(u)
         acc += gap * gap
     return float(np.sum(acc / (n_samples * var)))

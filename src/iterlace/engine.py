@@ -17,10 +17,16 @@ is fitted by a Laplace/grid scheme:
                               moving.
 
 Sum-to-zero constraints on intrinsic components are imposed by
-conditioning-by-kriging: every Newton step, mode, sample, and marginal
-variance is corrected through the same projection, and the Laplace
-ratio gets matching correction terms so the hyperparameter posterior
-stays consistent.
+conditioning-by-kriging (Rue & Held 2005, section 2.3.3), written once:
+``_kriging`` builds the pair W = A^-1 C^T, S = C W and ``_project``
+applies u - W S^-1 C u.  Every Newton step, mode, sample, and marginal
+variance goes through them, and the Laplace ratio gets matching
+correction terms so the hyperparameter posterior stays consistent.
+
+Joint posterior draws have one path, ``_posterior_draws``: a grid point
+by its weight, then the latent state from that point's Gaussian.
+``generate``, the linearisation diagnostic and SBC all draw through it
+(SBC's prior draw through the same ``_draw_latent``).
 """
 
 from __future__ import annotations
@@ -402,13 +408,38 @@ class Model:
 
 # --- Gaussian approximation ------------------------------------------------
 
+def _kriging(factor, C):
+    """Kriging pair (W, S) = (A^-1 C^T, C W) for the constraint C u = 0
+    under the factored precision A; None when there are no constraints."""
+    if C is None:
+        return None
+    W = factor.solve(C.T)
+    return W, C @ W
+
+
+def _project(u, C, proj):
+    """Condition u on C u = 0 by kriging: u - W S^-1 C u."""
+    if C is None:
+        return u
+    W, S = proj
+    return u - W @ np.linalg.solve(S, C @ u)
+
+
+def _kriging_var_drop(X, S):
+    """diag(X S^-1 X^T): the variance the constraints take away."""
+    return np.sum((X @ np.linalg.inv(S)) * X, axis=1)
+
+
+def _draw_latent(mean, factor, C, proj, rng):
+    """One draw from N(mean, A^-1) conditioned on C u = 0."""
+    return _project(mean + factor.solve_lt(rng.standard_normal(mean.size)), C, proj)
+
+
 @dataclass
 class GaussResult:
     mode: np.ndarray
     factor: CholFactor
     qstar: SparseSym
-    grad_obs: np.ndarray
-    hess_obs: np.ndarray
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
     constraint_proj: tuple = None  # (W, S) with W = Q*^{-1} C^T, S = C W
 
@@ -416,8 +447,7 @@ class GaussResult:
         var = self.factor.diag_inverse()
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
-            T = W @ np.linalg.inv(S)
-            var = var - np.sum(T * W, axis=1)
+            var = var - _kriging_var_drop(W, S)
         return var
 
     def pred_var(self, B):
@@ -425,8 +455,7 @@ class GaussResult:
         var = np.sum(B.T.toarray() * x, axis=0)
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
-            U = B @ W
-            var = var - np.sum((U @ np.linalg.inv(S)) * U, axis=1)
+            var = var - _kriging_var_drop(B @ W, S)
         return var
 
 
@@ -434,12 +463,9 @@ def _obs_grad_hess(model, lin, u, obs_vals):
     eta = lin.eval(u)
     g = np.empty(eta.size)
     h = np.empty(eta.size)
-    ll = 0.0
     for block, vals, sl in zip(model.obs, obs_vals, lin.block_slices):
-        gb, hb = block.family.grad_hess(block.y, eta[sl], vals)
-        g[sl], h[sl] = gb, hb
-        ll += block.family.loglik(block.y, eta[sl], vals)
-    return g, h, ll
+        g[sl], h[sl] = block.family.grad_hess(block.y, eta[sl], vals)
+    return g, h
 
 
 def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
@@ -455,7 +481,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     u = np.array(mu_prior if u_init is None else u_init, dtype=float)
     if C is not None:
         # feasible start: plain least-squares projection is good enough here
-        u = u - C.T @ np.linalg.solve(C @ C.T, C @ u)
+        u = _project(u, C, (C.T, C @ C.T))
 
     B = lin.B
     Q = prior_q.csc
@@ -469,20 +495,11 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         return ll - 0.5 * float(d @ (Q @ d))
 
     f_cur = objective(u)
-    factor = None
-    proj = None
     for _ in range(max_iter):
-        g, h, _ = _obs_grad_hess(model, lin, u, obs_vals)
-        a_mat = SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())
-        factor = chol(a_mat)
-        rhs = B.T @ g + Q @ (mu_prior - u)
-        step = factor.solve(rhs)
-        cand = u + step
-        if C is not None:
-            W = factor.solve(C.T)
-            S = C @ W
-            cand = cand - W @ np.linalg.solve(S, C @ cand)
-            proj = (W, S)
+        g, h = _obs_grad_hess(model, lin, u, obs_vals)
+        factor = chol(SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc()))
+        step = factor.solve(B.T @ g + Q @ (mu_prior - u))
+        cand = _project(u + step, C, _kriging(factor, C))
         move = cand - u
         # step-halving if the objective got worse or went non-finite
         t = 1.0
@@ -505,22 +522,15 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
             f"inner Newton iteration did not converge in {max_iter} steps"
         )
 
-    g, h, _ = _obs_grad_hess(model, lin, u, obs_vals)
+    g, h = _obs_grad_hess(model, lin, u, obs_vals)
     qstar = SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())
     factor = chol(qstar)
-    grad0 = B.T @ g + Q @ (mu_prior - u)
-    if C is not None:
-        W = factor.solve(C.T)
-        S = C @ W
-        proj = (W, S)
     return GaussResult(
         mode=u,
         factor=factor,
         qstar=qstar,
-        grad_obs=g,
-        hess_obs=h,
-        grad_at_mode=grad0,
-        constraint_proj=proj,
+        grad_at_mode=B.T @ g + Q @ (mu_prior - u),
+        constraint_proj=_kriging(factor, C),
     )
 
 
@@ -567,11 +577,10 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     C = model.constraints
     if C is not None:
         # conditioning both densities on Cu = 0
-        cov_prior = C @ prior_factor.solve(C.T)
+        _, cov_prior = _kriging(prior_factor, C)
         lp -= _log_gaussian_k(C @ mu, cov_prior)
-        W, S = ga.constraint_proj
         m_unc = u_star + ga.factor.solve(ga.grad_at_mode)
-        lp += _log_gaussian_k(C @ m_unc, S)
+        lp += _log_gaussian_k(C @ m_unc, ga.constraint_proj[1])
     return lp, ga
 
 
@@ -1079,6 +1088,17 @@ def expr_env(model, expr, u, inputs=None):
     return env
 
 
+def _posterior_draws(result, n, rng):
+    """Yield n joint posterior draws of the latent state: a grid point
+    by its weight, then the state from that point's Gaussian."""
+    grid = result.grid
+    weights = np.array([p.weight for p in grid])
+    C = result.model.constraints
+    for _ in range(n):
+        point = grid[int(rng.choice(len(grid), p=weights))]
+        yield _draw_latent(point.mode, point.factor, C, point.constraint_proj, rng)
+
+
 def generate(result, expr, n_samples, rng, inputs=None):
     """Posterior samples of an expression, one row of outputs per draw.
 
@@ -1087,32 +1107,18 @@ def generate(result, expr, n_samples, rng, inputs=None):
     that carries one.  ``name_eval(c(...))`` references evaluate the
     component's mapper at the literal values in the expression.
     """
+    if n_samples < 1:
+        raise EngineError("n_samples must be positive")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     model = result.model
-    grid = result.grid
-    weights = np.array([p.weight for p in grid])
-    d = model.n_latent
-    C = model.constraints
     check_expr_refs(model, expr)
-
-    rows = None
-    samples = []
-    for _ in range(n_samples):
-        m = int(rng.choice(len(grid), p=weights))
-        point = grid[m]
-        z = rng.standard_normal(d)
-        u = point.mode + point.factor.solve_lt(z)
-        if C is not None:
-            W, S = point.constraint_proj
-            u = u - W @ np.linalg.solve(S, C @ u)
-        val = np.atleast_1d(
+    return np.stack([
+        np.atleast_1d(
             np.asarray(expr.eval(expr_env(model, expr, u, inputs)), dtype=float)
         )
-        if rows is None:
-            rows = val.size
-        samples.append(val)
-    return np.stack(samples)
+        for u in _posterior_draws(result, n_samples, rng)
+    ])
 
 
 def predict_summary(samples, quantiles=(0.025, 0.5, 0.975)):

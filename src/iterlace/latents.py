@@ -28,7 +28,6 @@ __all__ = [
     "Graph",
     "read_graph",
     "LogTransform",
-    "IdentityTransform",
     "LogitPm1Transform",
     "LogGammaPrior",
     "GaussianPrior",
@@ -154,16 +153,6 @@ class LogTransform:
         return np.exp(x)
 
 
-class IdentityTransform:
-    name = "identity"
-
-    def to_internal(self, x):
-        return float(x)
-
-    def to_natural(self, x):
-        return float(x)
-
-
 class LogitPm1Transform:
     """internal = log((1+r)/(1-r)) for parameters on (-1, 1)."""
 
@@ -252,8 +241,6 @@ def _precision_hyper(name="prec", initial=1.0, prior=None, fixed=False):
 
 class LatentModel:
     """Base class; subclasses define dimension, hypers, precision, mapper."""
-
-    is_intrinsic = False
 
     def n_latent(self):
         raise NotImplementedError
@@ -399,8 +386,6 @@ class Ar1Model(LatentModel):
 class Rw1Model(LatentModel):
     """First-order random walk (intrinsic; sum-to-zero constrained)."""
 
-    is_intrinsic = True
-
     def __init__(self, n, prec_hyper=None):
         self.n = int(n)
         if self.n < 2:
@@ -432,8 +417,6 @@ class Rw1Model(LatentModel):
 
 class BesagModel(LatentModel):
     """Intrinsic CAR on a graph; sum-to-zero over each component."""
-
-    is_intrinsic = True
 
     def __init__(self, graph, prec_hyper=None):
         self.graph = graph
@@ -502,8 +485,6 @@ class BymModel(LatentModel):
     iid part v (last n); the observed effect at area i is u_i + v_i.
     Sum-to-zero applies to the structured half only.
     """
-
-    is_intrinsic = True
 
     def __init__(self, graph, prec_spatial_hyper=None, prec_iid_hyper=None):
         self.graph = graph

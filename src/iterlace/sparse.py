@@ -87,21 +87,6 @@ class SparseSym:
     def __matmul__(self, other):
         return self.csc @ other
 
-    def __add__(self, other):
-        if isinstance(other, SparseSym):
-            other = other.csc
-        return SparseSym(self.csc + other)
-
-    def __sub__(self, other):
-        if isinstance(other, SparseSym):
-            other = other.csc
-        return SparseSym(self.csc - other)
-
-    def __mul__(self, scalar):
-        return SparseSym(self.csc * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"SparseSym(n={self.n}, nnz={self.csc.nnz})"
 

@@ -13,7 +13,13 @@ from scipy import special, stats
 from iterlace.calibration import CalibrationError, SbcResult, ks_statistic, sbc_run
 from iterlace.engine import Component, Model, ObsBlock
 from iterlace.exprs import parse_expr
-from iterlace.latents import FixedEffectsModel, GaussianPrior, IidModel, _precision_hyper
+from iterlace.latents import (
+    FixedEffectsModel,
+    GaussianPrior,
+    IidModel,
+    Rw1Model,
+    _precision_hyper,
+)
 from iterlace.likelihoods import GaussianFamily
 
 # --- KS statistic ---------------------------------------------------------
@@ -166,6 +172,22 @@ class TestSbcRun:
         assert res.w_values.size == 12
         assert np.all((res.w_values > 0) & (res.w_values < 1))
         assert res.K == 12 and res.J == 50
+
+    def test_constrained_prior_draws_end_to_end(self):
+        # RW1 with a free precision: the prior draw goes through the
+        # sum-to-zero projection before data are simulated
+        comp = Component(
+            "f", Rw1Model(6, _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0)))
+        )
+        block = ObsBlock(GaussianFamily(fixed_prec=4.0), np.zeros(6), parse_expr("f"),
+                         {"f": np.arange(1, 7)})
+        model = Model([comp], [block])
+        first = sbc_run(model, K=4, J=20, seed=5)
+        second = sbc_run(model, K=4, J=20, seed=5)
+        assert first.failures == 0
+        assert first.w_values.size == 4
+        assert np.array_equal(first.w_values, second.w_values)
+        assert np.array_equal(first.ranks, second.ranks)
 
     def test_too_many_fit_failures_abort(self):
         # one iteration can never satisfy the convergence check, so

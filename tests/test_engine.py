@@ -27,6 +27,7 @@ from iterlace.engine import (
     sample_mode,
     theta_explore,
 )
+from iterlace.diagnostics import linearisation_deviation
 from iterlace.exprs import parse_expr
 from iterlace.latents import (
     FixedEffectsModel,
@@ -697,3 +698,50 @@ class TestGenerate:
             res, parse_expr("f"), 200, rng=5, inputs={"f": np.arange(1, 5)}
         )
         np.testing.assert_allclose(samples.sum(axis=1), 0.0, atol=1e-8)
+
+    def test_nonpositive_count_is_an_error(self):
+        model, _, _ = make_gls()
+        res = fit(model)
+        with pytest.raises(EngineError, match="n_samples must be positive"):
+            generate(res, parse_expr("b0"), 0, rng=1, inputs={"b0": np.ones(1)})
+
+    def test_draw_order_matches_reference_loop(self):
+        # free RW1 precision: a multi-point grid, and a sum-to-zero constraint
+        rng = np.random.default_rng(4)
+        t = np.linspace(0.0, 3.0, 10)
+        y = np.exp(0.4 * np.sin(t)) + 0.2 * rng.normal(size=10)
+        comp = Component(
+            "f", Rw1Model(10, _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0)))
+        )
+        block = ObsBlock(
+            GaussianFamily(fixed_prec=25.0), y, parse_expr("exp(f)"),
+            {"f": np.arange(1, 11)},
+        )
+        model = Model([comp], [block])
+        res = fit(model)
+        assert res.converged and len(res.grid) > 1
+        C = model.constraints
+        weights = np.array([p.weight for p in res.grid])
+
+        def reference_draws(n, seed):
+            gen = np.random.default_rng(seed)
+            out = []
+            for _ in range(n):
+                point = res.grid[int(gen.choice(len(res.grid), p=weights))]
+                u = point.mode + point.factor.solve_lt(gen.standard_normal(10))
+                W, S = point.constraint_proj
+                out.append(u - W @ np.linalg.solve(S, C @ u))
+            return out
+
+        draws = generate(res, parse_expr("f_latent"), 40, rng=9)
+        assert np.array_equal(draws, np.stack(reference_draws(40, 9)))
+
+        lin = res.linearisation
+        acc = np.zeros(10)
+        for u in reference_draws(30, 2):
+            gap = lin.eval(u) - model.eta(u)
+            acc += gap * gap
+        want = float(np.sum(acc / (30 * res.predictor_sigma2)))
+        got = linearisation_deviation(res, 30, seed=2)
+        assert want > 0.0
+        assert np.array_equal(got, want)
