@@ -451,8 +451,8 @@ class GaussResult:
         return var
 
     def pred_var(self, B):
-        x = self.factor.solve(B.T.toarray())
-        var = np.sum(B.T.toarray() * x, axis=0)
+        bt = B.T.toarray()
+        var = np.sum(bt * self.factor.solve(bt), axis=0)
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
             var = var - _kriging_var_drop(B @ W, S)
@@ -566,10 +566,9 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     # minus the Gaussian approximation's own log-density at u_star; with
     # constraints the approximation is centred at the unconstrained
     # quadratic-model mean m = u* + Q*^{-1} g0, not at u* itself
-    quad = 0.0
-    if np.any(ga.grad_at_mode):
-        g0 = ga.grad_at_mode
-        quad = float(g0 @ ga.factor.solve(g0))
+    g0 = ga.grad_at_mode
+    shift = ga.factor.solve(g0) if np.any(g0) else np.zeros_like(g0)
+    quad = float(g0 @ shift)
     log_approx_at_mode = -0.5 * d * LOG_2PI + 0.5 * ga.factor.log_det - 0.5 * quad
 
     lp = model.log_prior_theta(theta) + log_prior_u + ll - log_approx_at_mode
@@ -579,7 +578,7 @@ def log_posterior_theta(model, lin, theta, u_init=None):
         # conditioning both densities on Cu = 0
         _, cov_prior = _kriging(prior_factor, C)
         lp -= _log_gaussian_k(C @ mu, cov_prior)
-        m_unc = u_star + ga.factor.solve(ga.grad_at_mode)
+        m_unc = u_star + shift
         lp += _log_gaussian_k(C @ m_unc, ga.constraint_proj[1])
     return lp, ga
 

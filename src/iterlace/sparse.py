@@ -2,9 +2,11 @@
 
 This is the numerical backbone for everything that touches a precision
 matrix: building it from triplets, factorising it, solving against the
-factor, and pulling out the diagonal of the inverse.  Matrices are small
-enough here (hundreds of rows) that clarity wins over asymptotics, but
-storage stays sparse throughout.
+factor, and pulling out the diagonal of the inverse.  Storage stays
+sparse throughout, and ``chol`` factors in a fill-reducing order, so the
+factor of a GMRF precision stays sparse too: ``L L^T = A[perm][:, perm]``.
+Every consumer goes through ``solve``, ``solve_lt`` and ``log_det``,
+which honour ``perm``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ _SYM_TOL = 1e-12
 class FactorizationError(ValueError):
     """Raised when a matrix cannot be Cholesky-factorised.
 
-    ``pivot`` is the 0-based index of the first non-positive pivot when
-    that is known, else ``None``.
+    ``pivot`` is the 0-based elimination step of the first non-positive
+    pivot when that is known, else ``None``.  Elimination runs in the
+    factor's fill-reducing order, so step k eliminates row ``perm[k]`` of
+    the input, which the message names: the leading ``pivot`` x ``pivot``
+    block of ``A[perm][:, perm]`` is positive definite and the block one
+    row larger is not.
     """
 
     def __init__(self, message, pivot=None):
@@ -115,48 +121,49 @@ def sparse_from_triplets(n, rows, cols, vals):
 
 
 class CholFactor:
-    """Lower-triangular Cholesky factor of a SparseSym.
+    """Lower-triangular Cholesky factor of a SparseSym in a fill-reducing order.
 
-    With the natural (identity) ordering used here, ``L @ L.T``
-    reproduces the input matrix.  ``log_det`` is the log-determinant of
-    the factored matrix.
+    The contract is ``L @ L.T == A[perm][:, perm]``: ``L`` (CSC) factors
+    the input with its rows and columns permuted by ``perm``, a
+    permutation of ``range(n)``.  ``solve`` and ``solve_lt`` undo the
+    permutation, so callers see only A: ``solve`` returns A^{-1} rhs and
+    ``solve_lt`` returns vectors with covariance A^{-1}.  ``log_det`` is
+    the log-determinant of A, which the permutation does not change.
     """
 
     __slots__ = ("n", "L", "perm", "log_det", "_splu")
 
-    def __init__(self, n, L, perm, log_det, splu_obj=None):
+    def __init__(self, n, L, perm, log_det, splu_obj):
         self.n = n
         self.L = L
         self.perm = perm
         self.log_det = log_det
         self._splu = splu_obj
 
-    def solve(self, rhs):
-        """Solve A x = rhs for one vector or a matrix of columns."""
+    def _columns(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        vec = rhs.ndim == 1
-        b = rhs.reshape(-1, 1) if vec else rhs
+        b = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        if self._splu is not None:
-            x = self._splu.solve(np.ascontiguousarray(b))
-        else:
-            y = spla.spsolve_triangular(self.L, b, lower=True)
-            x = spla.spsolve_triangular(self.L.T.tocsr(), y, lower=False)
+        return b, rhs.ndim == 1
+
+    def solve(self, rhs):
+        """Solve A x = rhs for one vector or a matrix of columns."""
+        b, vec = self._columns(rhs)
+        x = self._splu.solve(np.ascontiguousarray(b))
         return x[:, 0] if vec else x
 
     def solve_lt(self, rhs):
-        """Solve L^T x = rhs.
+        """Solve L^T y = rhs and return x with x[perm] = y.
 
-        If z is standard normal, the solution has covariance A^{-1},
-        which is exactly what posterior sampling needs.
+        If rhs is standard normal, y has covariance (P A P^T)^{-1} and
+        x = P^T y has covariance A^{-1}, which is exactly what posterior
+        sampling needs.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        vec = rhs.ndim == 1
-        b = rhs.reshape(-1, 1) if vec else rhs
-        if b.shape[0] != self.n:
-            raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        x = spla.spsolve_triangular(self.L.T.tocsr(), b, lower=False)
+        b, vec = self._columns(rhs)
+        y = spla.spsolve_triangular(self.L.T, b, lower=False)
+        x = np.empty_like(y)
+        x[self.perm] = y
         return x[:, 0] if vec else x
 
     def diag_inverse(self):
@@ -166,37 +173,46 @@ class CholFactor:
 
 
 def chol(a):
-    """Cholesky-factorise a SparseSym, or raise FactorizationError.
+    """Cholesky-factorise a SparseSym in a fill-reducing order, or raise.
 
-    Uses an LU factorisation restricted to diagonal pivots in natural
-    order, so for a symmetric positive-definite input U = D L^T and the
-    Cholesky factor is L sqrt(D).  A non-positive pivot means the input
-    is not positive definite and is reported by index.
+    Precision matrices here are sparse but often have a dense row and
+    column, such as an intercept as latent 0; factorised in the given
+    order, that row fills the whole factor.  SuperLU's minimum-degree
+    ordering on A^T + A (``MMD_AT_PLUS_A``) eliminates such rows last,
+    so the factor keeps roughly the sparsity of A (Rue & Held 2005,
+    *GMRFs*, section 2.4.1).  The LU factorisation is restricted to
+    diagonal pivots with the same row and column order, so for a
+    symmetric positive-definite input U = D L^T and the Cholesky factor
+    of A[perm][:, perm] is L sqrt(D).  A non-positive pivot means the
+    input is not positive definite and is reported by elimination step.
     """
     if not isinstance(a, SparseSym):
         raise TypeError("chol expects a SparseSym")
     try:
         lu = spla.splu(
             a.csc,
-            permc_spec="NATURAL",
+            permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise FactorizationError(f"factorisation failed: {err}") from err
-    n = a.n
-    identity = np.arange(n)
-    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
-        # cannot happen with NATURAL ordering + diagonal pivoting on a
-        # symmetric PD matrix; guard so a silent permutation never leaks
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        # diagonal pivoting keeps rows and columns in one order; guard so
+        # that an off-diagonal pivot never leaks into a "Cholesky" factor
         raise FactorizationError("factorisation produced an unexpected permutation")
+    perm = np.argsort(lu.perm_c)
     d = lu.U.diagonal()
     bad = np.where(~(d > 0.0))[0]
     if bad.size:
+        k = int(bad[0])
         raise FactorizationError(
-            f"matrix is not positive definite: pivot {bad[0]} is {d[bad[0]]:g}",
-            pivot=int(bad[0]),
+            f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}",
+            pivot=k,
         )
-    L = (lu.L @ sp.diags(np.sqrt(d))).tocsr()
+    # lu.L is a CSC copy of the unit-diagonal factor that lu.solve never
+    # reads; scale its column j by sqrt(d_j) in place
+    L = lu.L
+    L.data *= np.repeat(np.sqrt(d), np.diff(L.indptr))
     log_det = float(np.sum(np.log(d)))
-    return CholFactor(n, L, identity, log_det, splu_obj=lu)
+    return CholFactor(a.n, L, perm, log_det, lu)

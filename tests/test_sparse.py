@@ -48,22 +48,28 @@ class TestConstruction:
 
 class TestChol:
     def test_two_by_two_hand_case(self):
-        # [[4, 2], [2, 3]] factors as L = [[2, 0], [1, sqrt(2)]], det = 8
+        # L L^T = A[perm][:, perm]: [[4, 2], [2, 3]] factors as
+        # [[2, 0], [1, sqrt(2)]] in natural order and as
+        # [[sqrt(3), 0], [2/sqrt(3), sqrt(8/3)]] swapped; det = 8 either way
         a = sparse_from_triplets(2, [0, 0, 1, 1], [0, 1, 0, 1], [4.0, 2.0, 2.0, 3.0])
+        hand = {
+            (0, 1): [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
+            (1, 0): [[np.sqrt(3.0), 0.0], [2.0 / np.sqrt(3.0), np.sqrt(8.0 / 3.0)]],
+        }
         f = chol(a)
-        np.testing.assert_allclose(
-            f.L.toarray(), [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14
-        )
+        assert tuple(f.perm) in hand
+        np.testing.assert_allclose(f.L.toarray(), hand[tuple(f.perm)], atol=1e-14)
         np.testing.assert_allclose(f.log_det, np.log(8.0), atol=1e-14)
-        np.testing.assert_array_equal(f.perm, [0, 1])
 
     def test_factor_reproduces_input(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 5, 23, 60):
             a = random_spd(rng, n)
             f = chol(a)
+            np.testing.assert_array_equal(np.sort(f.perm), np.arange(n))
+            dense = a.to_dense()
             np.testing.assert_allclose(
-                (f.L @ f.L.T).toarray(), a.to_dense(), atol=1e-10 * n
+                (f.L @ f.L.T).toarray(), dense[f.perm][:, f.perm], atol=1e-10 * n
             )
 
     def test_log_det_matches_dense(self):
@@ -81,10 +87,73 @@ class TestChol:
             chol(a)
         assert exc.value.pivot == 1
 
+    def test_non_pd_pivot_is_an_elimination_step(self):
+        # a hub joined to a chain of 6 leaves; leaf 3 has a negative diagonal
+        n = 7
+        a = 4.0 * np.eye(n)
+        a[0, 0] = 10.0
+        a[0, 1:] = a[1:, 0] = 1.0
+        for i in range(1, n - 1):
+            a[i, i + 1] = a[i + 1, i] = -1.0
+        twin = chol(SparseSym.from_dense(a))  # same pattern, positive definite
+        a[3, 3] = -1.0
+        with pytest.raises(FactorizationError) as exc:
+            chol(SparseSym.from_dense(a))
+        # the ordering depends on the pattern alone, so the twin's is the same
+        perm = twin.perm
+        assert not np.array_equal(perm, np.arange(n))
+        k = exc.value.pivot
+        assert f"pivot {k} (row {perm[k]})" in str(exc.value)
+        ap = a[perm][:, perm]
+        np.linalg.cholesky(ap[:k, :k])
+        assert np.linalg.eigvalsh(ap[: k + 1, : k + 1]).min() <= 0.0
+
     def test_singular_raises(self):
         a = SparseSym.from_dense(np.zeros((3, 3)) + np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(FactorizationError):
             chol(a)
+
+
+def intercept_bym_qstar(side=12):
+    """Q* of an intercept-first BYM fit on a side x side rook lattice.
+
+    Latent 0 is the intercept, then the Besag half u and the iid half v;
+    every area's row of B touches the intercept, u_i and v_i, so the
+    intercept's row and column of Q* are dense.
+    """
+    n = side * side
+    idx = np.arange(n).reshape(side, side)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    adj = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    adj = adj + adj.T
+    lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+    q = sp.block_diag(
+        [sp.identity(1) * 1e-3, 2.0 * lap + 1e-8 * sp.identity(n), 10.0 * sp.identity(n)]
+    )
+    b = sp.hstack([np.ones((n, 1)), sp.identity(n), sp.identity(n)])
+    h = np.random.default_rng(3).uniform(1.0, 20.0, n)
+    return SparseSym((q + b.T @ sp.diags(h) @ b).tocsc())
+
+
+class TestFillReducingOrder:
+    def test_intercept_first_arrow_stays_sparse(self):
+        # in natural order the dense intercept row fills the whole factor
+        a = intercept_bym_qstar()
+        f = chol(a)
+        n = a.n
+        assert f.L.nnz <= 0.10 * n * (n + 1) / 2
+        dense = a.to_dense()
+        np.testing.assert_allclose(
+            (f.L @ f.L.T).toarray(), dense[f.perm][:, f.perm], atol=1e-10 * n
+        )
+
+    def test_solve_lt_covariance_identity(self):
+        a = intercept_bym_qstar()
+        f = chol(a)
+        linvt = f.solve_lt(np.eye(a.n))
+        cov = np.linalg.inv(a.to_dense())
+        np.testing.assert_allclose(linvt @ linvt.T, cov, atol=1e-9 * np.abs(cov).max())
 
 
 class TestSolve:
