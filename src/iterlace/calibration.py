@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EngineError, Model, ObsBlock, check_expr_refs, expr_env, fit, generate
-from .engine import _draw_latent, _kriging
+from .engine import _draw_block, _kriging
 from .exprs import parse_expr
 from .sparse import chol
 
@@ -135,7 +135,8 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         theta = np.array([hp.prior.sample(rng) for _, _, hp in model.theta_entries])
         comp_vals, obs_vals = model.natural_values(theta)
         prior_factor = chol(model.precision(comp_vals))
-        u = _draw_latent(mu, prior_factor, C, _kriging(prior_factor, C), rng)
+        z = rng.standard_normal((mu.size, 1))
+        u = _draw_block(mu, prior_factor, C, _kriging(prior_factor, C), z)[0]
         ys = [
             b.family.sample(rng, model.eta_block(b, u), obs_vals[i])
             for i, b in enumerate(model.obs)

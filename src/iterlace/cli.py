@@ -41,7 +41,7 @@ from .config import (
     validate_config,
 )
 from .diagnostics import kl_divergences, linearisation_deviation
-from .engine import fit, generate
+from .engine import fit, generate, predict_summary
 from .exprs import parse_expr
 
 __all__ = ["main", "cmd_fit", "cmd_predict", "cmd_sbc", "cmd_diagnose"]
@@ -273,16 +273,11 @@ def cmd_predict(args):
     if args.data is not None:
         inputs = bind_new_inputs(built.spec, read_table(args.data))
     draws = generate(result, expr, args.n_samples, default_rng(seed), inputs=inputs)
-    header = ["mean", "sd"] + [f"q{tok}" for tok, _ in quantiles]
-    mean = draws.mean(axis=0)
-    sd = draws.std(axis=0, ddof=1)
     levels = [p for _, p in quantiles]
-    qs = np.quantile(draws, levels, axis=0)
-    rows = [
-        [mean[j], sd[j]] + [qs[i, j] for i in range(len(levels))]
-        for j in range(draws.shape[1])
-    ]
-    _write_csv(args.out, header, rows)
+    summary = predict_summary(draws, levels)
+    header = ["mean", "sd"] + [f"q{tok}" for tok, _ in quantiles]
+    columns = [summary["mean"], summary["sd"]] + [summary[f"q{p!r}"] for p in levels]
+    _write_csv(args.out, header, np.column_stack(columns))
     print(args.out)
     return 0
 

@@ -24,9 +24,13 @@ variance goes through them, and the Laplace ratio gets matching
 correction terms so the hyperparameter posterior stays consistent.
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
-by its weight, then the latent state from that point's Gaussian.
-``generate``, the linearisation diagnostic and SBC all draw through it
-(SBC's prior draw through the same ``_draw_latent``).
+by its weight, then the latent state from that point's Gaussian.  Draws
+are batched per grid point: the grid indices and normals are taken in
+per-draw stream order, then each grid point's draws come from one
+triangular solve with a matrix right-hand side (``_draw_block``), so a
+call holds O(n_draws * n_latent) memory.  ``generate``, the
+linearisation diagnostic and SBC all draw through it (SBC's prior draw
+through the same ``_draw_block``, with one column).
 """
 
 from __future__ import annotations
@@ -430,9 +434,19 @@ def _kriging_var_drop(X, S):
     return np.sum((X @ np.linalg.inv(S)) * X, axis=1)
 
 
-def _draw_latent(mean, factor, C, proj, rng):
-    """One draw from N(mean, A^-1) conditioned on C u = 0."""
-    return _project(mean + factor.solve_lt(rng.standard_normal(mean.size)), C, proj)
+def _draw_block(mean, factor, C, proj, Z):
+    """Draws from N(mean, A^-1) conditioned on C u = 0, one per column of
+    the standard-normal matrix Z, returned one per row.
+
+    One triangular solve covers every column; the kriging projection is
+    applied row by row, which keeps each draw bit-identical to drawing it
+    alone.
+    """
+    U = np.ascontiguousarray((mean[:, None] + factor.solve_lt(Z)).T)
+    if C is not None:
+        for s in range(U.shape[0]):
+            U[s] = _project(U[s], C, proj)
+    return U
 
 
 @dataclass
@@ -591,24 +605,49 @@ MAX_THETA_DIM = 3
 
 
 class _ThetaCache:
-    """Deterministic memo of log-posterior evaluations, with warm starts."""
+    """Deterministic memo of log-posterior evaluations, with warm starts.
+
+    ``cache`` holds one ``(lp, ga)`` entry per evaluated theta.  While
+    ``searching`` is set (the Nelder-Mead mode search, which reads only
+    lp), a new entry keeps its GaussResult only if it is the best so far
+    or ties it; earlier results are dropped to ``(lp, None)``, so the
+    search holds a few factors instead of one per evaluation.  A lookup
+    outside the search that finds a dropped result re-evaluates.
+    """
 
     def __init__(self, model, lin):
         self.model = model
         self.lin = lin
         self.cache = {}
         self.last_mode = None
+        self.searching = False
+        self._best = []  # keys that keep their GaussResult during the search
+        self._best_lp = -np.inf
 
     def __call__(self, theta):
         key = tuple(np.round(np.asarray(theta, dtype=float), 12))
-        if key not in self.cache:
+        hit = self.cache.get(key)
+        if hit is None or (hit[1] is None and not self.searching):
             lp, ga = log_posterior_theta(
                 self.model, self.lin, np.asarray(theta, dtype=float),
                 u_init=self.last_mode,
             )
             self.last_mode = ga.mode
-            self.cache[key] = (lp, ga)
-        return self.cache[key]
+            if self.searching:
+                ga = self._keep_if_best(key, lp, ga)
+            hit = self.cache[key] = (lp, ga)
+        return hit
+
+    def _keep_if_best(self, key, lp, ga):
+        if lp > self._best_lp:
+            for k in self._best:
+                self.cache[k] = (self.cache[k][0], None)
+            self._best, self._best_lp = [key], lp
+        elif lp == self._best_lp:
+            self._best.append(key)
+        else:
+            return None
+        return ga
 
 
 def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None):
@@ -636,12 +675,14 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
             if theta_start is not None
             else model.theta_internal0()
         )
+        evals.searching = True
         res = optimize.minimize(
             lambda t: -evals(t)[0],
             start,
             method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 500, "maxiter": 1000},
         )
+        evals.searching = False
         if not res.success:
             raise EngineError(
                 "hyperparameter optimisation failed within 500 evaluations"
@@ -1089,13 +1130,29 @@ def expr_env(model, expr, u, inputs=None):
 
 def _posterior_draws(result, n, rng):
     """Yield n joint posterior draws of the latent state: a grid point
-    by its weight, then the state from that point's Gaussian."""
+    by its weight, then the state from that point's Gaussian.
+
+    Per draw the stream is one uniform for the grid point (exactly what
+    ``rng.choice(k, p=weights)`` consumes) and then one standard-normal
+    vector.  All n are taken first; each grid point then gets one batched
+    ``_draw_block``, so memory is O(n * n_latent) per call.
+    """
     grid = result.grid
-    weights = np.array([p.weight for p in grid])
+    cdf = np.array([p.weight for p in grid]).cumsum()
+    cdf /= cdf[-1]
+    d = result.model.n_latent
+    idx = np.empty(n, dtype=int)
+    Z = np.empty((d, n))
+    for s in range(n):
+        idx[s] = cdf.searchsorted(rng.random(), "right")
+        Z[:, s] = rng.standard_normal(d)
     C = result.model.constraints
-    for _ in range(n):
-        point = grid[int(rng.choice(len(grid), p=weights))]
-        yield _draw_latent(point.mode, point.factor, C, point.constraint_proj, rng)
+    draws = np.empty((n, d))
+    for g in np.unique(idx):
+        cols = np.flatnonzero(idx == g)
+        point = grid[g]
+        draws[cols] = _draw_block(point.mode, point.factor, C, point.constraint_proj, Z[:, cols])
+    yield from draws
 
 
 def generate(result, expr, n_samples, rng, inputs=None):
@@ -1121,7 +1178,12 @@ def generate(result, expr, n_samples, rng, inputs=None):
 
 
 def predict_summary(samples, quantiles=(0.025, 0.5, 0.975)):
-    """Per-column mean, sd and quantiles of a sample matrix."""
+    """Per-column mean, sd and quantiles of a sample matrix.
+
+    Quantile ``q`` is keyed ``f"q{q!r}"`` (``"q0.025"``), the shortest
+    text that reads back as the same float, so distinct levels never
+    share a key.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise EngineError("predict_summary needs a matrix with at least 2 samples")
@@ -1130,7 +1192,7 @@ def predict_summary(samples, quantiles=(0.025, 0.5, 0.975)):
         "sd": samples.std(axis=0, ddof=1),
     }
     for q in quantiles:
-        out[f"q{q:g}"] = np.quantile(samples, q, axis=0)
+        out[f"q{float(q)!r}"] = np.quantile(samples, q, axis=0)
     return out
 
 

@@ -311,6 +311,16 @@ class TestPredict:
         assert header == ["mean", "sd", "q0.1", "q0.9"]
         assert float(rows[0][2]) < float(rows[0][3])
 
+    def test_single_draw_is_a_runtime_error(self, toy_dir, capsys):
+        # a standard deviation needs at least two draws
+        out, _, _ = fit_toy(toy_dir, capsys)
+        tmp_path, _ = toy_dir
+        code, stdout = run_cli(
+            ["predict", "-f", out / "fit.json", "-e", "~ lam", "-n", "1",
+             "-o", tmp_path / "pred.csv"], capsys)
+        assert code == 2
+        assert "at least 2 samples" in json.loads(stdout)["error"]["message"]
+
     def test_not_a_fit_file(self, toy_dir, capsys):
         tmp_path, _ = toy_dir
         code, stdout = run_cli(

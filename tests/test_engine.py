@@ -5,8 +5,11 @@ conjugate posteriors, scipy special functions and brute-force searches,
 never from the engine itself.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import optimize, stats
 from scipy.special import lambertw
 
@@ -16,7 +19,9 @@ from iterlace.engine import (
     Model,
     ObsBlock,
     ThetaPoint,
+    _ThetaCache,
     _fmt3,
+    _posterior_draws,
     fit,
     gaussian_approx,
     generate,
@@ -38,6 +43,7 @@ from iterlace.latents import (
 )
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
+from iterlace.sparse import SparseSym, chol
 
 
 # --- dense oracles -----------------------------------------------------
@@ -640,6 +646,12 @@ class TestSummaries:
         with pytest.raises(EngineError):
             predict_summary(np.array([[1.0]]))
 
+    def test_predict_summary_keys_keep_close_levels_apart(self):
+        samples = np.arange(12.0).reshape(6, 2)
+        out = predict_summary(samples, (0.1234561, 0.1234562, 0.5))
+        assert {"q0.1234561", "q0.1234562", "q0.5"} <= set(out)
+        assert np.array_equal(out["q0.1234562"], np.quantile(samples, 0.1234562, axis=0))
+
     def test_sample_mode_picks_densest_bin(self):
         rng = np.random.default_rng(0)
         col = np.concatenate([rng.normal(3.0, 0.05, size=2000), [12.0, -7.0]])
@@ -745,3 +757,87 @@ class TestGenerate:
         got = linearisation_deviation(res, 30, seed=2)
         assert want > 0.0
         assert np.array_equal(got, want)
+
+    def test_single_draw_is_prefix_of_longer_run(self):
+        # batching per grid point must not let later draws change earlier ones
+        res = _fit_rw1_free_precision()
+        expr = parse_expr("f_latent")
+        for seed in (0, 9, 31):
+            one = generate(res, expr, 1, rng=seed)
+            many = generate(res, expr, 40, rng=seed)
+            assert np.array_equal(one[0], many[0])
+
+    @pytest.mark.parametrize("weights", [
+        [0.25, 0.0, 0.5, 0.25, 0.0],          # exact zeros, inside and last
+        [0.1, 0.2, 0.0, 0.3, 0.4 + 1e-12],    # sum is not exactly 1
+    ])
+    def test_grid_point_choice_matches_rng_choice(self, weights):
+        # one latent with precision 1e6 per point: draw s lies within 1e-2
+        # of its point's mode 10 * g, so the chosen index can be read back
+        grid = []
+        for g, w in enumerate(weights):
+            p = _fake_point(w, 10.0 * g, 1e-6)
+            p.factor = chol(SparseSym(sp.csc_matrix([[1e6]])))
+            grid.append(p)
+        model = SimpleNamespace(n_latent=1, constraints=None)
+        res = SimpleNamespace(grid=grid, model=model)
+        gen = np.random.default_rng(11)
+        want_idx, want = [], []
+        for _ in range(2000):
+            g = int(gen.choice(len(weights), p=weights))
+            want_idx.append(g)
+            want.append(grid[g].mode + grid[g].factor.solve_lt(gen.standard_normal(1)))
+        draws = np.stack(list(_posterior_draws(res, 2000, np.random.default_rng(11))))
+        assert np.array_equal(draws, np.stack(want))
+        got_idx = np.rint(draws[:, 0] / 10.0).astype(int)
+        assert np.array_equal(got_idx, want_idx)
+        assert not np.isin(got_idx, np.flatnonzero(np.array(weights) == 0.0)).any()
+
+
+def _fit_rw1_free_precision():
+    """RW1 with a free precision through exp(f): a multi-point grid and a
+    sum-to-zero constraint."""
+    rng = np.random.default_rng(4)
+    t = np.linspace(0.0, 3.0, 10)
+    y = np.exp(0.4 * np.sin(t)) + 0.2 * rng.normal(size=10)
+    comp = Component(
+        "f", Rw1Model(10, _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0)))
+    )
+    block = ObsBlock(
+        GaussianFamily(fixed_prec=25.0), y, parse_expr("exp(f)"), {"f": np.arange(1, 11)},
+    )
+    res = fit(Model([comp], [block]))
+    assert res.converged and len(res.grid) > 1
+    return res
+
+
+class TestThetaCache:
+    def _search(self):
+        res = _fit_rw1_free_precision()
+        model = res.model
+        evals = _ThetaCache(model, res.linearisation)
+        evals.searching = True
+        optimize.minimize(lambda t: -evals(t)[0], model.theta_internal0(),
+                          method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 500})
+        evals.searching = False
+        return evals
+
+    def test_search_keeps_only_the_best_result(self):
+        evals = self._search()
+        lps = {key: lp for key, (lp, _) in evals.cache.items()}
+        best = max(lps.values())
+        kept = [key for key, (_, ga) in evals.cache.items() if ga is not None]
+        assert len(evals.cache) > 20  # one entry per evaluated theta
+        assert kept and all(lps[key] == best for key in kept)
+        assert all(lp < best for key, lp in lps.items() if key not in kept)
+
+    def test_dropped_result_is_re_evaluated_after_the_search(self):
+        evals = self._search()
+        n = len(evals.cache)
+        key, (lp0, _) = next((k, v) for k, v in evals.cache.items() if v[1] is None)
+        lp, ga = evals(np.array(key))
+        assert ga is not None and len(evals.cache) == n
+        assert lp == pytest.approx(lp0, abs=1e-8)
+        kept = next(k for k, (_, g) in evals.cache.items() if g is not None and k != key)
+        assert evals(np.array(kept))[1] is evals.cache[kept][1]
