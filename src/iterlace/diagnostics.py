@@ -151,13 +151,13 @@ def kl_divergences(fit):
 
     m_bar = point.mode
     _, h_bar = _obs_grad_hess(model, lin, m_bar, obs_vals)
-    q_prior = model.precision(comp_vals).csc
-    q_bar = (q_prior - (lin.B.T @ sp.diags(h_bar) @ lin.B)).tocsc()
+    q_prior = model.precision(comp_vals)
+    q_bar = lin.qstar(q_prior, h_bar, symmetric=False)
 
     gmat = correction_matrix(fit)
     q_tilde = (q_bar - gmat).tocsc()
 
-    factor_bar = chol(SparseSym(q_bar))
+    factor_bar = chol(lin.qstar(q_prior, h_bar))
     try:
         factor_tilde = chol(SparseSym(q_tilde))
     except FactorizationError as err:

@@ -23,6 +23,17 @@ applies u - W S^-1 C u.  Every Newton step, mode, sample, and marginal
 variance goes through them, and the Laplace ratio gets matching
 correction terms so the hyperparameter posterior stays consistent.
 
+Precisions are assembled on fixed sparsity patterns.  The pattern of
+Q(theta) is fixed per model (``Model.precision``) and that of
+Q* = Q - B^T diag(h) B per linearisation (``Linearisation.qstar``), so a
+new theta writes only Q's data and a Newton step only Q*'s, with the
+same floating-point operations as the scipy expressions they replace.
+Symmetry is validated when Q's pattern is built (and rebuilt, if a
+component's pattern changes); per-theta matrices are not re-validated.
+A Laplace evaluation's SuperLU object lives no longer than its
+evaluation: a grid point keeps its factor's ``L``, ``perm`` and
+``log_det`` only, which is all sampling needs.
+
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
 are batched per grid point: the grid indices and normals are taken in
@@ -35,7 +46,7 @@ through the same ``_draw_block``, with one column).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,9 +122,84 @@ class Linearisation:
     B: sp.csr_matrix
     delta: np.ndarray
     block_slices: list
+    _qstar: object = field(default=None, init=False, repr=False, compare=False)
 
     def eval(self, u):
         return self.delta + self.B @ u
+
+    def qstar(self, q, h, symmetric=True):
+        """Q* = Q - B^T diag(h) B for the SparseSym Q, on a pattern built
+        once per linearisation and again whenever Q's pattern changes.
+
+        The result is a SparseSym.  With ``symmetric=False`` it is the CSC
+        matrix before symmetrisation, whose (r, c) and (c, r) entries can
+        differ in the last bit, as scipy's expression gives it.
+        """
+        pattern = self._qstar
+        if pattern is None or not pattern.fits(q.csc):
+            pattern = self._qstar = _QStarPattern(q.csc, self.B)
+        return pattern.assemble(q.csc, h, symmetric)
+
+
+class _QStarPattern:
+    """The sparsity pattern of Q* = Q - B^T diag(h) B: the union of Q's and
+    B^T B's, in canonical CSC order.
+
+    ``assemble`` does the arithmetic of
+    ``SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())`` on this fixed
+    pattern, so it returns the same matrix bit for bit: entry (r, c) of
+    B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing order,
+    as scipy's sparse product does, and the symmetrisation is
+    SparseSym's (M + M^T) / 2.
+    """
+
+    def __init__(self, q, B):
+        d = q.shape[0]
+        self.q_indptr, self.q_indices = q.indptr, q.indices
+        # every pair (a, b) of stored entries in one row i of B adds
+        # (B_ir h_i) B_ic to entry (r, c), r = column of a, c = column of b
+        B = sp.csr_matrix(B)
+        row_of = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        reps = np.diff(B.indptr)[row_of]  # partners of each stored entry
+        a = np.repeat(np.arange(B.nnz), reps)
+        b = np.repeat(B.indptr[row_of] - np.cumsum(reps) + reps, reps) + np.arange(a.size)
+        r, c = B.indices[a].astype(np.int64), B.indices[b].astype(np.int64)
+        q_cols = np.repeat(np.arange(d, dtype=np.int64), np.diff(q.indptr))
+        q_keys = q_cols * d + q.indices
+        keys = np.unique(np.concatenate([q_keys, c * d + r]))  # column-major
+        rows, cols = keys % d, keys // d
+        self.indices = rows.astype(q.indices.dtype)
+        self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
+        self.shape = q.shape
+        self.q_slot = np.searchsorted(keys, q_keys)
+        self.t_slot = np.searchsorted(keys, rows * d + cols)
+        slot = np.searchsorted(keys, c * d + r)
+        order = np.argsort(slot, kind="stable")  # rows i stay increasing per entry
+        self.slot = slot[order]
+        self.obs = row_of[a][order]
+        self.b_r = B.data[a][order]
+        self.b_c = B.data[b][order]
+
+    def fits(self, q):
+        """Whether Q has the pattern this was built for."""
+        return np.array_equal(q.indptr, self.q_indptr) and np.array_equal(
+            q.indices, self.q_indices
+        )
+
+    def assemble(self, q, h, symmetric=True):
+        btb = np.bincount(
+            self.slot, weights=(self.b_r * h[self.obs]) * self.b_c,
+            minlength=self.indices.size,
+        )
+        m = np.zeros(self.indices.size)
+        m[self.q_slot] = q.data
+        m -= btb
+        data = (m + m[self.t_slot]) * 0.5 if symmetric else m
+        csc = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        if not data.all():  # exact zeros are dropped, as scipy drops them
+            csc = csc.copy()
+            csc.eliminate_zeros()
+        return SparseSym._trusted(csc) if symmetric else csc
 
 
 @dataclass
@@ -194,6 +280,7 @@ class Model:
 
         self._validate_refs()
         self._constraints = self._build_constraints()
+        self._q_blocks = self._q_pattern = None  # see precision()
 
     # -- bookkeeping
 
@@ -269,10 +356,30 @@ class Model:
         )
 
     def precision(self, comp_vals):
+        """Prior precision Q(theta), block-diagonal in component order.
+
+        Component precisions are canonical CSC, so Q's pattern is theirs
+        side by side and a new theta only concatenates their data.  The
+        pattern is built, and Q validated as a SparseSym, on the first
+        call and again whenever a component's pattern changes (an AR(1)
+        at rho = 0 stores no off-diagonal entries).
+        """
         blocks = [
             c.model.precision(comp_vals[c.name]).csc for c in self.components
         ]
-        return SparseSym(sp.block_diag(blocks, format="csc"))
+        ref = self._q_pattern
+        if ref is None or not all(
+            np.array_equal(b.indptr, indptr) and np.array_equal(b.indices, indices)
+            for b, (indptr, indices) in zip(blocks, self._q_blocks)
+        ):
+            q = SparseSym(sp.block_diag(blocks, format="csc"))
+            self._q_blocks = [(b.indptr, b.indices) for b in blocks]
+            self._q_pattern = q.csc
+            return q
+        data = np.concatenate([b.data for b in blocks])
+        return SparseSym._trusted(
+            sp.csc_matrix((data, ref.indices, ref.indptr), shape=ref.shape)
+        )
 
     def prior_mean(self):
         return np.concatenate([c.model.prior_mean() for c in self.components])
@@ -511,7 +618,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     f_cur = objective(u)
     for _ in range(max_iter):
         g, h = _obs_grad_hess(model, lin, u, obs_vals)
-        factor = chol(SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc()))
+        factor = chol(lin.qstar(prior_q, h))
         step = factor.solve(B.T @ g + Q @ (mu_prior - u))
         cand = _project(u + step, C, _kriging(factor, C))
         move = cand - u
@@ -537,7 +644,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         )
 
     g, h = _obs_grad_hess(model, lin, u, obs_vals)
-    qstar = SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())
+    qstar = lin.qstar(prior_q, h)
     factor = chol(qstar)
     return GaussResult(
         mode=u,
@@ -607,12 +714,21 @@ MAX_THETA_DIM = 3
 class _ThetaCache:
     """Deterministic memo of log-posterior evaluations, with warm starts.
 
-    ``cache`` holds one ``(lp, ga)`` entry per evaluated theta.  While
-    ``searching`` is set (the Nelder-Mead mode search, which reads only
-    lp), a new entry keeps its GaussResult only if it is the best so far
-    or ties it; earlier results are dropped to ``(lp, None)``, so the
-    search holds a few factors instead of one per evaluation.  A lookup
-    outside the search that finds a dropped result re-evaluates.
+    ``cache`` holds one ``(lp, kept)`` entry per evaluated theta.
+
+    * A call without ``lp_floor`` keeps the GaussResult.  While
+      ``searching`` is set (the Nelder-Mead mode search, which reads only
+      lp), a new entry keeps it only if it is the best so far or ties
+      it; earlier results are dropped to ``(lp, None)``, so the search
+      holds a few factors instead of one per evaluation.
+    * A call with ``lp_floor`` keeps the finished grid point
+      (``_make_point``) when lp >= lp_floor and nothing otherwise, so no
+      SuperLU object outlives its evaluation; ``lp_floor=inf`` keeps only
+      lp.  A GaussResult the entry already holds is finished without
+      evaluating again.
+
+    A lookup outside the search that finds less than it would keep
+    re-evaluates.
     """
 
     def __init__(self, model, lin):
@@ -624,19 +740,30 @@ class _ThetaCache:
         self._best = []  # keys that keep their GaussResult during the search
         self._best_lp = -np.inf
 
-    def __call__(self, theta):
-        key = tuple(np.round(np.asarray(theta, dtype=float), 12))
+    def __call__(self, theta, lp_floor=None):
+        theta = np.asarray(theta, dtype=float)
+        key = tuple(np.round(theta, 12))
         hit = self.cache.get(key)
-        if hit is None or (hit[1] is None and not self.searching):
-            lp, ga = log_posterior_theta(
-                self.model, self.lin, np.asarray(theta, dtype=float),
-                u_init=self.last_mode,
-            )
+        if hit is not None and not self._lacks(hit, lp_floor):
+            return hit
+        if hit is not None and isinstance(hit[1], GaussResult):
+            lp, ga = hit
+        else:
+            lp, ga = log_posterior_theta(self.model, self.lin, theta, u_init=self.last_mode)
             self.last_mode = ga.mode
-            if self.searching:
-                ga = self._keep_if_best(key, lp, ga)
-            hit = self.cache[key] = (lp, ga)
+        if lp_floor is not None:
+            kept = _make_point(theta, lp, ga, self.lin) if lp >= lp_floor else None
+        elif self.searching:
+            kept = self._keep_if_best(key, lp, ga)
+        else:
+            kept = ga
+        hit = self.cache[key] = (lp, kept)
         return hit
+
+    def _lacks(self, hit, lp_floor):
+        if lp_floor is None:
+            return not self.searching and not isinstance(hit[1], GaussResult)
+        return hit[0] >= lp_floor and not isinstance(hit[1], ThetaPoint)
 
     def _keep_if_best(self, key, lp, ga):
         if lp > self._best_lp:
@@ -692,25 +819,29 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     lp_hat, ga_hat = evals(theta_hat)
 
     if mode_only or p == 0:
-        point = _make_point(theta_hat, lp_hat, 1.0, ga_hat, lin)
+        point = _make_point(theta_hat, lp_hat, ga_hat, lin)
         return theta_hat, [point], ga_hat
 
-    # curvature at the mode (central differences, internal scale)
+    # curvature at the mode (central differences, internal scale); these
+    # evaluations keep only lp
+    def lp_at(theta):
+        return evals(theta, lp_floor=np.inf)[0]
+
     step = 0.01
     hess = np.empty((p, p))
     for i in range(p):
         ei = np.zeros(p)
         ei[i] = step
-        fp = evals(theta_hat + ei)[0]
-        fm = evals(theta_hat - ei)[0]
+        fp = lp_at(theta_hat + ei)
+        fm = lp_at(theta_hat - ei)
         hess[i, i] = (fp - 2.0 * lp_hat + fm) / step**2
         for j in range(i + 1, p):
             ej = np.zeros(p)
             ej[j] = step
-            fpp = evals(theta_hat + ei + ej)[0]
-            fpm = evals(theta_hat + ei - ej)[0]
-            fmp = evals(theta_hat - ei + ej)[0]
-            fmm = evals(theta_hat - ei - ej)[0]
+            fpp = lp_at(theta_hat + ei + ej)
+            fpm = lp_at(theta_hat + ei - ej)
+            fmp = lp_at(theta_hat - ei + ej)
+            fmm = lp_at(theta_hat - ei - ej)
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
 
     lam, vec = np.linalg.eigh(-hess)
@@ -720,7 +851,9 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     def theta_of(z):
         return theta_hat + axes @ z
 
-    # per-axis extents, then the tensor-product grid, dropping low points
+    # per-axis extents, then the tensor-product grid, dropping low points;
+    # an evaluation at or above the floor is finished into its grid point
+    floor = lp_hat - GRID_DROP
     offsets = []
     for i in range(p):
         vals = [0.0]
@@ -729,40 +862,38 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
             while k <= 10:
                 z = np.zeros(p)
                 z[i] = direction * GRID_SPACING * k
-                if evals(theta_of(z))[0] < lp_hat - GRID_DROP:
+                if evals(theta_of(z), lp_floor=floor)[0] < floor:
                     break
                 vals.append(z[i])
                 k += 1
         offsets.append(sorted(vals))
 
-    grid_points = []
+    points = []
     mesh = np.meshgrid(*offsets, indexing="ij")
     zs = np.stack([m.ravel() for m in mesh], axis=-1)
     order = np.lexsort(zs.T[::-1])
     for z in zs[order]:
-        theta = theta_of(z)
-        lp, ga = evals(theta)
-        if lp < lp_hat - GRID_DROP:
+        lp, point = evals(theta_of(z), lp_floor=floor)
+        if lp < floor:
             continue
-        grid_points.append((theta, lp, ga))
+        points.append(point)
 
-    lps = np.array([g[1] for g in grid_points])
+    lps = np.array([pt.log_post for pt in points])
     w = np.exp(lps - lps.max())
     w /= w.sum()
-    grid = [
-        _make_point(theta, lp, weight, ga, lin)
-        for (theta, lp, ga), weight in zip(grid_points, w)
-    ]
+    grid = [replace(pt, weight=float(weight)) for pt, weight in zip(points, w)]
     return theta_hat, grid, ga_hat
 
 
-def _make_point(theta, lp, weight, ga, lin):
+def _make_point(theta, lp, ga, lin, weight=1.0):
+    """A grid point from a Laplace evaluation: its summaries, and its
+    factor without the SuperLU object."""
     return ThetaPoint(
         theta=np.array(theta, dtype=float),
         log_post=float(lp),
         weight=float(weight),
         mode=ga.mode,
-        factor=ga.factor,
+        factor=ga.factor.without_solver(),
         latent_var=ga.latent_var(),
         pred_mean=lin.eval(ga.mode),
         pred_var=ga.pred_var(lin.B),
@@ -921,7 +1052,7 @@ def fit(model, options=None):
     if model.is_linear and not opts["force_iterative"]:
         log.say(f"iinla: Iteration 1 [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
-        theta_hat, grid, ga = theta_explore(model, lin, theta_start=theta_warm)
+        theta_hat, grid, _ = theta_explore(model, lin, theta_start=theta_warm)
         sd = _mode_sd(grid)
         dev = np.abs(_mode_point(grid).mode - u0) / sd
         records.append(
@@ -940,12 +1071,12 @@ def fit(model, options=None):
     for k in range(1, max_iter + 1):
         log.say(f"iinla: Iteration {k} [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
-        theta_hat, _, ga = theta_explore(
+        theta_hat, (point,), _ = theta_explore(
             model, lin, theta_start=theta_warm, mode_only=True
         )
         theta_warm = theta_hat
-        u_hat = ga.mode
-        sd = np.sqrt(np.maximum(ga.latent_var(), 1e-300))
+        u_hat = point.mode
+        sd = np.sqrt(np.maximum(point.latent_var, 1e-300))
 
         if k == 1:
             dev_vec = np.abs(u_hat - u0) / sd
@@ -966,7 +1097,7 @@ def fit(model, options=None):
         if cand_dev < rel_tol:
             alpha, v, ran_search = 1.0, u_hat, False
         else:
-            sigma2 = ga.pred_var(lin.B)
+            sigma2 = point.pred_var
             eta_bar0 = lin.eval(u0)
             eta_bar1 = lin.eval(u_hat)
             alpha, v = line_search(

@@ -11,11 +11,17 @@ by adding a tiny ridge to the singular precision and conditioning on
 sum-to-zero over each connected component, which makes every density
 the engine touches proper while leaving the within-constraint
 distribution essentially untouched.
+
+Every precision here is symmetric by construction, so it is wrapped by
+``SparseSym._trusted`` rather than validated on each call; the engine
+validates the assembled block-diagonal Q(theta) whenever it builds its
+pattern.  A graph's structure matrix is built once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,17 +105,22 @@ class Graph:
         return out
 
     def structure(self):
-        """The combinatorial Laplacian deg(i) on the diagonal, -1 per edge."""
-        rows, cols, vals = [], [], []
-        deg = self.degrees()
-        for i in range(self.n):
-            rows.append(i)
-            cols.append(i)
-            vals.append(float(deg[i]))
-        for i, j in self.edges:
-            rows.extend((i, j))
-            cols.extend((j, i))
-            vals.extend((-1.0, -1.0))
+        """The combinatorial Laplacian deg(i) on the diagonal, -1 per edge.
+
+        A fresh copy of a matrix built once per graph, so a caller that
+        changes it in place changes nothing else.
+        """
+        return self._laplacian.copy()
+
+    @cached_property
+    def _laplacian(self):
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        nodes = np.arange(self.n)
+        rows = np.concatenate([nodes, ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([nodes, ends[:, 1], ends[:, 0]])
+        vals = np.concatenate([
+            self.degrees().astype(float), np.full(2 * len(ends), -1.0)
+        ])
         return sp.csc_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
 
@@ -282,7 +293,7 @@ class IidModel(LatentModel):
 
     def precision(self, values):
         tau = values["prec"] if not self._hyper.fixed else self._hyper.initial
-        return SparseSym(sp.eye(self.n, format="csc") * tau)
+        return SparseSym._trusted(sp.eye(self.n, format="csc") * tau)
 
     def default_mapper(self):
         return IndexMapper(self.n)
@@ -302,12 +313,15 @@ class FixedEffectsModel(LatentModel):
         if not self.prec > 0:
             raise ValueError("fixed-effect precision must be positive")
         self._mapper = mapper if mapper is not None else LinearMapper()
+        self._q = None
 
     def n_latent(self):
         return self.n
 
     def precision(self, values):
-        return SparseSym(sp.eye(self.n, format="csc") * self.prec)
+        if self._q is None:  # constant: built on first use
+            self._q = SparseSym._trusted(sp.eye(self.n, format="csc") * self.prec)
+        return self._q
 
     def prior_mean(self):
         return np.full(self.n, self.mean)
@@ -371,13 +385,13 @@ class Ar1Model(LatentModel):
         rho = values["rho"] if not self._rho.fixed else self._rho.initial
         n = self.n
         if n == 1:
-            return SparseSym(sp.csc_matrix(np.array([[tau]])))
+            return SparseSym._trusted(sp.csc_matrix(np.array([[tau]])))
         scale = tau / (1.0 - rho * rho)
         diag = np.full(n, 1.0 + rho * rho)
         diag[0] = diag[-1] = 1.0
         off = np.full(n - 1, -rho)
         q = sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc") * scale
-        return SparseSym(q)
+        return SparseSym._trusted(q)
 
     def default_mapper(self):
         return IndexMapper(self.n)
@@ -406,7 +420,7 @@ class Rw1Model(LatentModel):
         q = sp.diags([-np.ones(n - 1), diag, -np.ones(n - 1)], (-1, 0, 1), format="csc")
         q = q * tau
         ridge = INTRINSIC_RIDGE * q.diagonal().mean()
-        return SparseSym(q + ridge * sp.eye(n, format="csc"))
+        return SparseSym._trusted(q + ridge * sp.eye(n, format="csc"))
 
     def constraints(self):
         return np.ones((1, self.n))
@@ -432,7 +446,7 @@ class BesagModel(LatentModel):
         tau = values["prec"] if not self._hyper.fixed else self._hyper.initial
         q = self.graph.structure() * tau
         ridge = INTRINSIC_RIDGE * q.diagonal().mean()
-        return SparseSym(q + ridge * sp.eye(self.graph.n, format="csc"))
+        return SparseSym._trusted(q + ridge * sp.eye(self.graph.n, format="csc"))
 
     def constraints(self):
         comps = self.graph.components()
@@ -515,7 +529,7 @@ class BymModel(LatentModel):
         ridge = INTRINSIC_RIDGE * qu.diagonal().mean()
         qu = qu + ridge * sp.eye(n, format="csc")
         qv = sp.eye(n, format="csc") * tau_v
-        return SparseSym(sp.block_diag([qu, qv], format="csc"))
+        return SparseSym._trusted(sp.block_diag([qu, qv], format="csc"))
 
     def constraints(self):
         comps = self.graph.components()

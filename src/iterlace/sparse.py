@@ -7,6 +7,16 @@ sparse throughout, and ``chol`` factors in a fill-reducing order, so the
 factor of a GMRF precision stays sparse too: ``L L^T = A[perm][:, perm]``.
 Every consumer goes through ``solve``, ``solve_lt`` and ``log_det``,
 which honour ``perm``.
+
+Symmetry is validated where a matrix comes in from outside, by the
+public ``SparseSym(...)`` constructor, which ``sparse_from_triplets``
+and user-defined latent models go through.  Precisions that are
+symmetric by construction -- each built-in latent model's Q(theta), and
+the engine's Q(theta) and Q* assembled on fixed sparsity patterns --
+are wrapped by ``SparseSym._trusted``, which only keeps the storage
+canonical.  A factor keeps its SuperLU object for ``solve`` until
+``without_solver`` drops it; what is left (``L``, ``perm``,
+``log_det``) still samples through ``solve_lt``.
 """
 
 from __future__ import annotations
@@ -75,6 +85,28 @@ class SparseSym:
         self.csc.sum_duplicates()
 
     @classmethod
+    def _trusted(cls, csc):
+        """Wrap a square CSC matrix that is exactly symmetric by construction.
+
+        Nothing is validated, and the caller must not mutate ``csc``
+        afterwards.  Storage is made canonical (summed duplicates, sorted
+        indices, no explicit zeros) as the public constructor would make
+        it; the index arrays are copied before any zero is dropped, so
+        a pattern shared with other matrices is never changed.  For an
+        exactly symmetric input this gives the same matrix as
+        ``SparseSym(csc)``.
+        """
+        if not csc.has_canonical_format:
+            csc.sum_duplicates()
+        if not csc.data.all():
+            csc = csc.copy()
+            csc.eliminate_zeros()
+        obj = cls.__new__(cls)
+        obj.n = csc.shape[0]
+        obj.csc = csc
+        return obj
+
+    @classmethod
     def from_dense(cls, arr):
         return cls(sp.csc_matrix(np.asarray(arr, dtype=float)))
 
@@ -129,6 +161,10 @@ class CholFactor:
     permutation, so callers see only A: ``solve`` returns A^{-1} rhs and
     ``solve_lt`` returns vectors with covariance A^{-1}.  ``log_det`` is
     the log-determinant of A, which the permutation does not change.
+
+    ``solve`` goes through the SuperLU object, whose workspace is several
+    times the size of ``L``; ``without_solver`` returns the factor
+    without it, for results that are kept and only sampled from.
     """
 
     __slots__ = ("n", "L", "perm", "log_det", "_splu")
@@ -147,8 +183,18 @@ class CholFactor:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
         return b, rhs.ndim == 1
 
+    def without_solver(self):
+        """This factor without its SuperLU object: ``solve_lt``, ``L``,
+        ``perm`` and ``log_det`` still work, ``solve`` raises."""
+        return CholFactor(self.n, self.L, self.perm, self.log_det, None)
+
     def solve(self, rhs):
         """Solve A x = rhs for one vector or a matrix of columns."""
+        if self._splu is None:
+            raise ValueError(
+                "this factor was kept without its solver; factorise the "
+                "matrix again with chol() to solve"
+            )
         b, vec = self._columns(rhs)
         x = self._splu.solve(np.ascontiguousarray(b))
         return x[:, 0] if vec else x

@@ -13,9 +13,11 @@ import scipy.sparse as sp
 from scipy import optimize, stats
 from scipy.special import lambertw
 
+from iterlace import engine
 from iterlace.engine import (
     Component,
     EngineError,
+    Linearisation,
     Model,
     ObsBlock,
     ThetaPoint,
@@ -35,6 +37,7 @@ from iterlace.engine import (
 from iterlace.diagnostics import linearisation_deviation
 from iterlace.exprs import parse_expr
 from iterlace.latents import (
+    Ar1Model,
     FixedEffectsModel,
     GaussianPrior,
     IidModel,
@@ -258,6 +261,109 @@ class TestGaussianApprox:
         np.testing.assert_allclose(ga.mode, mean_c, atol=1e-8)
         np.testing.assert_allclose(ga.latent_var(), np.diag(cov_c), atol=1e-8)
         assert abs(ga.mode.sum()) < 1e-8
+
+
+def _same_matrix(got, want):
+    return all(
+        np.array_equal(getattr(got, attr), getattr(want, attr))
+        for attr in ("data", "indices", "indptr")
+    )
+
+
+def _random_b(rng, n_rows, d, max_per_row=6):
+    """A CSR matrix whose rows hold 0..max_per_row entries at random columns."""
+    rows, cols, vals = [], [], []
+    for i in range(n_rows):
+        k = int(rng.integers(0, min(max_per_row, d) + 1))
+        rows += [i] * k
+        cols += list(rng.choice(d, size=k, replace=False))
+        vals += list(rng.normal(size=k) * rng.exponential(size=k))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, d))
+
+
+class TestQStarAssembly:
+    """Q* on its fixed pattern against scipy's expression, bit for bit."""
+
+    @staticmethod
+    def _scipy(q, bmat, h):
+        return SparseSym((q.csc - (bmat.T @ sp.diags(h) @ bmat).tocsc()))
+
+    @staticmethod
+    def _lin(bmat):
+        n, d = bmat.shape
+        return Linearisation(u0=np.zeros(d), B=bmat, delta=np.zeros(n), block_slices=[])
+
+    def test_random_rows_and_mixed_sign_curvature(self):
+        rng = np.random.default_rng(12)
+        bmat = _random_b(rng, 70, 25)
+        lin = self._lin(bmat)
+        q = Ar1Model(25).precision({"prec": 1.7, "rho": 0.4})
+        for _ in range(5):
+            h = rng.normal(size=70) * 3.0  # mixed sign
+            h[rng.integers(0, 70)] = 0.0
+            assert _same_matrix(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
+        # the unsymmetrised form is scipy's difference itself
+        want = (q.csc - (bmat.T @ sp.diags(h) @ bmat)).tocsc()
+        want.sum_duplicates()
+        assert _same_matrix(lin.qstar(q, h, symmetric=False), want)
+
+    def test_b_with_zero_rows(self):
+        q = Ar1Model(6).precision({"prec": 2.0, "rho": -0.3})
+        bmat = sp.csr_matrix((0, 6))
+        got = self._lin(bmat).qstar(q, np.empty(0))
+        assert _same_matrix(got.csc, self._scipy(q, bmat, np.empty(0)).csc)
+        assert _same_matrix(got.csc, q.csc)
+
+    def test_pattern_follows_q(self):
+        # AR(1) at rho = 0 stores no off-diagonal entries, so Q's pattern
+        # changes when rho moves off zero and the Q* pattern is rebuilt
+        rng = np.random.default_rng(13)
+        bmat = _random_b(rng, 30, 12, max_per_row=2)
+        lin = self._lin(bmat)
+        ar1 = Ar1Model(12)
+        patterns = []
+        for rho in (0.0, 0.0, 0.6, 0.6, 0.0):
+            q = ar1.precision({"prec": 1.0, "rho": rho})
+            h = rng.normal(size=30)
+            assert _same_matrix(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
+            patterns.append(lin._qstar)
+        assert patterns[0] is patterns[1] and patterns[2] is patterns[3]
+        assert patterns[1] is not patterns[2] and patterns[3] is not patterns[4]
+
+    def test_exact_cancellation_drops_entries(self):
+        # Q[0, 0] = 1, and these h cancel it exactly: the entry is dropped
+        # from Q*, as scipy drops it
+        q = Ar1Model(4).precision({"prec": 0.75, "rho": 0.5})
+        bmat = sp.csr_matrix(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [1.0, 1.0, 0, 0]]))
+        lin = self._lin(bmat)
+        for h, cancels in (([1.0, 0.0, 0.0], True), ([0.5, 3.0, 0.5], True),
+                           ([0.0, 0.0, 0.0], False)):
+            h = np.array(h)
+            got = lin.qstar(q, h)
+            assert _same_matrix(got.csc, self._scipy(q, bmat, h).csc)
+            assert (0 not in got.csc.indices[:got.csc.indptr[1]]) == cancels
+
+
+class TestModelPrecision:
+    def _model(self):
+        comps = [
+            Component("b0", FixedEffectsModel.constant()),
+            Component("a", Ar1Model(8)),
+            Component("f", Rw1Model(5)),
+        ]
+        block = ObsBlock(
+            GaussianFamily(fixed_prec=1.0), np.zeros(8), parse_expr("b0 + a"),
+            {"b0": np.ones(8), "a": np.arange(1, 9)},
+        )
+        return Model(comps, [block])
+
+    def test_matches_the_validated_block_diagonal(self):
+        model = self._model()
+        for theta in ([0.3, 0.0, -1.0], [0.3, 0.8, -1.0], [1.1, 0.8, 2.0], [0.5, 0.0, 0.0]):
+            comp_vals, _ = model.natural_values(np.array(theta))
+            blocks = [c.model.precision(comp_vals[c.name]).csc for c in model.components]
+            want = SparseSym(sp.block_diag(blocks, format="csc"))
+            assert _same_matrix(model.precision(comp_vals).csc, want.csc)
 
 
 # --- hyperparameter posterior ------------------------------------------------
@@ -809,6 +915,32 @@ def _fit_rw1_free_precision():
     res = fit(Model([comp], [block]))
     assert res.converged and len(res.grid) > 1
     return res
+
+
+class TestGridPoints:
+    def test_grid_factors_keep_no_superlu_object(self):
+        res = _fit_rw1_free_precision()
+        for point in res.grid:
+            assert point.factor._splu is None
+            assert point.factor.L.nnz > 0
+        draws = generate(res, parse_expr("f_latent"), 5, rng=0)
+        assert np.all(np.isfinite(draws))
+
+    def test_summaries_are_computed_once_per_point(self, monkeypatch):
+        # one latent_var and one pred_var per outer iteration's mode and
+        # per final grid point; curvature evaluations compute neither
+        calls = {"latent_var": 0, "pred_var": 0}
+        for name in calls:
+            original = getattr(engine.GaussResult, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(engine.GaussResult, name, counted)
+        res = _fit_rw1_free_precision()
+        want = len(res.records) + len(res.grid)
+        assert calls == {"latent_var": want, "pred_var": want}
 
 
 class TestThetaCache:

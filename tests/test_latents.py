@@ -33,6 +33,19 @@ class TestGraph:
         )
         assert_allclose(g.structure().toarray(), want)
 
+    def test_structure_is_a_fresh_copy(self):
+        g = Graph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        first = g.structure()
+        want = first.toarray()
+        first.data[:] = 7.0
+        first.indices[:] = 0
+        second = g.structure()
+        assert_allclose(second.toarray(), want)
+        assert second is not first and second.data is not first.data
+
+    def test_structure_of_an_edgeless_graph(self):
+        assert_allclose(Graph(n=3, edges=()).structure().toarray(), np.zeros((3, 3)))
+
     def test_components(self):
         g = Graph(n=5, edges=((0, 1), (3, 4)))
         comps = g.components()

@@ -46,6 +46,42 @@ class TestConstruction:
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-15)
 
 
+class TestTrustedConstruction:
+    def test_matches_the_validating_constructor(self):
+        rng = np.random.default_rng(6)
+        a = random_spd(rng, 9).csc
+        got = SparseSym._trusted(a.copy())
+        want = SparseSym(a)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got.csc, attr), getattr(want.csc, attr))
+
+    def test_zeros_dropped_without_touching_a_shared_pattern(self):
+        base = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], [-1, 0, 1], format="csc")
+        data = base.data.copy()
+        data[base.indices != np.repeat(np.arange(3), np.diff(base.indptr))] = 0.0
+        shared = sp.csc_matrix((data, base.indices, base.indptr), shape=(3, 3))
+        indices = shared.indices.copy()
+        a = SparseSym._trusted(shared)
+        assert a.csc.nnz == 3
+        np.testing.assert_array_equal(a.to_dense(), 2.0 * np.eye(3))
+        np.testing.assert_array_equal(shared.indices, indices)
+
+
+class TestWithoutSolver:
+    def test_keeps_sampling_and_drops_solve(self):
+        rng = np.random.default_rng(8)
+        f = chol(random_spd(rng, 7))
+        lean = f.without_solver()
+        z = rng.standard_normal((7, 3))
+        assert np.array_equal(lean.solve_lt(z), f.solve_lt(z))
+        assert lean.L is f.L and lean.log_det == f.log_det
+        assert np.array_equal(lean.perm, f.perm)
+        assert lean._splu is None and f._splu is not None
+        with pytest.raises(ValueError, match="without its solver"):
+            lean.solve(np.ones(7))
+        f.solve(np.ones(7))  # the original keeps its solver
+
+
 class TestChol:
     def test_two_by_two_hand_case(self):
         # L L^T = A[perm][:, perm]: [[4, 2], [2, 3]] factors as
