@@ -30,9 +30,17 @@ new theta writes only Q's data and a Newton step only Q*'s, with the
 same floating-point operations as the scipy expressions they replace.
 Symmetry is validated when Q's pattern is built (and rebuilt, if a
 component's pattern changes); per-theta matrices are not re-validated.
-A Laplace evaluation's SuperLU object lives no longer than its
-evaluation: a grid point keeps its factor's ``L``, ``perm`` and
+Each pattern owns the ``CholPlan`` (fill-reducing order) of its
+matrices, so an ordering is computed once per pattern, not once per
+factorisation.  A Laplace evaluation's SuperLU object lives no longer
+than its evaluation: a grid point keeps its factor's ``L``, ``perm`` and
 ``log_det`` only, which is all sampling needs.
+
+A Laplace evaluation factorises once per Newton step and at no other
+time: the curvature at the mode is the last step's factor (that step
+moved the state by less than ``tol``), and the prior's log-determinant
+and constraint covariance come from the components' closed forms
+(``Model.prior_terms``), not from factorising Q(theta).
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
@@ -47,13 +55,14 @@ through the same ``_draw_block``, with one column).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .exprs import AdditiveAll, Ref, expr_jacobian, detect_additive
-from .sparse import CholFactor, SparseSym, chol
+from .sparse import CholFactor, CholPlan, SparseSym, chol
 
 __all__ = [
     "EngineError",
@@ -150,7 +159,8 @@ class _QStarPattern:
     pattern, so it returns the same matrix bit for bit: entry (r, c) of
     B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing order,
     as scipy's sparse product does, and the symmetrisation is
-    SparseSym's (M + M^T) / 2.
+    SparseSym's (M + M^T) / 2.  The pattern's ``CholPlan`` goes with
+    every Q* built on it.
     """
 
     def __init__(self, q, B):
@@ -179,6 +189,7 @@ class _QStarPattern:
         self.obs = row_of[a][order]
         self.b_r = B.data[a][order]
         self.b_c = B.data[b][order]
+        self.plan = CholPlan(self.indptr, self.indices)
 
     def fits(self, q):
         """Whether Q has the pattern this was built for."""
@@ -196,10 +207,12 @@ class _QStarPattern:
         m -= btb
         data = (m + m[self.t_slot]) * 0.5 if symmetric else m
         csc = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        if symmetric:  # drops exact zeros, and the plan with them
+            return SparseSym._trusted(csc, self.plan)
         if not data.all():  # exact zeros are dropped, as scipy drops them
             csc = csc.copy()
             csc.eliminate_zeros()
-        return SparseSym._trusted(csc) if symmetric else csc
+        return csc
 
 
 @dataclass
@@ -280,7 +293,7 @@ class Model:
 
         self._validate_refs()
         self._constraints = self._build_constraints()
-        self._q_blocks = self._q_pattern = None  # see precision()
+        self._q_blocks = self._q_pattern = self._q_plan = None  # see precision()
 
     # -- bookkeeping
 
@@ -360,9 +373,10 @@ class Model:
 
         Component precisions are canonical CSC, so Q's pattern is theirs
         side by side and a new theta only concatenates their data.  The
-        pattern is built, and Q validated as a SparseSym, on the first
-        call and again whenever a component's pattern changes (an AR(1)
-        at rho = 0 stores no off-diagonal entries).
+        pattern and its ``CholPlan`` are built, and Q validated as a
+        SparseSym, on the first call and again whenever a component's
+        pattern changes (an AR(1) at rho = 0 stores no off-diagonal
+        entries).
         """
         blocks = [
             c.model.precision(comp_vals[c.name]).csc for c in self.components
@@ -375,14 +389,43 @@ class Model:
             q = SparseSym(sp.block_diag(blocks, format="csc"))
             self._q_blocks = [(b.indptr, b.indices) for b in blocks]
             self._q_pattern = q.csc
+            self._q_plan = q.plan = CholPlan(q.csc.indptr, q.csc.indices)
             return q
         data = np.concatenate([b.data for b in blocks])
         return SparseSym._trusted(
-            sp.csc_matrix((data, ref.indices, ref.indptr), shape=ref.shape)
+            sp.csc_matrix((data, ref.indices, ref.indptr), shape=ref.shape),
+            self._q_plan,
         )
 
-    def prior_mean(self):
+    def prior_terms(self, comp_vals):
+        """(log|Q(theta)|, C Q(theta)^-1 C^T) from each component's own
+        terms, without factorising Q; the second is None without
+        constraints.  Both Q and the constraints are block-diagonal by
+        component, in component order.  A component whose log-determinant
+        is not finite (a fixed precision <= 0) raises EngineError."""
+        log_det, covs = 0.0, []
+        for c in self.components:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ld, cov = c.model.prior_terms(comp_vals[c.name])
+            if not np.isfinite(ld):  # e.g. a fixed precision <= 0
+                raise EngineError(
+                    f"prior precision of component {c.name!r} is not positive definite"
+                )
+            log_det += ld
+            if cov is not None:
+                covs.append(cov)
+        return log_det, (linalg.block_diag(*covs) if covs else None)
+
+    @cached_property
+    def _mu(self):
         return np.concatenate([c.model.prior_mean() for c in self.components])
+
+    @cached_property
+    def _c_mu(self):
+        return None if self._constraints is None else self._constraints @ self._mu
+
+    def prior_mean(self):
+        return self._mu.copy()
 
     @property
     def is_linear(self):
@@ -596,7 +639,9 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     Solves (Q - B^T diag(h) B) step = B^T g + Q (mu - u) repeatedly; with
     constraints each candidate is projected back onto Cu = 0 through the
     current precision (conditioning-by-kriging), and step-halving guards
-    against overshooting.
+    against overshooting.  One factorisation per step: the curvature at
+    the mode is the last step's Q*, taken less than ``tol`` from the mode
+    (exactly at it when h does not depend on u, as for Gaussian data).
     """
     C = model.constraints
     u = np.array(mu_prior if u_init is None else u_init, dtype=float)
@@ -618,9 +663,11 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     f_cur = objective(u)
     for _ in range(max_iter):
         g, h = _obs_grad_hess(model, lin, u, obs_vals)
-        factor = chol(lin.qstar(prior_q, h))
+        qstar = lin.qstar(prior_q, h)
+        factor = chol(qstar)
+        proj = _kriging(factor, C)
         step = factor.solve(B.T @ g + Q @ (mu_prior - u))
-        cand = _project(u + step, C, _kriging(factor, C))
+        cand = _project(u + step, C, proj)
         move = cand - u
         # step-halving if the objective got worse or went non-finite
         t = 1.0
@@ -643,15 +690,13 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
             f"inner Newton iteration did not converge in {max_iter} steps"
         )
 
-    g, h = _obs_grad_hess(model, lin, u, obs_vals)
-    qstar = lin.qstar(prior_q, h)
-    factor = chol(qstar)
+    g, _ = _obs_grad_hess(model, lin, u, obs_vals)
     return GaussResult(
         mode=u,
         factor=factor,
         qstar=qstar,
         grad_at_mode=B.T @ g + Q @ (mu_prior - u),
-        constraint_proj=_kriging(factor, C),
+        constraint_proj=proj,
     )
 
 
@@ -665,18 +710,22 @@ def _log_gaussian_k(dev, cov):
 
 
 def log_posterior_theta(model, lin, theta, u_init=None):
-    """Laplace approximation of log p(theta | y) up to a constant."""
+    """Laplace approximation of log p(theta | y) up to a constant.
+
+    The prior's log-determinant and constraint covariance come from
+    ``Model.prior_terms``, so the only factorisations are the Newton
+    steps'.
+    """
     comp_vals, obs_vals = model.natural_values(theta)
+    log_det_q, cov_prior = model.prior_terms(comp_vals)
     prior_q = model.precision(comp_vals)
-    mu = model.prior_mean()
+    mu = model._mu
     ga = gaussian_approx(model, lin, prior_q, mu, obs_vals, u_init=u_init)
     u_star = ga.mode
-
-    prior_factor = chol(prior_q)
     d = model.n_latent
     dev = u_star - mu
     log_prior_u = (
-        -0.5 * d * LOG_2PI + 0.5 * prior_factor.log_det - 0.5 * float(dev @ (prior_q.csc @ dev))
+        -0.5 * d * LOG_2PI + 0.5 * log_det_q - 0.5 * float(dev @ (prior_q.csc @ dev))
     )
 
     eta = lin.eval(u_star)
@@ -697,8 +746,7 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     C = model.constraints
     if C is not None:
         # conditioning both densities on Cu = 0
-        _, cov_prior = _kriging(prior_factor, C)
-        lp -= _log_gaussian_k(C @ mu, cov_prior)
+        lp -= _log_gaussian_k(model._c_mu, cov_prior)
         m_unc = u_star + shift
         lp += _log_gaussian_k(C @ m_unc, ga.constraint_proj[1])
     return lp, ga
@@ -777,6 +825,18 @@ class _ThetaCache:
         return ga
 
 
+def _check_theta_dim(model):
+    p = len(model.theta_names)
+    if p > MAX_THETA_DIM:
+        raise EngineError(
+            f"{p} free hyperparameters ({', '.join(model.theta_names)}) exceed "
+            f"the supported maximum of {MAX_THETA_DIM}. Fixing one removes it "
+            f"from the search: set \"hyper\": {{\"<name>\": {{\"fixed\": true, "
+            f"\"initial\": <value>}}}} on its component or likelihood in the "
+            f"config, or fixed=True on its HyperParam"
+        )
+
+
 def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None):
     """Find the theta mode and build the integration grid.
 
@@ -784,12 +844,8 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     the outer iterations); ``known_mode`` skips the optimisation
     entirely (the final integration pass of an iterative fit).
     """
+    _check_theta_dim(model)
     p = len(model.theta_entries)
-    if p > MAX_THETA_DIM:
-        raise EngineError(
-            f"{p} free hyperparameters exceed the supported maximum of "
-            f"{MAX_THETA_DIM}"
-        )
     evals = _ThetaCache(model, lin)
 
     if p == 0:
@@ -1040,6 +1096,7 @@ def fit(model, options=None):
     max_iter = int(opts["bru_max_iter"])
     if max_iter < 1:
         raise EngineError("bru_max_iter must be at least 1")
+    _check_theta_dim(model)
     rel_tol = float(opts["rel_tol"])
     gamma = float(opts["gamma"])
     log = _RunLog(opts.get("bru_verbose", 0))

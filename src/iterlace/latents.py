@@ -16,6 +16,16 @@ Every precision here is symmetric by construction, so it is wrapped by
 ``SparseSym._trusted`` rather than validated on each call; the engine
 validates the assembled block-diagonal Q(theta) whenever it builds its
 pattern.  A graph's structure matrix is built once per graph.
+
+Each component also gives the two prior terms a Laplace evaluation needs,
+log|Q(theta)| and C Q(theta)^-1 C^T (``prior_terms``), without a
+factorisation per theta.  iid, fixed effects and AR(1) have closed
+forms.  The intrinsic components (rw1, besag, the spatial half of bym)
+are tau (R + c I) for a fixed structure R, because the ridge is
+proportional to tau; their terms follow from one factorisation of
+R + c I, made on first use, and their per-theta precision is tau times
+its data.  ``LatentModel.prior_terms`` falls back to factorising
+``precision``, so a user-defined component needs nothing more.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import scipy.sparse as sp
 from scipy import special
 
 from .mappers import ConstMapper, FactorMapper, IndexMapper, LinearMapper, Mapper, MapperError
-from .sparse import SparseSym
+from .sparse import SparseSym, chol
 
 __all__ = [
     "Graph",
@@ -250,6 +260,51 @@ def _precision_hyper(name="prec", initial=1.0, prior=None, fixed=False):
 
 # --- latent models --------------------------------------------------------
 
+def _value(h, values):
+    """Natural value of hyperparameter ``h``: from ``values`` unless fixed."""
+    return h.initial if h.fixed else values[h.name]
+
+
+def _scaled(unit, tau):
+    """tau times the canonical CSC matrix ``unit``, on its index arrays."""
+    return SparseSym._trusted(
+        sp.csc_matrix((tau * unit.data, unit.indices, unit.indptr), shape=unit.shape)
+    )
+
+
+def _factored_terms(q, C):
+    """(log|Q|, C Q^-1 C^T) by factorising the SparseSym Q; None for the
+    second when C is None."""
+    factor = chol(q)
+    return factor.log_det, None if C is None else C @ factor.solve(C.T)
+
+
+class _RidgedStructure:
+    """tau (R + c I) for a theta-free structure matrix R.
+
+    The ridge INTRINSIC_RIDGE * mean(diag(tau R)) is proportional to tau,
+    so the precision is tau times the fixed matrix U = R + c I:
+    log|tau U| = n log tau + log|U| and C (tau U)^-1 C^T = C U^-1 C^T / tau,
+    from one factorisation of U.
+    """
+
+    def __init__(self, structure, C):
+        n = structure.shape[0]
+        ridge = INTRINSIC_RIDGE * structure.diagonal().mean()
+        self.unit = (structure + ridge * sp.identity(n, format="csc")).tocsc()
+        self.C = C
+        self._terms = None
+
+    def precision(self, tau):
+        return _scaled(self.unit, tau)
+
+    def terms(self, tau):
+        if self._terms is None:
+            self._terms = _factored_terms(SparseSym._trusted(self.unit), self.C)
+        log_det, cov = self._terms
+        return self.unit.shape[0] * np.log(tau) + log_det, cov / tau
+
+
 class LatentModel:
     """Base class; subclasses define dimension, hypers, precision, mapper."""
 
@@ -262,6 +317,15 @@ class LatentModel:
     def precision(self, values):
         """SparseSym precision for natural-scale hyper values {name: value}."""
         raise NotImplementedError
+
+    def prior_terms(self, values):
+        """(log|Q|, C Q^-1 C^T) of ``precision(values)`` and the
+        constraints, the second None without constraints.  This default
+        factorises the precision; built-in components override it."""
+        cons = self.constraints()
+        return _factored_terms(
+            self.precision(values), None if cons is None else np.atleast_2d(cons)
+        )
 
     def constraints(self):
         """Dense (k, n) constraint matrix Cu = 0, or None."""
@@ -291,9 +355,15 @@ class IidModel(LatentModel):
     def hypers(self):
         return [] if self._hyper.fixed else [self._hyper]
 
+    @cached_property
+    def _eye(self):
+        return sp.identity(self.n, format="csc")
+
     def precision(self, values):
-        tau = values["prec"] if not self._hyper.fixed else self._hyper.initial
-        return SparseSym._trusted(sp.eye(self.n, format="csc") * tau)
+        return _scaled(self._eye, _value(self._hyper, values))
+
+    def prior_terms(self, values):
+        return self.n * np.log(_value(self._hyper, values)), None
 
     def default_mapper(self):
         return IndexMapper(self.n)
@@ -322,6 +392,9 @@ class FixedEffectsModel(LatentModel):
         if self._q is None:  # constant: built on first use
             self._q = SparseSym._trusted(sp.eye(self.n, format="csc") * self.prec)
         return self._q
+
+    def prior_terms(self, values):
+        return self.n * np.log(self.prec), None
 
     def prior_mean(self):
         return np.full(self.n, self.mean)
@@ -381,8 +454,7 @@ class Ar1Model(LatentModel):
         return [h for h in (self._prec, self._rho) if not h.fixed]
 
     def precision(self, values):
-        tau = values["prec"] if not self._prec.fixed else self._prec.initial
-        rho = values["rho"] if not self._rho.fixed else self._rho.initial
+        tau, rho = _value(self._prec, values), _value(self._rho, values)
         n = self.n
         if n == 1:
             return SparseSym._trusted(sp.csc_matrix(np.array([[tau]])))
@@ -392,6 +464,12 @@ class Ar1Model(LatentModel):
         off = np.full(n - 1, -rho)
         q = sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc") * scale
         return SparseSym._trusted(q)
+
+    def prior_terms(self, values):
+        # the covariance is rho^|i-j| / tau, whose determinant is
+        # tau^-n (1 - rho^2)^(n-1)
+        tau, rho = _value(self._prec, values), _value(self._rho, values)
+        return self.n * np.log(tau) - (self.n - 1) * np.log1p(-rho * rho), None
 
     def default_mapper(self):
         return IndexMapper(self.n)
@@ -412,15 +490,19 @@ class Rw1Model(LatentModel):
     def hypers(self):
         return [] if self._hyper.fixed else [self._hyper]
 
-    def precision(self, values):
-        tau = values["prec"] if not self._hyper.fixed else self._hyper.initial
+    @cached_property
+    def _structure(self):
         n = self.n
         diag = np.full(n, 2.0)
         diag[0] = diag[-1] = 1.0
-        q = sp.diags([-np.ones(n - 1), diag, -np.ones(n - 1)], (-1, 0, 1), format="csc")
-        q = q * tau
-        ridge = INTRINSIC_RIDGE * q.diagonal().mean()
-        return SparseSym._trusted(q + ridge * sp.eye(n, format="csc"))
+        r = sp.diags([-np.ones(n - 1), diag, -np.ones(n - 1)], (-1, 0, 1), format="csc")
+        return _RidgedStructure(r, self.constraints())
+
+    def precision(self, values):
+        return self._structure.precision(_value(self._hyper, values))
+
+    def prior_terms(self, values):
+        return self._structure.terms(_value(self._hyper, values))
 
     def constraints(self):
         return np.ones((1, self.n))
@@ -442,11 +524,15 @@ class BesagModel(LatentModel):
     def hypers(self):
         return [] if self._hyper.fixed else [self._hyper]
 
+    @cached_property
+    def _structure(self):
+        return _RidgedStructure(self.graph.structure(), self.constraints())
+
     def precision(self, values):
-        tau = values["prec"] if not self._hyper.fixed else self._hyper.initial
-        q = self.graph.structure() * tau
-        ridge = INTRINSIC_RIDGE * q.diagonal().mean()
-        return SparseSym._trusted(q + ridge * sp.eye(self.graph.n, format="csc"))
+        return self._structure.precision(_value(self._hyper, values))
+
+    def prior_terms(self, values):
+        return self._structure.terms(_value(self._hyper, values))
 
     def constraints(self):
         comps = self.graph.components()
@@ -519,17 +605,28 @@ class BymModel(LatentModel):
     def hypers(self):
         return [h for h in (self._prec_u, self._prec_v) if not h.fixed]
 
-    def precision(self, values):
-        tau_u = (
-            values["prec_spatial"] if not self._prec_u.fixed else self._prec_u.initial
-        )
-        tau_v = values["prec_iid"] if not self._prec_v.fixed else self._prec_v.initial
+    @cached_property
+    def _structure(self):
         n = self.graph.n
-        qu = self.graph.structure() * tau_u
-        ridge = INTRINSIC_RIDGE * qu.diagonal().mean()
-        qu = qu + ridge * sp.eye(n, format="csc")
-        qv = sp.eye(n, format="csc") * tau_v
-        return SparseSym._trusted(sp.block_diag([qu, qv], format="csc"))
+        spatial = _RidgedStructure(self.graph.structure(), self.constraints()[:, :n])
+        # canonical CSC: its data is the unit's data, then the iid diagonal
+        pattern = sp.block_diag([spatial.unit, sp.identity(n)], format="csc")
+        return spatial, pattern
+
+    def precision(self, values):
+        spatial, pattern = self._structure
+        data = np.concatenate([
+            _value(self._prec_u, values) * spatial.unit.data,
+            np.full(self.graph.n, _value(self._prec_v, values)),
+        ])
+        return SparseSym._trusted(
+            sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        )
+
+    def prior_terms(self, values):
+        spatial, _ = self._structure
+        log_det, cov = spatial.terms(_value(self._prec_u, values))
+        return log_det + self.graph.n * np.log(_value(self._prec_v, values)), cov
 
     def constraints(self):
         comps = self.graph.components()

@@ -159,6 +159,28 @@ class TestModelValidation:
         with pytest.raises(EngineError, match="hyperparameters"):
             theta_explore(model, model.linearise(np.zeros(8)))
 
+    def test_too_many_hyperparameters_named_before_any_evaluation(self, monkeypatch):
+        comps = [Component(f"u{i}", IidModel(2)) for i in range(4)]
+        block = ObsBlock(
+            GaussianFamily(fixed_prec=1.0),
+            np.zeros(2),
+            parse_expr("u0 + u1 + u2 + u3"),
+            {f"u{i}": np.array([1, 2]) for i in range(4)},
+        )
+        model = Model(comps, [block])
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a Laplace evaluation ran")
+
+        monkeypatch.setattr(engine, "log_posterior_theta", no_evaluation)
+        with pytest.raises(EngineError) as exc:
+            fit(model)
+        msg = str(exc.value)
+        assert "4 free hyperparameters (u0.prec, u1.prec, u2.prec, u3.prec)" in msg
+        assert "maximum of 3" in msg
+        assert '"hyper": {"<name>": {"fixed": true, "initial": <value>}}' in msg
+        assert "fixed=True on its HyperParam" in msg
+
     def test_is_linear_detection(self):
         gls, _, _ = make_gls()
         assert gls.is_linear
@@ -432,6 +454,32 @@ class TestLogPosteriorTheta:
             )
             oracle = model.log_prior_theta(np.array([theta])) + evid
             assert lp == pytest.approx(oracle, abs=1e-8)
+
+    def test_one_factorisation_per_newton_step(self, monkeypatch):
+        # Poisson counts on an RW1 with a free precision: neither the prior
+        # Q(theta) nor the curvature at the mode is factorised
+        rng = np.random.default_rng(5)
+        comp = Component("f", Rw1Model(12))
+        block = ObsBlock(
+            PoissonFamily(), rng.poisson(3.0, size=12).astype(float),
+            parse_expr("f"), {"f": np.arange(1, 13)},
+        )
+        model = Model([comp], [block])
+        lin = model.linearise(np.zeros(12))
+        theta = np.array([0.4])
+
+        factored, gradients = [], []
+        real_chol, real_grad_hess = engine.chol, engine._obs_grad_hess
+        monkeypatch.setattr(engine, "chol", lambda a: factored.append(a) or real_chol(a))
+        monkeypatch.setattr(
+            engine, "_obs_grad_hess",
+            lambda *args: gradients.append(1) or real_grad_hess(*args),
+        )
+        _, ga = log_posterior_theta(model, lin, theta)
+        newton_steps = len(gradients) - 1  # one gradient per step, one at the mode
+        assert newton_steps >= 3
+        assert len(factored) == newton_steps
+        assert ga.qstar is factored[-1]
 
 
 class TestThetaExplore:

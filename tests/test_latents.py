@@ -15,12 +15,15 @@ from iterlace.latents import (
     Graph,
     IidModel,
     INTRINSIC_RIDGE,
+    LatentModel,
     LogGammaPrior,
     LogitPm1Transform,
     LogTransform,
     Rw1Model,
     read_graph,
 )
+from iterlace.mappers import IndexMapper
+from iterlace.sparse import SparseSym, chol
 
 
 class TestGraph:
@@ -267,3 +270,83 @@ class TestBym:
         g = Graph(n=2, edges=((0, 1),))
         names = [h.name for h in BymModel(g).hypers()]
         assert names == ["prec_spatial", "prec_iid"]
+
+
+# --- prior terms ------------------------------------------------------------
+
+class _Tridiagonal(LatentModel):
+    """A user-defined component: no prior_terms of its own."""
+
+    def n_latent(self):
+        return 5
+
+    def precision(self, values):
+        t = values["t"]
+        q = t * (3.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1))
+        return SparseSym.from_dense(q)
+
+    def constraints(self):
+        return np.arange(1.0, 6.0)  # one constraint, given as a vector
+
+    def default_mapper(self):
+        return IndexMapper(5)
+
+
+class TestPriorTerms:
+    """log|Q| and C Q^-1 C^T against a factorisation of precision().
+
+    The intrinsic precisions are tau U with U = R + c I, whose smallest
+    eigenvalue is the ridge c, about 1e-8 of the others.  With tau a power
+    of two, tau U is stored exactly and the reference factorises the very
+    matrix the closed form scales; otherwise see
+    ``test_intrinsic_terms_at_any_precision``.
+    """
+
+    CASES = [
+        (IidModel(4), {"prec": 2.5}),
+        (FixedEffectsModel.factor(["a", "b", "c"], prec=0.01), {}),
+        (Ar1Model(7), {"prec": 1.7, "rho": 0.0}),
+        (Ar1Model(7), {"prec": 1.7, "rho": 0.6}),
+        (Ar1Model(7), {"prec": 0.3, "rho": -0.95}),
+        (Ar1Model(1), {"prec": 3.0, "rho": 0.5}),
+        (Rw1Model(9), {"prec": 0.5}),
+        (BesagModel(Graph(n=6, edges=((0, 1), (1, 2), (0, 2), (3, 4), (4, 5)))),
+         {"prec": 4.0}),
+        (BymModel(Graph(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 4)))),
+         {"prec_spatial": 2.0, "prec_iid": 12.0}),
+        (_Tridiagonal(), {"t": 1.9}),
+    ]
+
+    @pytest.mark.parametrize("model, values", CASES)
+    def test_match_a_factorisation(self, model, values):
+        factor = chol(model.precision(values))
+        for _ in range(2):  # the cached terms serve a second call too
+            log_det, cov = model.prior_terms(values)
+            assert log_det == pytest.approx(factor.log_det, rel=1e-10)
+            cons = model.constraints()
+            if cons is None:
+                assert cov is None
+                continue
+            c = np.atleast_2d(cons)
+            assert_allclose(cov, c @ factor.solve(c.T), rtol=1e-10)
+
+    def test_intrinsic_terms_at_any_precision(self):
+        # tau U and U round differently, which moves the eigenvalue c of
+        # the stored matrix by about eps ||U|| / c = 2e-16 * 2 / 1e-8 ~ 4e-8
+        # relatively: a bound set by the ridge, not by either computation
+        graph = Graph(n=6, edges=((0, 1), (1, 2), (0, 2), (3, 4), (4, 5)))
+        for model, values in ((Rw1Model(9), {"prec": 0.7}),
+                              (BesagModel(graph), {"prec": 4.2})):
+            factor = chol(model.precision(values))
+            log_det, cov = model.prior_terms(values)
+            assert log_det == pytest.approx(factor.log_det, abs=2e-7)
+            c = model.constraints()
+            assert_allclose(cov, c @ factor.solve(c.T), rtol=2e-7)
+
+    def test_scale_with_the_precision(self):
+        # the intrinsic terms come from one factorisation of R + c I
+        m = Rw1Model(6)
+        ld1, cov1 = m.prior_terms({"prec": 1.0})
+        ld3, cov3 = m.prior_terms({"prec": 3.0})
+        assert ld3 - ld1 == pytest.approx(6 * np.log(3.0), rel=1e-12)
+        assert_allclose(cov3, cov1 / 3.0, rtol=1e-12)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import scipy.sparse.linalg as spla
+
+from iterlace.engine import Component, Linearisation, Model, ObsBlock, theta_explore
+from iterlace.exprs import parse_expr
+from iterlace.latents import Ar1Model, Rw1Model
+from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.sparse import (
     CholFactor,
+    CholPlan,
     FactorizationError,
     SparseSym,
     chol,
@@ -190,6 +197,110 @@ class TestFillReducingOrder:
         linvt = f.solve_lt(np.eye(a.n))
         cov = np.linalg.inv(a.to_dense())
         np.testing.assert_allclose(linvt @ linvt.T, cov, atol=1e-9 * np.abs(cov).max())
+
+
+def _check_factor(f, a):
+    """L L^T = A[perm][:, perm], and solve and solve_lt invert A."""
+    dense = a.to_dense()
+    scale = np.abs(dense).max()
+    np.testing.assert_allclose(
+        (f.L @ f.L.T).toarray(), dense[f.perm][:, f.perm], atol=1e-12 * a.n * scale
+    )
+    rhs = np.arange(1.0, a.n + 1.0)
+    x = f.solve(rhs)
+    assert np.abs(dense @ x - rhs).max() <= 1e-12 * a.n * scale * np.abs(x).max()
+    linvt = f.solve_lt(np.eye(a.n))
+    cov = np.linalg.inv(dense)
+    np.testing.assert_allclose(linvt @ linvt.T, cov, atol=1e-9 * np.abs(cov).max())
+
+
+class TestCholPlan:
+    def test_a_shared_plan_matches_fresh_factors(self):
+        # D A D keeps A's pattern and symmetry for any positive diagonal D
+        a = intercept_bym_qstar(side=6)
+        plan = CholPlan(a.csc.indptr, a.csc.indices)
+        rows = a.csc.indices
+        cols = np.repeat(np.arange(a.n), np.diff(a.csc.indptr))
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            d = rng.uniform(0.5, 2.0, a.n)
+            data = a.csc.data * d[rows] * d[cols]
+            planned = chol(SparseSym._trusted(
+                sp.csc_matrix((data, a.csc.indices, a.csc.indptr), shape=a.csc.shape), plan
+            ))
+            b = SparseSym(sp.csc_matrix((data.copy(), rows.copy(), a.csc.indptr.copy())))
+            assert b.plan is None
+            fresh = chol(b)
+            assert planned.L.nnz == fresh.L.nnz
+            np.testing.assert_array_equal(planned.perm, fresh.perm)
+            scale = np.abs(fresh.L.data).max()
+            assert np.abs((planned.L - fresh.L).toarray()).max() <= 1e-12 * scale
+            assert planned.log_det == pytest.approx(fresh.log_det, rel=1e-12)
+            _check_factor(planned, b)
+
+    def test_order_matches_superlu_on_the_matrix_itself(self):
+        # the stand-in the plan analyses gives the order SuperLU picks for
+        # the matrix itself, and the same number of nonzeros in L
+        a = intercept_bym_qstar(side=6)
+        lu = spla.splu(a.csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        f = chol(a)
+        np.testing.assert_array_equal(f.perm, np.argsort(lu.perm_c))
+        assert f.L.nnz == lu.L.nnz
+
+    def test_an_exact_zero_drops_the_plan(self):
+        # Q[0, 1] = -0.5 and h = (0, 0, -0.5) cancel it exactly: Q* loses
+        # entries (0, 1) and (1, 0), so it goes without the pattern's plan
+        q = Ar1Model(4).precision({"prec": 0.75, "rho": 0.5})
+        bmat = sp.csr_matrix(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [1.0, 1.0, 0, 0]]))
+        lin = Linearisation(u0=np.zeros(4), B=bmat, delta=np.zeros(3), block_slices=[])
+        kept = lin.qstar(q, np.array([-1.0, 0.0, 0.0]))
+        assert kept.plan is lin._qstar.plan
+        dropped = lin.qstar(q, np.array([0.0, 0.0, -0.5]))
+        assert dropped.csc.nnz == kept.csc.nnz - 2 and dropped.plan is None
+        for a in (kept, dropped):
+            _check_factor(chol(a), a)
+
+    def test_ar1_pattern_changes_rebuild_the_plan(self):
+        # AR(1) at rho = 0 stores no off-diagonal entries
+        comp = Component("a", Ar1Model(9))
+        block = ObsBlock(GaussianFamily(fixed_prec=1.0), np.zeros(9), parse_expr("a"),
+                         {"a": np.arange(1, 10)})
+        model = Model([comp], [block])
+        lin = model.linearise(np.zeros(9))
+        h = -np.ones(9)
+        q_plans, qstar_plans = [], []
+        for rho in (0.0, 0.6, 0.0):
+            q = model.precision({"a": {"prec": 2.0, "rho": rho}})
+            qstar = lin.qstar(q, h)
+            for a in (q, qstar):
+                assert a.plan is not None
+                _check_factor(chol(a), a)
+            q_plans.append(q.plan)
+            qstar_plans.append(qstar.plan)
+        for plans in (q_plans, qstar_plans):
+            assert plans[0] is not plans[1] and plans[1] is not plans[2]
+
+    def test_ordering_computed_once_per_pattern(self, monkeypatch):
+        calls = {"MMD_AT_PLUS_A": 0, "NATURAL": 0}
+        real_splu = spla.splu
+
+        def counting(a, permc_spec=None, **kwargs):
+            calls[permc_spec] += 1
+            return real_splu(a, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        rng = np.random.default_rng(9)
+        comp = Component("f", Rw1Model(15))
+        block = ObsBlock(PoissonFamily(), rng.poisson(4.0, size=15).astype(float),
+                         parse_expr("f"), {"f": np.arange(1, 16)})
+        model = Model([comp], [block])
+        _, grid, _ = theta_explore(model, model.linearise(np.zeros(15)))
+        assert len(grid) > 1
+        # one ordering for Q*'s pattern and one for RW1's R + c I, however
+        # many factorisations run
+        assert calls["MMD_AT_PLUS_A"] == 2
+        assert calls["NATURAL"] > 50
 
 
 class TestSolve:
