@@ -42,6 +42,14 @@ moved the state by less than ``tol``), and the prior's log-determinant
 and constraint covariance come from the components' closed forms
 (``Model.prior_terms``), not from factorising Q(theta).
 
+Marginal variances come from the factor alone, without a solve: a
+``GaussResult`` takes Q*^-1 once, on the pattern of L + L^T, from the
+Takahashi recursions (``CholFactor.selected_inverse``), and keeps it.
+``latent_var`` is its diagonal and ``pred_var`` is diag(B Q*^-1 B^T),
+summed over the pairs of latents that share a row of B -- the pairs
+Q*'s pattern was built from, so each lies in it -- both less the
+kriging drop.  Memory grows with nnz(L), not with n^2.
+
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
 are batched per grid point: the grid indices and normals are taken in
@@ -178,6 +186,7 @@ class _QStarPattern:
         q_keys = q_cols * d + q.indices
         keys = np.unique(np.concatenate([q_keys, c * d + r]))  # column-major
         rows, cols = keys % d, keys // d
+        self.rows, self.cols = rows, cols
         self.indices = rows.astype(q.indices.dtype)
         self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
         self.shape = q.shape
@@ -189,6 +198,7 @@ class _QStarPattern:
         self.obs = row_of[a][order]
         self.b_r = B.data[a][order]
         self.b_c = B.data[b][order]
+        self.B = B
         self.plan = CholPlan(self.indptr, self.indices)
 
     def fits(self, q):
@@ -604,22 +614,33 @@ class GaussResult:
     mode: np.ndarray
     factor: CholFactor
     qstar: SparseSym
+    pattern: _QStarPattern  # the pattern Q* was assembled on
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
     constraint_proj: tuple = None  # (W, S) with W = Q*^{-1} C^T, S = C W
 
+    @cached_property
+    def _sigma(self):
+        """diag(Q*^-1), and Q*^-1 on the entries of Q*'s pattern, from one
+        selected inverse of the factor."""
+        return self.factor.selected_inverse(self.pattern.rows, self.pattern.cols)
+
     def latent_var(self):
-        var = self.factor.diag_inverse()
+        var = self._sigma[0]
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
             var = var - _kriging_var_drop(W, S)
         return var
 
-    def pred_var(self, B):
-        bt = B.T.toarray()
-        var = np.sum(bt * self.factor.solve(bt), axis=0)
+    def pred_var(self):
+        """diag(B Q*^-1 B^T) for the linearisation's B, summed over the
+        pairs of entries in each row of B, less the kriging drop."""
+        p = self.pattern
+        var = np.bincount(
+            p.obs, weights=p.b_r * p.b_c * self._sigma[1][p.slot], minlength=p.B.shape[0]
+        )
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
-            var = var - _kriging_var_drop(B @ W, S)
+            var = var - _kriging_var_drop(p.B @ W, S)
         return var
 
 
@@ -695,6 +716,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         mode=u,
         factor=factor,
         qstar=qstar,
+        pattern=lin._qstar,
         grad_at_mode=B.T @ g + Q @ (mu_prior - u),
         constraint_proj=proj,
     )
@@ -952,7 +974,7 @@ def _make_point(theta, lp, ga, lin, weight=1.0):
         factor=ga.factor.without_solver(),
         latent_var=ga.latent_var(),
         pred_mean=lin.eval(ga.mode),
-        pred_var=ga.pred_var(lin.B),
+        pred_var=ga.pred_var(),
         constraint_proj=ga.constraint_proj,
     )
 

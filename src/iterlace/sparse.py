@@ -2,11 +2,12 @@
 
 This is the numerical backbone for everything that touches a precision
 matrix: building it from triplets, factorising it, solving against the
-factor, and pulling out the diagonal of the inverse.  Storage stays
-sparse throughout, and ``chol`` factors in a fill-reducing order, so the
-factor of a GMRF precision stays sparse too: ``L L^T = A[perm][:, perm]``.
-Every consumer goes through ``solve``, ``solve_lt`` and ``log_det``,
-which honour ``perm``.
+factor, and reading entries of the inverse off the factor.  Storage
+stays sparse throughout, and ``chol`` factors in a fill-reducing order,
+so the factor of a GMRF precision stays sparse too:
+``L L^T = A[perm][:, perm]``.  Every consumer goes through ``solve``,
+``solve_lt``, ``selected_inverse`` and ``log_det``, which honour
+``perm``.
 
 A factorisation has a symbolic half that depends on the sparsity pattern
 alone -- the fill-reducing order, and where each stored entry lands in
@@ -18,6 +19,16 @@ and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
 factorisation runs the same numeric code.
 
+The entries of A^{-1} on the pattern of L + L^T -- its diagonal, and
+every entry that A's own pattern holds -- come from the Takahashi
+recursions (Takahashi, Fagan & Chin 1973; Rue & Martino 2007, section
+2), without a solve or an n x n array.  Column k of the inverse
+below the diagonal needs only columns that are ancestors of k in the
+elimination tree, so all columns at one depth of the tree are computed
+together, root first.  That schedule depends on L's pattern alone; the
+plan computes it once and keeps it, and ``selected_inverse`` runs one
+vectorised sweep per depth level on each factor's values.
+
 Symmetry is validated where a matrix comes in from outside, by the
 public ``SparseSym(...)`` constructor, which ``sparse_from_triplets``
 and user-defined latent models go through.  Precisions that are
@@ -26,7 +37,8 @@ the engine's Q(theta) and Q* assembled on fixed sparsity patterns --
 are wrapped by ``SparseSym._trusted``, which only keeps the storage
 canonical.  A factor keeps its SuperLU object for ``solve`` until
 ``without_solver`` drops it; what is left (``L``, ``perm``,
-``log_det``) still samples through ``solve_lt``.
+``log_det``) still samples through ``solve_lt`` and gives the selected
+inverse.
 """
 
 from __future__ import annotations
@@ -183,7 +195,8 @@ class CholFactor:
     ``solve`` goes through the SuperLU object, which factors A
     pre-permuted by its ``CholPlan``; its workspace is several times the
     size of ``L``, and ``without_solver`` returns the factor without it,
-    for results that are kept and only sampled from.
+    for results that are kept and only sampled from.  ``selected_inverse``
+    and ``diag_inverse`` read ``L`` alone, so they work either way.
     """
 
     __slots__ = ("n", "L", "perm", "log_det", "_splu", "_plan")
@@ -204,9 +217,10 @@ class CholFactor:
         return b, rhs.ndim == 1
 
     def without_solver(self):
-        """This factor without its SuperLU object: ``solve_lt``, ``L``,
-        ``perm`` and ``log_det`` still work, ``solve`` raises."""
-        return CholFactor(self.n, self.L, self.perm, self.log_det, None, None)
+        """This factor without its SuperLU object: ``solve_lt``,
+        ``selected_inverse``, ``L``, ``perm`` and ``log_det`` still work,
+        ``solve`` raises."""
+        return CholFactor(self.n, self.L, self.perm, self.log_det, None, self._plan)
 
     def _solver(self):
         if self._splu is None:
@@ -235,15 +249,34 @@ class CholFactor:
         x[self.perm] = y
         return x[:, 0] if vec else x
 
-    def diag_inverse(self):
-        """Diagonal of A^{-1}, via n solves against unit vectors.
+    def selected_inverse(self, rows=(), cols=()):
+        """Entries of A^{-1} from the Takahashi recursions on ``L``.
 
-        The SuperLU object factors B = A[perm][:, perm] for the plan's
-        ``perm``, and diag(A^{-1})[perm] = diag(B^{-1}), so the unit
-        vectors need no permuting."""
-        d = np.empty(self.n)
-        d[self._plan.perm] = self._solver().solve(np.eye(self.n)).diagonal()
-        return d
+        Returns the diagonal of A^{-1}, and its entries at the index pairs
+        ``(rows[i], cols[i])``.  The recursions run on L's pattern, which
+        holds A's unless elimination cancelled an entry to an exact zero;
+        a pair it does not hold widens that pattern for this factor, at
+        the cost of a new schedule.  No solve is made and no n x n array
+        formed: Sigma takes one value per entry of L, and the kept
+        schedule one index triple per pair of entries below the diagonal
+        of a column of L.
+        """
+        n = self.n
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[self.perm] = np.arange(n)
+        r = inverse[np.asarray(rows, dtype=np.int64)]
+        c = inverse[np.asarray(cols, dtype=np.int64)]
+        # entry (max, min) of the lower triangle, keyed column-major
+        wanted = np.minimum(r, c) * n + np.maximum(r, c)
+        schedule, slots = self._plan.inverse_schedule(self.L, wanted)
+        sigma = schedule.sweep(self.L.data)
+        d = np.empty(n)
+        d[self.perm] = sigma[schedule.diagonal]
+        return d, sigma[slots]
+
+    def diag_inverse(self):
+        """Diagonal of A^{-1}: the diagonal of ``selected_inverse``."""
+        return self.selected_inverse()[0]
 
 
 def _splu(csc, permc_spec):
@@ -278,17 +311,38 @@ class CholPlan:
     what it factors).  All are computed on first use, until which
     ``perm`` is None.
 
+    The plan also keeps the symbolic half of the selected inverse of its
+    factors (``inverse_schedule``), built on the first factor's L and
+    rebuilt only when a factor's L has another pattern or an entry is
+    wanted that the kept one lacks.
+
     The plan keeps the pattern's CSC ``indptr`` and ``indices`` arrays,
     which must not be changed afterwards.
     """
 
-    __slots__ = ("n", "indptr", "indices", "perm", "inverse", "_gather", "_permuted")
+    __slots__ = (
+        "n", "indptr", "indices", "perm", "inverse", "_gather", "_permuted", "_schedule",
+    )
 
     def __init__(self, indptr, indices):
         self.n = len(indptr) - 1
         self.indptr = indptr
         self.indices = indices
         self.perm = None
+        self._schedule = None
+
+    def inverse_schedule(self, L, wanted):
+        """The ``_InverseSchedule`` of the factor ``L`` of a matrix with this
+        pattern, holding the lower-triangle keys ``wanted``, and the
+        storage slots of those keys.  The kept schedule is reused when L
+        has its pattern and it holds every wanted key."""
+        schedule = self._schedule
+        if schedule is not None and schedule.fits(L):
+            slots = schedule.find(wanted)
+            if slots.size == 0 or slots.min() >= 0:
+                return schedule, slots
+        schedule = self._schedule = _InverseSchedule(L, wanted)
+        return schedule, schedule.find(wanted)
 
     def permuted(self, data):
         """``A[perm][:, perm]`` for the matrix with this pattern and CSC
@@ -323,6 +377,164 @@ class CholPlan:
         )
         self._gather = gather
         self.perm, self.inverse = perm, inverse
+
+
+class _InverseSchedule:
+    """The symbolic half of the selected inverse of a Cholesky factor L.
+
+    Sigma = (L L^T)^{-1} satisfies the Takahashi recursions: for column k,
+    with S the rows below the diagonal of L[:, k] and l_i = L[i, k] / L[k, k],
+
+        Sigma[j, k] = -sum_{i in S} l_i Sigma[i, j]  for j in S,
+        Sigma[k, k] = 1 / L[k, k]^2 - sum_{j in S} l_j Sigma[j, k].
+
+    Every Sigma[i, j] on the right lies in a column that is an ancestor of
+    k in the elimination tree (parent(k) = min S), so the columns at one
+    depth of the tree do not depend on each other, and a sweep from the
+    root down computes a whole depth level at a time.
+
+    The recursions need a closed pattern: entries below the diagonal of
+    one column in rows i and j need entry (max(i, j), min(i, j)).  A
+    symbolic factor's pattern is closed, but scipy's L omits entries that
+    cancelled to an exact zero, so the pattern here is L's with the
+    ``wanted`` entries added, grown by what it lacks until it is closed
+    (entries not in L hold 0).
+
+    Entries are keyed ``column * n + row`` on the lower triangle, in
+    ``keys`` (sorted); ``slot`` takes a key's index to its storage slot,
+    ``src`` a slot to its value's place in ``L.data`` (one past the end
+    for an entry L lacks), ``diagonal`` a column to its diagonal's slot,
+    and ``diag_of`` a slot to the diagonal slot of its column.
+    Storage puts each depth level together, root first: the level's
+    entries below the diagonal, then its diagonal entries.  ``levels``
+    holds, per level, the storage bounds ``(o0, o1, d1)`` of those two
+    runs and the bounds ``(p0, p1)`` of the level's pairs (i, j) in S x S.
+    Pair p adds l at slot ``pair_l[p]`` times Sigma at slot
+    ``pair_sigma[p]`` to the sum for slot ``o0 + pair_out[p]``, and
+    ``col_local`` takes an entry below the diagonal to its column's place
+    in the level's diagonal run.
+    """
+
+    __slots__ = (
+        "n", "_l_indptr", "_l_indices", "keys", "slot", "src", "diagonal",
+        "diag_of", "col_local", "pair_sigma", "pair_l", "pair_out", "levels",
+    )
+
+    def __init__(self, L, wanted):
+        n = L.shape[0]
+        self.n = n
+        self._l_indptr, self._l_indices = L.indptr, L.indices
+        if L.nnz == n and not (wanted % (n + 1)).any():
+            # a diagonal L, and only diagonal entries wanted: every column
+            # is a root, and Sigma[k, k] = 1 / L[k, k]^2 needs no pairs
+            self.keys = np.arange(n) * (n + 1)
+            self.slot = self.src = self.diagonal = self.diag_of = np.arange(n)
+            self.col_local = self.pair_sigma = self.pair_l = self.pair_out = self.slot[:0]
+            self.levels = [(0, 0, n, 0, 0)]
+            return
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(L.indptr))
+        l_keys = cols * n + L.indices
+        keys = np.unique(np.concatenate([l_keys, np.arange(n) * (n + 1), wanted]))
+        while (missing := self._lay_out(keys)) is not None:
+            keys = np.union1d(keys, missing)
+        self.keys = keys
+        # where each slot's value sits in L.data; slots L lacks read the
+        # zero appended after it
+        order = np.argsort(l_keys)
+        at = np.minimum(np.searchsorted(l_keys, keys, sorter=order), l_keys.size - 1)
+        src = np.empty(keys.size, dtype=np.int64)
+        src[self.slot] = np.where(l_keys[order[at]] == keys, order[at], l_keys.size)
+        self.src = src
+
+    def _lay_out(self, keys):
+        """Lay the recursions out on the sorted lower-triangle ``keys``
+        (diagonal included), or return the keys they need and lack."""
+        n = self.n
+        rows, cols = keys % n, keys // n
+        start = np.searchsorted(keys, np.arange(n + 1) * n)  # column bounds
+        below = np.diff(start) - 1  # a column's diagonal comes first
+        has = below > 0
+        up = np.full(n, -1)
+        up[has] = rows[start[:-1][has] + 1]  # the elimination tree's parent
+        # depth by pointer jumping: depth[k] is the distance from k to
+        # up[k], or to its root once up[k] is -1
+        depth = has.astype(np.int64)
+        while (live := np.flatnonzero(up >= 0)).size:
+            ahead = up[live]
+            depth[live] += depth[ahead]
+            up[live] = up[ahead]
+
+        level = depth[cols]
+        on_diag = rows == cols
+        storage = np.lexsort((on_diag, level))  # slot -> key index
+        n_levels = int(depth.max()) + 1
+        runs = np.empty(2 * n_levels, dtype=np.int64)
+        runs[0::2] = np.bincount(level[~on_diag], minlength=n_levels)
+        runs[1::2] = np.bincount(depth, minlength=n_levels)
+        edges = np.concatenate([[0], np.cumsum(runs)])
+
+        # pairs (a, b) of entries below the diagonal of one column, in
+        # storage order of a, so that each level's pairs are contiguous
+        off = storage[~on_diag[storage]]
+        reps = below[cols[off]]
+        a = np.repeat(off, reps)
+        b = np.repeat(start[cols[off]] + 1 - np.cumsum(reps) + reps, reps) + np.arange(a.size)
+        ra, rb = rows[a], rows[b]
+        need = np.minimum(ra, rb) * n + np.maximum(ra, rb)
+        at = np.minimum(np.searchsorted(keys, need), keys.size - 1)
+        lacking = keys[at] != need
+        if lacking.any():
+            return need[lacking]
+
+        slot = np.empty(keys.size, dtype=np.int64)
+        slot[storage] = np.arange(keys.size)
+        self.slot = slot
+        self.diagonal = slot[start[:-1]]  # by column
+        self.diag_of = self.diagonal[cols[storage]]  # by slot
+        self.col_local = self.diag_of - edges[1::2][level[storage]]
+        out = slot[a]
+        self.pair_sigma, self.pair_l = slot[at], slot[b]
+        self.pair_out = out - edges[0::2][level[a]]
+        p_edges = np.searchsorted(out, edges)
+        e, p = edges.tolist(), p_edges.tolist()
+        self.levels = [
+            (e[2 * k], e[2 * k + 1], e[2 * k + 2], p[2 * k], p[2 * k + 1])
+            for k in range(n_levels)
+        ]
+        return None
+
+    def fits(self, L):
+        """Whether the factor ``L`` has the pattern this was laid out for."""
+        return np.array_equal(L.indptr, self._l_indptr) and np.array_equal(
+            L.indices, self._l_indices
+        )
+
+    def find(self, wanted):
+        """Storage slots of the lower-triangle keys ``wanted``, -1 for a
+        key the pattern lacks."""
+        at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
+        return np.where(self.keys[at] == wanted, self.slot[at], -1)
+
+    def sweep(self, data):
+        """Sigma on the pattern, by storage slot, for a factor whose L has
+        CSC ``data`` on the pattern this was laid out for."""
+        lv = np.append(data, 0.0)[self.src]
+        inv = 1.0 / lv[self.diag_of]  # 1 / L[k, k] at every slot of column k
+        scaled = lv * inv  # L[i, k] / L[k, k]
+        lp = scaled[self.pair_l]
+        # diagonal slots start at 1 / L[k, k]^2; off-diagonal slots are
+        # written before any deeper level reads them
+        sigma = inv * inv
+        for o0, o1, d1, p0, p1 in self.levels[1:]:  # depth 0: roots alone
+            t = np.bincount(
+                self.pair_out[p0:p1],
+                weights=lp[p0:p1] * sigma[self.pair_sigma[p0:p1]],
+                minlength=o1 - o0,
+            )
+            np.negative(t, out=sigma[o0:o1])
+            t *= scaled[o0:o1]
+            sigma[o1:d1] += np.bincount(self.col_local[o0:o1], weights=t, minlength=d1 - o1)
+        return sigma
 
 
 def chol(a):

@@ -38,7 +38,9 @@ from iterlace.diagnostics import linearisation_deviation
 from iterlace.exprs import parse_expr
 from iterlace.latents import (
     Ar1Model,
+    BesagModel,
     FixedEffectsModel,
+    Graph,
     GaussianPrior,
     IidModel,
     Rw1Model,
@@ -46,7 +48,7 @@ from iterlace.latents import (
 )
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
-from iterlace.sparse import SparseSym, chol
+from iterlace.sparse import CholFactor, SparseSym, chol
 
 
 # --- dense oracles -----------------------------------------------------
@@ -283,6 +285,96 @@ class TestGaussianApprox:
         np.testing.assert_allclose(ga.mode, mean_c, atol=1e-8)
         np.testing.assert_allclose(ga.latent_var(), np.diag(cov_c), atol=1e-8)
         assert abs(ga.mode.sum()) < 1e-8
+
+
+def _besag_poisson_model():
+    """Intercept plus a Besag field on a 3 x 3 rook lattice, Poisson counts
+    with two stations in each cell: one sum-to-zero constraint."""
+    idx = np.arange(9).reshape(3, 3)
+    edges = [(int(i), int(j)) for i, j in zip(idx[:, :-1].ravel(), idx[:, 1:].ravel())]
+    edges += [(int(i), int(j)) for i, j in zip(idx[:-1, :].ravel(), idx[1:, :].ravel())]
+    comps = [
+        Component("b0", FixedEffectsModel.constant()),
+        Component("s", BesagModel(Graph(9, tuple(edges)),
+                                  _precision_hyper(initial=1.5, fixed=True))),
+    ]
+    cells = np.tile(np.arange(1, 10), 2)
+    y = np.random.default_rng(5).poisson(3.0, size=cells.size).astype(float)
+    block = ObsBlock(PoissonFamily(), y, parse_expr("b0 + s"),
+                     {"b0": np.ones(cells.size), "s": cells})
+    return Model(comps, [block])
+
+
+def _ar1_poisson_model():
+    """AR(1) on 8 latents with a free precision and correlation, Poisson
+    counts on every second latent, once or twice: no constraint."""
+    cells = np.array([1, 3, 5, 7, 1, 5])
+    y = np.array([2.0, 0.0, 5.0, 1.0, 3.0, 4.0])
+    block = ObsBlock(PoissonFamily(), y, parse_expr("a"), {"a": cells})
+    return Model([Component("a", Ar1Model(8))], [block])
+
+
+class TestPosteriorVariances:
+    """latent_var and pred_var from the selected inverse, against dense
+    algebra on the same Q*: Sigma = Q*^-1 conditioned on C u = 0."""
+
+    @staticmethod
+    def _approx(model):
+        theta = model.theta_internal0()
+        comp_vals, obs_vals = model.natural_values(theta)
+        lin = model.linearise(np.full(model.n_latent, 0.1))
+        ga = gaussian_approx(model, lin, model.precision(comp_vals), model.prior_mean(),
+                             obs_vals)
+        return ga, lin
+
+    @staticmethod
+    def _dense_cov(ga, model):
+        cov = np.linalg.inv(ga.qstar.to_dense())
+        cmat = model.constraints
+        if cmat is not None:
+            _, cov = condition_on_zero(np.zeros(cov.shape[0]), cov, cmat)
+        return cov
+
+    @pytest.mark.parametrize("build", [_besag_poisson_model, _ar1_poisson_model])
+    def test_match_dense_conditioning(self, build):
+        model = build()
+        ga, lin = self._approx(model)
+        assert (ga.constraint_proj is not None) == (model.constraints is not None)
+        cov = self._dense_cov(ga, model)
+        bmat = lin.B.toarray()
+        np.testing.assert_allclose(ga.latent_var(), np.diag(cov), rtol=1e-9)
+        np.testing.assert_allclose(ga.pred_var(), np.diag(bmat @ cov @ bmat.T), rtol=1e-9)
+
+    def test_cancelled_qstar_entry(self):
+        # Q[0, 1] = -0.5 and h = -0.5 on the row of B touching latents 0
+        # and 1 cancel: Q* drops (0, 1) and its plan, and (0, 1) falls
+        # outside L's pattern, yet pred_var of that row needs Sigma[0, 1]
+        q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
+        bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]]))
+        lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(2), block_slices=[])
+        qstar = lin.qstar(q, np.array([-0.5, 0.0]))
+        assert qstar.plan is None
+        ga = engine.GaussResult(mode=np.zeros(3), factor=chol(qstar), qstar=qstar,
+                                pattern=lin._qstar, grad_at_mode=np.zeros(3))
+        cov = np.linalg.inv(qstar.to_dense())
+        np.testing.assert_allclose(ga.latent_var(), np.diag(cov), rtol=1e-12)
+        b = bmat.toarray()
+        np.testing.assert_allclose(ga.pred_var(), np.diag(b @ cov @ b.T), rtol=1e-12)
+
+    def test_no_solve(self, monkeypatch):
+        model = _besag_poisson_model()
+        ga, _ = self._approx(model)
+        calls = []
+        real = CholFactor.solve
+
+        def counting(self, rhs):
+            calls.append(1)
+            return real(self, rhs)
+
+        monkeypatch.setattr(CholFactor, "solve", counting)
+        ga.latent_var()
+        ga.pred_var()
+        assert calls == []
 
 
 def _same_matrix(got, want):

@@ -358,3 +358,117 @@ class TestDiagInverse:
         np.testing.assert_allclose(
             f.diag_inverse(), np.diag(np.linalg.inv(a.to_dense())), rtol=1e-9
         )
+
+
+def _factor_pattern(f):
+    """Index pairs of A^{-1} on the pattern of L + L^T, with perm undone."""
+    coo = f.L.tocoo()
+    r, c = f.perm[coo.row], f.perm[coo.col]
+    return np.concatenate([r, c]), np.concatenate([c, r])
+
+
+def _check_selected(f, a, rows=None, cols=None):
+    """selected_inverse against np.linalg.inv: the diagonal, and the
+    entries at (rows, cols) (L + L^T's pattern by default), to 1e-10
+    relative to the inverse's largest entry."""
+    if rows is None:
+        rows, cols = _factor_pattern(f)
+    diag, vals = f.selected_inverse(rows, cols)
+    want = np.linalg.inv(a.to_dense())
+    scale = np.abs(want).max()
+    assert np.abs(diag - np.diag(want)).max() <= 1e-10 * scale
+    assert np.abs(vals - want[rows, cols]).max() <= 1e-10 * scale
+
+
+class TestSelectedInverse:
+    def test_random_spd(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 9, 40):
+            a = random_spd(rng, n)
+            _check_selected(chol(a), a)
+
+    def test_intercept_first_lattice(self):
+        # the BYM Q* has condition number ~2e8, so np.linalg.inv itself is
+        # good to ~1e-9 only: compare that matrix with the same factor's
+        # solves, and a ridged copy on the same pattern with the dense inverse
+        a = intercept_bym_qstar(side=12)
+        f = chol(a)
+        rows, cols = _factor_pattern(f)
+        diag, vals = f.selected_inverse(rows, cols)
+        assert len(f._plan._schedule.levels) > 10
+        want = f.solve(np.eye(a.n))
+        scale = np.abs(want).max()
+        assert np.abs(diag - np.diag(want)).max() <= 1e-12 * scale
+        assert np.abs(vals - want[rows, cols]).max() <= 1e-12 * scale
+        ridged = SparseSym(a.csc + sp.identity(a.n, format="csc"))
+        _check_selected(chol(ridged), ridged)
+
+    def test_order_one(self):
+        a = SparseSym.from_dense([[4.0]])
+        diag, vals = chol(a).selected_inverse([0], [0])
+        np.testing.assert_allclose(diag, [0.25], rtol=1e-15)
+        np.testing.assert_allclose(vals, [0.25], rtol=1e-15)
+
+    def test_diagonal_matrix(self):
+        d = np.array([1.0, 4.0, 0.5, 8.0, 2.0])
+        a = SparseSym(sp.diags(d, format="csc"))
+        f = chol(a)
+        np.testing.assert_allclose(f.diag_inverse(), 1.0 / d, rtol=1e-15)
+        # an off-diagonal entry of a diagonal matrix's inverse is zero
+        diag, vals = f.selected_inverse([0, 3], [2, 3])
+        np.testing.assert_allclose(vals, [0.0, 1.0 / 8.0], rtol=1e-15)
+
+    def test_matrices_sharing_a_plan(self):
+        a = intercept_bym_qstar(side=6)
+        plan = CholPlan(a.csc.indptr, a.csc.indices)
+        rng = np.random.default_rng(42)
+        schedules = []
+        for _ in range(2):
+            d = rng.uniform(0.5, 2.0, a.n)
+            rows = a.csc.indices
+            cols = np.repeat(np.arange(a.n), np.diff(a.csc.indptr))
+            data = a.csc.data * d[rows] * d[cols] + np.where(rows == cols, 1.0, 0.0)
+            b = SparseSym._trusted(
+                sp.csc_matrix((data, a.csc.indices, a.csc.indptr), shape=a.csc.shape), plan
+            )
+            f = chol(b)
+            _check_selected(f, b)
+            _check_selected(f.without_solver(), b)
+            schedules.append(plan._schedule)
+        assert schedules[0] is schedules[1]
+
+    def test_a_factor_entry_that_cancels_to_zero(self):
+        # in the plan's order the matrix is [[1, 1, 1], [1, 2, 1], [1, 1, 2]],
+        # whose L[2, 1] is 1 - 1 * 1 = 0: scipy's L omits it, so the second
+        # factor's pattern is not closed and not the first one's
+        full = sp.csc_matrix(np.ones((3, 3)))
+        plan = CholPlan(full.indptr, full.indices)
+        plan.permuted(full.data)  # computes the order
+        inv = plan.inverse
+        b = np.array([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]])[inv][:, inv]
+        factors = []
+        for dense in (np.eye(3) * 3.0 + 1.0, b):
+            a = SparseSym._trusted(sp.csc_matrix(dense), plan)
+            f = chol(a)
+            _check_selected(f, a)  # L + L^T, which lacks the cancelled entry
+            _check_selected(f, a, *np.nonzero(np.ones((3, 3))))
+            factors.append(f)
+        assert factors[0].L.nnz == 6 and factors[1].L.nnz == 5
+        assert plan._schedule.fits(factors[1].L)
+
+    def test_qstar_with_a_cancelled_entry(self):
+        # Q[0, 1] = -0.5 cancels against B^T diag(h) B: Q* loses (0, 1) and
+        # its plan, and elimination leaves (0, 1) out of L too, though
+        # latents 0 and 1 stay correlated through latent 2
+        q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
+        bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
+        lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(1), block_slices=[])
+        a = lin.qstar(q, np.array([-0.5]))
+        assert a.plan is None and a.csc.nnz == 7
+        f = chol(a)
+        at = np.argsort(f.perm)[:2]  # where latents 0 and 1 sit in L
+        coo = f.L.tocoo()
+        assert (at.max(), at.min()) not in set(zip(coo.row, coo.col))
+        rows, cols = np.nonzero(np.ones((3, 3)))
+        _check_selected(f, a, rows, cols)
+        assert np.linalg.inv(a.to_dense())[0, 1] != 0.0
