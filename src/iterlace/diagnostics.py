@@ -5,6 +5,14 @@ to the exact predictor: a sampling-based deviation summary on the
 predictor scale, and a Kullback--Leibler comparison of the latent
 Gaussian approximation against a locally corrected Gaussian that keeps
 the predictor's second-order curvature.
+
+Both evaluate the predictor at many states: the deviation at posterior
+draws, the correction matrix at finite-difference perturbations of the
+linearisation point.  Those states are stacked as the columns of state
+matrices and evaluated a block of columns at a time
+(``engine._column_blocks``), with no Python loop over states; the
+reductions over them keep the order of a state-by-state loop, so the
+results are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import _mode_point, _obs_grad_hess, _posterior_draws
+from .engine import (
+    EngineError,
+    _column_blocks,
+    _mode_point,
+    _obs_grad_hess,
+    _posterior_draws,
+)
 from .sparse import FactorizationError, SparseSym, chol
 
 
@@ -58,7 +72,7 @@ def _interaction_pairs(model, lin):
     probe = lin.u0 + shift * np.random.default_rng(0).standard_normal(lin.u0.size)
     try:
         pairs |= _pair_pattern(model.linearise(probe).B)
-    except Exception:
+    except (EngineError, ValueError, ArithmeticError):
         pass  # probe left the predictor's domain; keep the anchored pattern
     out = {(j, k) for j, k in pairs if j < k}
     out |= {(j, j) for j in range(lin.u0.size)}
@@ -74,6 +88,10 @@ def correction_matrix(fit):
     the latent state, both taken at the linearisation point and at the
     hyperparameter mode.  Entries are central second differences of
     psi(u) = g^T eta(u) over the coupling pattern of the predictor.
+
+    The perturbed states are the columns of one (d, P) matrix: u0, then
+    u0 +- h e_j for each diagonal entry, then u0 +- h e_j +- h e_k (four
+    columns) for each coupled pair j < k.
     """
     model, lin = fit.model, fit.linearisation
     point = _mode_point(fit.grid)
@@ -83,33 +101,38 @@ def correction_matrix(fit):
 
     u0 = lin.u0
     d = u0.size
-
-    def psi(u):
-        return float(g_star @ model.eta(u))
-
-    psi0 = psi(u0)
     h = FD_STEP
-    rows, cols, vals = [], [], []
-    for j, k in _interaction_pairs(model, lin):
-        ej = np.zeros(d)
-        ej[j] = h
-        if j == k:
-            val = (psi(u0 + ej) - 2.0 * psi0 + psi(u0 - ej)) / h**2
-            rows.append(j)
-            cols.append(j)
-            vals.append(val)
-        else:
-            ek = np.zeros(d)
-            ek[k] = h
-            val = (
-                psi(u0 + ej + ek)
-                - psi(u0 + ej - ek)
-                - psi(u0 - ej + ek)
-                + psi(u0 - ej - ek)
-            ) / (4.0 * h**2)
-            rows.extend([j, k])
-            cols.extend([k, j])
-            vals.extend([val, val])
+    pairs = np.array(_interaction_pairs(model, lin), dtype=np.int64).reshape(-1, 2)
+    on_diag = pairs[:, 0] == pairs[:, 1]
+    jd = pairs[on_diag, 0]
+    jo, ko = pairs[~on_diag].T
+    n_diag, n_off = jd.size, jo.size
+
+    # the steps from u0, one column per perturbed state, as a sparse matrix
+    first_off = 1 + 2 * n_diag
+    off_cols = first_off + np.arange(4 * n_off)
+    step_rows = np.concatenate([np.repeat(jd, 2), np.repeat(jo, 4), np.repeat(ko, 4)])
+    step_cols = np.concatenate([np.arange(1, first_off), off_cols, off_cols])
+    step_vals = h * np.concatenate([
+        np.tile([1.0, -1.0], n_diag),
+        np.tile([1.0, 1.0, -1.0, -1.0], n_off),  # the sign of h e_j
+        np.tile([1.0, -1.0, 1.0, -1.0], n_off),  # the sign of h e_k
+    ])
+    steps = sp.csc_matrix(
+        (step_vals, (step_rows, step_cols)), shape=(d, first_off + 4 * n_off)
+    )
+    psi = np.empty(steps.shape[1])
+    for cols in _column_blocks(0, psi.size, d + lin.delta.size):
+        eta_t = np.ascontiguousarray(model.eta(u0[:, None] + steps[:, cols].toarray()).T)
+        psi[cols] = [float(g_star @ row) for row in eta_t]
+
+    psi0 = psi[0]
+    diag_vals = (psi[1:first_off:2] - 2.0 * psi0 + psi[2:first_off:2]) / h**2
+    pp, pm, mp, mm = psi[first_off:].reshape(-1, 4).T
+    off_vals = (pp - pm - mp + mm) / (4.0 * h**2)
+    rows = np.concatenate([jd, jo, ko])
+    cols = np.concatenate([jd, ko, jo])
+    vals = np.concatenate([diag_vals, off_vals, off_vals])
     return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
 
 
@@ -212,8 +235,12 @@ def linearisation_deviation(fit, n_samples=1000, seed=0):
         bad = int(np.flatnonzero(~(var > 0.0))[0])
         raise DiagnosticsError(f"zero predictor variance row {bad}")
 
+    draws = _posterior_draws(fit, int(n_samples), np.random.default_rng(seed))
     acc = np.zeros(var.size)
-    for u in _posterior_draws(fit, int(n_samples), np.random.default_rng(seed)):
-        gap = lin.eval(u) - model.eta(u)
-        acc += gap * gap
+    for cols in _column_blocks(0, draws.shape[0], draws.shape[1] + var.size):
+        states = np.ascontiguousarray(draws[cols].T)
+        gap = lin.eval(states) - model.eta(states)
+        # add the squared gaps onto acc one draw after another, as a loop
+        # would (a reduce may sum a one-row stack pairwise)
+        acc = np.add.accumulate(np.concatenate([acc[None], (gap * gap).T]), axis=0)[-1]
     return float(np.sum(acc / (n_samples * var)))

@@ -54,10 +54,19 @@ Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
 are batched per grid point: the grid indices and normals are taken in
 per-draw stream order, then each grid point's draws come from one
-triangular solve with a matrix right-hand side (``_draw_block``), so a
-call holds O(n_draws * n_latent) memory.  ``generate``, the
-linearisation diagnostic and SBC all draw through it (SBC's prior draw
-through the same ``_draw_block``, with one column).
+triangular solve with a matrix right-hand side (``_draw_block``), and
+the call returns the (n_draws, n_latent) matrix of draws, one per row.
+``generate``, the linearisation diagnostic and SBC all draw through it
+(SBC's prior draw through the same ``_draw_block``, with one column).
+
+The predictor (``Model.eta``, ``Model.eta_block``, ``Linearisation.eval``)
+and prediction expressions (``expr_env``) take a state matrix of shape
+(n_latent, S) as well as a state vector and return (n_rows, S); every
+column equals, bit for bit, the evaluation of that column alone.
+``generate`` and the diagnostics evaluate their draws and perturbations
+this way, a block of columns at a time (``_column_blocks``): a block
+holds at most ``COLUMN_BLOCK`` entries of (n_latent + n_rows) x S, which
+bounds the memory a call holds whatever the number of draws.
 """
 
 from __future__ import annotations
@@ -91,6 +100,10 @@ __all__ = [
 ]
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+#: most entries of (n_latent + n_rows) x S in one batched evaluation of S
+#: states; larger batches are cut into blocks of columns
+COLUMN_BLOCK = 2**15
 
 
 class EngineError(RuntimeError):
@@ -142,7 +155,9 @@ class Linearisation:
     _qstar: object = field(default=None, init=False, repr=False, compare=False)
 
     def eval(self, u):
-        return self.delta + self.B @ u
+        """eta_bar at a state vector, or at each column of a state matrix."""
+        bu = self.B @ u
+        return self.delta + bu if bu.ndim == 1 else self.delta[:, None] + bu
 
     def qstar(self, q, h, symmetric=True):
         """Q* = Q - B^T diag(h) B for the SparseSym Q, on a pattern built
@@ -483,7 +498,7 @@ class Model:
         env = self._block_env(block, u, inputs)
         eta = np.asarray(block.formula.eval(env), dtype=float)
         if eta.ndim == 0:
-            eta = np.full(self._block_rows(block, inputs), float(eta))
+            eta = np.full((self._block_rows(block, inputs),) + np.shape(u)[1:], float(eta))
         if block.aggregation is not None:
             agg, spec = block.aggregation
             eta = agg.eval(spec, eta)
@@ -496,7 +511,8 @@ class Model:
         raise EngineError("likelihood references no components")
 
     def eta(self, u):
-        """Full non-linear predictor, blocks stacked."""
+        """Full non-linear predictor, blocks stacked; at a state vector, or
+        at each column of a state matrix (n_latent, S), giving (n_rows, S)."""
         return np.concatenate([self.eta_block(b, u) for b in self.obs])
 
     def linearise(self, u0):
@@ -1306,7 +1322,9 @@ def check_expr_refs(model, expr):
 
 
 def expr_env(model, expr, u, inputs=None):
-    """Evaluation environment for a prediction expression at state u.
+    """Evaluation environment for a prediction expression at state u, a
+    vector or a matrix with one state per column (then every entry has
+    one column per state).
 
     ``inputs`` optionally rebinds component inputs; an absent binding
     falls back to the first likelihood block that carries one.
@@ -1338,9 +1356,17 @@ def expr_env(model, expr, u, inputs=None):
     return env
 
 
+def _column_blocks(start, stop, per_column):
+    """Slices cutting columns start..stop into blocks of at most
+    ``COLUMN_BLOCK`` entries, ``per_column`` entries to a column."""
+    width = max(1, COLUMN_BLOCK // max(1, per_column))
+    return [slice(a, min(a + width, stop)) for a in range(start, stop, width)]
+
+
 def _posterior_draws(result, n, rng):
-    """Yield n joint posterior draws of the latent state: a grid point
-    by its weight, then the state from that point's Gaussian.
+    """n joint posterior draws of the latent state, one per row of an
+    (n, n_latent) matrix: a grid point by its weight, then the state
+    from that point's Gaussian.
 
     Per draw the stream is one uniform for the grid point (exactly what
     ``rng.choice(k, p=weights)`` consumes) and then one standard-normal
@@ -1362,7 +1388,7 @@ def _posterior_draws(result, n, rng):
         cols = np.flatnonzero(idx == g)
         point = grid[g]
         draws[cols] = _draw_block(point.mode, point.factor, C, point.constraint_proj, Z[:, cols])
-    yield from draws
+    return draws
 
 
 def generate(result, expr, n_samples, rng, inputs=None):
@@ -1379,12 +1405,21 @@ def generate(result, expr, n_samples, rng, inputs=None):
         rng = np.random.default_rng(int(rng))
     model = result.model
     check_expr_refs(model, expr)
-    return np.stack([
-        np.atleast_1d(
-            np.asarray(expr.eval(expr_env(model, expr, u, inputs)), dtype=float)
-        )
-        for u in _posterior_draws(result, n_samples, rng)
-    ])
+    draws = _posterior_draws(result, n_samples, rng)
+
+    def values(cols):
+        states = np.ascontiguousarray(draws[cols].T)
+        val = np.asarray(expr.eval(expr_env(model, expr, states, inputs)), dtype=float)
+        if val.ndim == 0:  # a constant expression: one value per draw
+            val = np.full((1, states.shape[1]), val)
+        return val.T
+
+    first = values(slice(0, 1))  # its row count sizes the blocks
+    out = np.empty((n_samples, first.shape[1]))
+    out[:1] = first
+    for cols in _column_blocks(1, n_samples, model.n_latent + first.shape[1]):
+        out[cols] = values(cols)
+    return out
 
 
 def predict_summary(samples, quantiles=(0.025, 0.5, 0.975)):

@@ -8,6 +8,16 @@ the Jacobian of that effect with respect to the latent state
 Marginal transforms one, Pipe chains several, Multi crosses a main
 mapper with group/replicate index mappers, Collect concatenates.
 
+``eval`` takes a state vector of shape (n_latent,) or a state matrix of
+shape (n_latent, S), one state per column, and returns (n_rows,) or
+(n_rows, S).  Every column of a matrix result equals, bit for bit, the
+vector result for that column, so a caller may evaluate many states in
+one call.  ``jacobian`` takes a single state vector.  Aggregation
+mappers sum or log-sum-exp rows into blocks without a loop over blocks:
+a ``BlockSpec`` keeps its rows block by block, the per-block maximum is
+one ``np.maximum.reduceat``, and the per-block sum is one product with
+the block indicator matrix, which adds each block's rows in row order.
+
 Inputs are deliberately plain: covariates are float arrays, index
 inputs are 1-based integer arrays, block aggregation takes a
 ``BlockSpec``, compound mappers take tuples/lists of the pieces.
@@ -16,6 +26,7 @@ inputs are 1-based integer arrays, block aggregation takes a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +66,11 @@ class BlockSpec:
 
     ``block`` holds 1-based block ids per row, ``weights`` the per-row
     weights, ``n_block`` the number of output blocks.
+
+    Computed once, on first use: ``order`` lists the rows block by block
+    (a stable sort, so rows keep their order within a block), block b's
+    rows are ``order[bounds[b]:bounds[b + 1]]``, and ``indicator`` is the
+    (n_block, rows) 0/1 matrix with those rows in each of its rows.
     """
 
     block: np.ndarray
@@ -77,6 +93,28 @@ class BlockSpec:
                 f"block ids must lie in 1..{self.n_block}, "
                 f"got range {block.min()}..{block.max()}"
             )
+
+    @cached_property
+    def order(self):
+        return np.argsort(self.block, kind="stable")
+
+    @cached_property
+    def bounds(self):
+        counts = np.bincount(self.block - 1, minlength=self.n_block)
+        return np.concatenate([[0], np.cumsum(counts)])
+
+    @cached_property
+    def indicator(self):
+        return sp.csr_matrix(
+            (np.ones(self.block.size), self.order, self.bounds),
+            shape=(self.n_block, self.block.size),
+        )
+
+
+def _rowwise(values, state):
+    """Per-row ``values`` shaped to broadcast along the rows of ``state``,
+    a vector or a matrix with one state per column."""
+    return values if state.ndim == 1 else values[:, None]
 
 
 def _as_float_array(x, what):
@@ -132,9 +170,9 @@ class Mapper:
     def _check_state(self, state):
         state = np.asarray(state, dtype=float)
         n = self.n_latent()
-        if n is not None and state.shape != (n,):
+        if n is not None and (state.ndim not in (1, 2) or state.shape[0] != n):
             raise MapperError(
-                f"state has shape {state.shape}, expected ({n},) "
+                f"state has shape {state.shape}, expected ({n},) or ({n}, S) "
                 f"for {type(self).__name__}"
             )
         return state
@@ -155,8 +193,8 @@ class ConstMapper(Mapper):
         return int(inp) if np.isscalar(inp) else len(inp)
 
     def eval(self, inp, state):
-        self._check_state(state)
-        return np.full(self.n_output(inp), self.value)
+        state = self._check_state(state)
+        return np.full((self.n_output(inp),) + state.shape[1:], self.value)
 
     def jacobian(self, inp, state):
         return sp.csr_matrix((self.n_output(inp), 0))
@@ -178,7 +216,7 @@ class LinearMapper(Mapper):
 
     def eval(self, inp, state):
         state = self._check_state(state)
-        return _as_float_array(inp, "covariate") * state[0]
+        return _rowwise(_as_float_array(inp, "covariate"), state) * state[0]
 
     def jacobian(self, inp, state):
         x = _as_float_array(inp, "covariate")
@@ -261,7 +299,7 @@ class FactorMapper(Mapper):
     def eval(self, inp, state):
         state = self._check_state(state)
         cols = self._columns(inp)
-        out = np.zeros(cols.size)
+        out = np.zeros((cols.size,) + state.shape[1:])
         used = cols >= 0
         out[used] = state[cols[used]]
         return out
@@ -308,9 +346,11 @@ class ScaleMapper(Mapper):
     def eval(self, inp, state):
         scale, inner_inp = self._split(inp)
         inner = self.inner.eval(inner_inp, state)
-        if inner.size != scale.size:
-            raise MapperError(f"scale length {scale.size} != effect length {inner.size}")
-        return scale * inner
+        if inner.shape[0] != scale.size:
+            raise MapperError(
+                f"scale length {scale.size} != effect length {inner.shape[0]}"
+            )
+        return _rowwise(scale, inner) * inner
 
     def jacobian(self, inp, state):
         scale, inner_inp = self._split(inp)
@@ -409,8 +449,8 @@ class MarginalMapper(Mapper):
         if self.inner is None:
             state = np.asarray(state, dtype=float)
             n = self.n_output(inp)
-            if state.size != n:
-                raise MapperError(f"state length {state.size} != rows {n}")
+            if state.shape[0] != n:
+                raise MapperError(f"state length {state.shape[0]} != rows {n}")
             return state
         return self.inner.eval(inp, state)
 
@@ -476,46 +516,44 @@ class LogSumExpMapper(Mapper):
 
     def _terms(self, spec, state):
         state = np.asarray(state, dtype=float)
-        if state.size != spec.block.size:
+        if state.shape[0] != spec.block.size:
             raise MapperError(
-                f"state length {state.size} != block rows {spec.block.size}"
+                f"state length {state.shape[0]} != block rows {spec.block.size}"
             )
         _check_block_weights(spec, need_nonnegative=True, rescale=self.rescale)
         with np.errstate(divide="ignore"):  # zero weights drop out as -inf
-            return state + np.log(spec.weights)
+            return state + _rowwise(np.log(spec.weights), state)
+
+    def _scaled_exp(self, spec, logterms):
+        """exp(log-term - its block's maximum), row by row; the zero
+        terms of zero weights add nothing to a block's sum."""
+        shift = np.full((spec.n_block,) + logterms.shape[1:], -np.inf)
+        full = spec.bounds[:-1] < spec.bounds[1:]
+        if full.any():
+            shift[full] = np.maximum.reduceat(
+                logterms[spec.order], spec.bounds[:-1][full], axis=0
+            )
+        empty = np.isneginf(shift).reshape(spec.n_block, -1).any(axis=1)
+        if empty.any():
+            bad = int(np.flatnonzero(empty)[0]) + 1
+            raise MapperError(f"block {bad} has no entries with positive weight")
+        return shift, np.exp(logterms - shift[spec.block - 1])
 
     def eval(self, inp, state):
         spec = self._spec(inp)
-        logterms = self._terms(spec, state)
-        out = np.empty(spec.n_block)
-        for b in range(spec.n_block):
-            lt = logterms[spec.block == b + 1]
-            lt = lt[lt > -np.inf]
-            if lt.size == 0:
-                raise MapperError(f"block {b + 1} has no entries with positive weight")
-            shift = lt.max()
-            out[b] = shift + np.log(np.sum(np.exp(lt - shift)))
+        shift, expd = self._scaled_exp(spec, self._terms(spec, state))
+        out = shift + np.log(spec.indicator @ expd)
         if self.rescale:
             totals = np.bincount(
                 spec.block - 1, weights=spec.weights, minlength=spec.n_block
             )
-            out -= np.log(totals)
+            out -= _rowwise(np.log(totals), out)
         return out
 
     def jacobian(self, inp, state):
         spec = self._spec(inp)
-        logterms = self._terms(spec, state)
-        vals = np.zeros(spec.block.size)
-        for b in range(spec.n_block):
-            mask = spec.block == b + 1
-            lt = logterms[mask]
-            keep = lt > -np.inf
-            if not keep.any():
-                raise MapperError(f"block {b + 1} has no entries with positive weight")
-            shift = lt[keep].max()
-            expd = np.zeros(lt.size)
-            expd[keep] = np.exp(lt[keep] - shift)
-            vals[mask] = expd / expd.sum()
+        _, expd = self._scaled_exp(spec, self._terms(spec, state))
+        vals = expd / (spec.indicator @ expd)[spec.block - 1]
         cols = np.arange(spec.block.size)
         return sp.csr_matrix(
             (vals, (spec.block - 1, cols)), shape=(spec.n_block, spec.block.size)
@@ -546,31 +584,30 @@ class AggregateMapper(Mapper):
     def n_output(self, inp):
         return self._spec(inp).n_block
 
-    def _weights(self, spec):
+    def _matrix(self, spec):
+        """The (n_block, rows) weight matrix; the effect is its product
+        with the state, which adds each block's rows in row order."""
         _check_block_weights(spec, need_nonnegative=False, rescale=self.rescale)
         w = spec.weights
         if self.rescale:
             totals = np.bincount(spec.block - 1, weights=w, minlength=spec.n_block)
             w = w / totals[spec.block - 1]
-        return w
-
-    def eval(self, inp, state):
-        spec = self._spec(inp)
-        state = np.asarray(state, dtype=float)
-        if state.size != spec.block.size:
-            raise MapperError(
-                f"state length {state.size} != block rows {spec.block.size}"
-            )
-        w = self._weights(spec)
-        return np.bincount(spec.block - 1, weights=w * state, minlength=spec.n_block)
-
-    def jacobian(self, inp, state):
-        spec = self._spec(inp)
-        w = self._weights(spec)
         cols = np.arange(spec.block.size)
         return sp.csr_matrix(
             (w, (spec.block - 1, cols)), shape=(spec.n_block, spec.block.size)
         )
+
+    def eval(self, inp, state):
+        spec = self._spec(inp)
+        state = np.asarray(state, dtype=float)
+        if state.shape[0] != spec.block.size:
+            raise MapperError(
+                f"state length {state.shape[0]} != block rows {spec.block.size}"
+            )
+        return self._matrix(spec) @ state
+
+    def jacobian(self, inp, state):
+        return self._matrix(self._spec(inp))
 
 
 class MultiMapper(Mapper):
@@ -639,7 +676,7 @@ class MultiMapper(Mapper):
         n_rows = self.main.n_output(main_inp)
         n_main = self.main.n_latent()
         block, _ = self._flat_blocks(inp, n_rows)
-        out = np.empty(n_rows)
+        out = np.empty((n_rows,) + state.shape[1:])
         for b in np.unique(block):
             rows = np.where(block == b)[0]
             sub = self.main.slice_rows(main_inp, rows)
@@ -798,7 +835,8 @@ def ibm_n_output(mapper, inp):
 
 
 def ibm_eval(mapper, inp, state):
-    """Effect vector for the given input and latent state."""
+    """Effect for the given input and latent state: a vector, or one
+    column per state of a state matrix."""
     return mapper.eval(inp, state)
 
 

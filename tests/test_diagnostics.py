@@ -21,6 +21,7 @@ from iterlace.diagnostics import (
 )
 from iterlace.engine import (
     Component,
+    EngineError,
     FitResult,
     Linearisation,
     Model,
@@ -36,6 +37,7 @@ from iterlace.mappers import (
     ExponentialQuantile,
     IndexMapper,
     LogSumExpMapper,
+    MapperError,
     MarginalMapper,
 )
 from iterlace.sparse import SparseSym, chol
@@ -357,3 +359,134 @@ class TestLinearisationDeviation:
     def test_sample_count_must_be_positive(self):
         with pytest.raises(DiagnosticsError, match="positive"):
             linearisation_deviation(curvature_fixture(0.25), 0, seed=0)
+
+
+# --- batched evaluation against a state-by-state reference ------------------
+
+def product_fit(free_precision=False):
+    """b0 * exp(v) with v iid on 4 cells, three rows a cell: every pair
+    (b0, v_j) couples, and no aggregation."""
+    from iterlace.latents import GaussianPrior
+
+    rng = np.random.default_rng(2)
+    idx = np.tile(np.arange(1, 5), 3)
+    y = 1.5 * np.exp(np.array([0.3, -0.2, 0.5, 0.0]))[idx - 1] + 0.3 * rng.normal(size=idx.size)
+    hyper = (_precision_hyper(initial=2.0, prior=GaussianPrior(0.0, 1.0)) if free_precision
+             else _precision_hyper(initial=2.0, fixed=True))
+    comps = [Component("b0", FixedEffectsModel.constant()), Component("v", IidModel(4, hyper))]
+    block = ObsBlock(GaussianFamily(fixed_prec=10.0), y, parse_expr("b0 * exp(v)"),
+                     {"b0": np.ones(idx.size), "v": idx})
+    res = fit(Model(comps, [block]), {"bru_initial": {"b0": 1.0}, "bru_max_iter": 40})
+    assert res.converged
+    return res
+
+
+def reference_correction_matrix(fit_result):
+    """G with one predictor evaluation per perturbed state."""
+    from iterlace.diagnostics import FD_STEP, _interaction_pairs
+    from iterlace.engine import _mode_point, _obs_grad_hess
+
+    model, lin = fit_result.model, fit_result.linearisation
+    _, obs_vals = model.natural_values(_mode_point(fit_result.grid).theta)
+    g_star, _ = _obs_grad_hess(model, lin, lin.u0, obs_vals)
+    u0, d, h = lin.u0, lin.u0.size, FD_STEP
+
+    def psi(u):
+        return float(g_star @ model.eta(u))
+
+    psi0 = psi(u0)
+    rows, cols, vals = [], [], []
+    for j, k in _interaction_pairs(model, lin):
+        ej = np.zeros(d)
+        ej[j] = h
+        if j == k:
+            rows.append(j)
+            cols.append(j)
+            vals.append((psi(u0 + ej) - 2.0 * psi0 + psi(u0 - ej)) / h**2)
+        else:
+            ek = np.zeros(d)
+            ek[k] = h
+            val = (psi(u0 + ej + ek) - psi(u0 + ej - ek) - psi(u0 - ej + ek)
+                   + psi(u0 - ej - ek)) / (4.0 * h**2)
+            rows.extend([j, k])
+            cols.extend([k, j])
+            vals.extend([val, val])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+
+
+def reference_deviation(fit_result, n, seed):
+    from iterlace.engine import _posterior_draws
+
+    model, lin = fit_result.model, fit_result.linearisation
+    acc = np.zeros(lin.delta.size)
+    for u in _posterior_draws(fit_result, n, np.random.default_rng(seed)):
+        gap = lin.eval(u) - model.eta(u)
+        acc += gap * gap
+    return float(np.sum(acc / (n * np.asarray(fit_result.predictor_sigma2))))
+
+
+class TestBatchedAgainstPerState:
+    @pytest.mark.parametrize("make", [product_fit, lambda: fit(make_toy()),
+                                      lambda: curvature_fixture(0.25)])
+    def test_correction_matrix_and_kl_are_bit_identical(self, make, monkeypatch):
+        from iterlace import diagnostics
+
+        res = make()
+        got, want = correction_matrix(res), reference_correction_matrix(res)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        kl = kl_divergences(res)
+        monkeypatch.setattr(diagnostics, "correction_matrix", reference_correction_matrix)
+        assert kl == kl_divergences(res)
+
+    @pytest.mark.parametrize("make", [lambda: product_fit(free_precision=True),
+                                      lambda: fit(make_toy()),
+                                      lambda: curvature_fixture(0.25)])
+    def test_deviation_is_bit_identical(self, make):
+        # curvature_fixture has one predictor row
+        res = make()
+        for n, seed in ((1, 0), (37, 3), (400, 8)):
+            assert linearisation_deviation(res, n, seed=seed) == reference_deviation(res, n, seed)
+
+    def test_column_blocks_do_not_change_results(self, monkeypatch):
+        from iterlace import engine
+
+        res = product_fit(free_precision=True)
+        want = (correction_matrix(res).toarray(), linearisation_deviation(res, 90, seed=1))
+        for entries in (1, 40, 100):  # one column a block, then a few
+            monkeypatch.setattr(engine, "COLUMN_BLOCK", entries)
+            got = (correction_matrix(res).toarray(), linearisation_deviation(res, 90, seed=1))
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
+class TestInteractionPairs:
+    def _with_probe_error(self, error):
+        """The product fit, with v's mapper raising ``error`` at any state
+        other than the linearisation point."""
+        from iterlace.diagnostics import _interaction_pairs
+
+        res = product_fit()
+        model, lin = res.model, res.linearisation
+        mapper = model.component("v").mapper
+        anchor = lin.u0[model.slice_of("v")].copy()
+
+        class Probed(type(mapper)):
+            def eval(self, inp, state):
+                if not np.array_equal(state, anchor):
+                    raise error("outside the domain")
+                return super().eval(inp, state)
+
+        broken = Probed(mapper.n)
+        model.component("v").mapper = broken
+        return lambda: _interaction_pairs(model, lin)
+
+    @pytest.mark.parametrize("error", [MapperError, ValueError, ZeroDivisionError, EngineError])
+    def test_domain_errors_keep_the_anchored_pattern(self, error):
+        pairs = self._with_probe_error(error)()
+        assert (0, 1) in pairs and (1, 1) in pairs
+
+    def test_a_broken_mapper_propagates(self):
+        with pytest.raises(TypeError, match="outside the domain"):
+            self._with_probe_error(TypeError)()

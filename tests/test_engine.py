@@ -1113,3 +1113,80 @@ class TestThetaCache:
         assert lp == pytest.approx(lp0, abs=1e-8)
         kept = next(k for k, (_, g) in evals.cache.items() if g is not None and k != key)
         assert evals(np.array(kept))[1] is evals.cache[kept][1]
+
+
+# --- state matrices ------------------------------------------------------------
+
+def _aggregated_model():
+    """A Besag field seen directly and through log-sum-exp areas, scaled
+    by b1: two blocks, one aggregated, a product predictor."""
+    from iterlace.mappers import BlockSpec, LogSumExpMapper
+
+    model = _besag_poisson_model()
+    comps = model.components + [Component("b1", FixedEffectsModel.constant())]
+    area = np.array([1, 1, 2, 2, 2, 3, 3, 1, 3])
+    agg = ObsBlock(PoissonFamily(), np.array([4.0, 7.0, 2.0]), parse_expr("b1 * s"),
+                   {"b1": np.ones(9), "s": np.arange(1, 10)},
+                   aggregation=(LogSumExpMapper(), BlockSpec(area, np.ones(9), 3)))
+    return Model(comps, model.obs + [agg])
+
+
+def _reference_generate(res, expr, n, seed, inputs=None):
+    """generate's values, one expression evaluation per draw."""
+    draws = _posterior_draws(res, n, np.random.default_rng(seed))
+    return np.stack([
+        np.atleast_1d(np.asarray(expr.eval(engine.expr_env(res.model, expr, u, inputs)),
+                                 dtype=float))
+        for u in draws
+    ])
+
+
+class TestStateMatrices:
+    def test_posterior_draws_are_a_matrix(self):
+        res = _fit_rw1_free_precision()
+        draws = _posterior_draws(res, 7, np.random.default_rng(0))
+        assert isinstance(draws, np.ndarray) and draws.shape == (7, 10)
+        assert all(np.array_equal(u, draws[s]) for s, u in enumerate(list(draws)))
+
+    def test_eta_and_linearisation_take_state_matrices(self):
+        model = _aggregated_model()
+        rng = np.random.default_rng(1)
+        states = rng.normal(scale=0.5, size=(model.n_latent, 5))
+        lin = model.linearise(states[:, 0].copy())
+        for f in (model.eta, lin.eval, lambda u: model.eta_block(model.obs[1], u)):
+            got = f(states)
+            want = np.column_stack([f(states[:, s].copy()) for s in range(5)])
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text", ["exp(f)", "2 * f_latent - f", "f_eval(c(1, 3))", "2.5"])
+    def test_generate_matches_per_draw_reference(self, text):
+        res = _fit_rw1_free_precision()
+        expr = parse_expr(text)
+        for n, seed in ((1, 0), (250, 4)):
+            want = _reference_generate(res, expr, n, seed)
+            got = generate(res, expr, n, rng=seed)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_generate_with_rebound_inputs(self):
+        model, x, _ = make_gls()
+        res = fit(model)
+        inputs = {"b0": np.ones(3), "b1": x[:3]}
+        expr = parse_expr("exp(b0 + b1)")
+        assert np.array_equal(generate(res, expr, 60, rng=2, inputs=inputs),
+                              _reference_generate(res, expr, 60, 2, inputs))
+
+    def test_column_blocks_do_not_change_generate(self, monkeypatch):
+        res = _fit_rw1_free_precision()
+        expr = parse_expr("exp(f) + f_latent")
+        want = generate(res, expr, 101, rng=6)
+        for entries in (1, 45, 200):
+            monkeypatch.setattr(engine, "COLUMN_BLOCK", entries)
+            assert np.array_equal(generate(res, expr, 101, rng=6), want)
+
+    def test_column_blocks_cover_every_column_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "COLUMN_BLOCK", 100)
+        blocks = engine._column_blocks(1, 24, per_column=30)  # 3 columns a block
+        want = [(a, min(a + 3, 24)) for a in range(1, 24, 3)]
+        assert [(b.start, b.stop) for b in blocks] == want
+        assert engine._column_blocks(0, 5, per_column=500) == [slice(a, a + 1) for a in range(5)]
+        assert engine._column_blocks(3, 3, per_column=1) == []

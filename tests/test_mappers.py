@@ -467,3 +467,164 @@ class TestLinearMappersAreExactlyLinear:
         idx = rng.integers(1, n + 1, size=rows)
         jac = IndexMapper(n).jacobian(idx, np.zeros(n))
         assert_allclose(np.asarray(jac.sum(axis=1)).ravel(), 1.0)
+
+
+# --- state matrices ------------------------------------------------------------
+
+def _matrix_cases():
+    """(label, mapper, input, latent size) for every mapper class."""
+    from iterlace.latents import BymIndexMapper
+
+    idx = np.array([3, 1, 2, 2, 3])
+    spec = BlockSpec(
+        block=[3, 1, 2, 1, 3, 2, 1, 3], weights=[1.0, 0.5, 2.0, 0.0, 1.5, 0.7, 1.2, 0.3],
+        n_block=3,
+    )
+    lse_pipe = [np.array([1, 2, 2]), (np.array([1.0, 0.5, 2.0]), 3),
+                BlockSpec([1, 1, 1], np.ones(3), 1)]
+    return [
+        ("const", ConstMapper(2.5), 4, 0),
+        ("linear", LinearMapper(), np.array([0.5, -1.0, 2.0]), 1),
+        ("index", IndexMapper(3), idx, 3),
+        ("factor-full", FactorMapper(["a", "b", "c"]), np.array(["b", "a", "c", "b"]), 3),
+        ("factor-contrast", FactorMapper(["a", "b", "c"], coding="contrast"),
+         np.array(["b", "a", "c", "b"]), 2),
+        ("scale", ScaleMapper(IndexMapper(3)), (np.array([1.0, -2.0, 0.5, 3.0, 0.1]), idx), 3),
+        ("marginal-exp", MarginalMapper(ExponentialQuantile(1.5), inner=IndexMapper(3)), idx, 3),
+        ("marginal-gamma", MarginalMapper(GammaQuantile(2.0, 1.5), inner=IndexMapper(3)), idx, 3),
+        ("marginal-no-inner", MarginalMapper(ExponentialQuantile(0.5)), 4, 4),
+        ("logsumexp", LogSumExpMapper(), spec, 8),
+        ("logsumexp-rescale", LogSumExpMapper(rescale=True), spec, 8),
+        ("aggregate", AggregateMapper(), spec, 8),
+        ("aggregate-rescale", AggregateMapper(rescale=True), spec, 8),
+        ("multi", MultiMapper(MarginalMapper(ExponentialQuantile(1.0), inner=IndexMapper(2)),
+                              group=IndexMapper(2), replicate=IndexMapper(2)),
+         (np.array([1, 2, 1, 2]), np.array([1, 2, 2, 1]), np.array([2, 1, 2, 2])), 8),
+        ("pipe", PipeMapper([IndexMapper(2),
+                             ScaleMapper(MarginalMapper(ExponentialQuantile(1.0))),
+                             LogSumExpMapper()]), lse_pipe, 2),
+        ("collect-hidden", CollectMapper({"a": IndexMapper(2), "b": LinearMapper()}),
+         [np.array([2, 1, 2]), np.array([1.0])], 3),
+        ("collect-stacked", CollectMapper({"a": IndexMapper(2), "b": LinearMapper()}, hidden=False),
+         [np.array([2, 1, 2]), np.array([1.0, -3.0])], 3),
+        ("bym-index", BymIndexMapper(3), idx, 6),
+    ]
+
+
+def _old_logsumexp(spec, state, rescale):
+    """The per-block loop that LogSumExpMapper.eval replaced."""
+    with np.errstate(divide="ignore"):
+        logterms = state + np.log(spec.weights)
+    out = np.empty(spec.n_block)
+    for b in range(spec.n_block):
+        lt = logterms[spec.block == b + 1]
+        lt = lt[lt > -np.inf]
+        shift = lt.max()
+        out[b] = shift + np.log(np.sum(np.exp(lt - shift)))
+    if rescale:
+        out -= np.log(np.bincount(spec.block - 1, weights=spec.weights, minlength=spec.n_block))
+    return out
+
+
+def _old_logsumexp_jacobian(spec, state):
+    with np.errstate(divide="ignore"):
+        logterms = state + np.log(spec.weights)
+    vals = np.zeros(spec.block.size)
+    for b in range(spec.n_block):
+        mask = spec.block == b + 1
+        lt = logterms[mask]
+        keep = lt > -np.inf
+        expd = np.zeros(lt.size)
+        expd[keep] = np.exp(lt[keep] - lt[keep].max())
+        vals[mask] = expd / expd.sum()
+    return vals
+
+
+class TestStateMatrices:
+    @pytest.mark.parametrize("case", range(len(_matrix_cases())),
+                             ids=[c[0] for c in _matrix_cases()])
+    def test_matrix_eval_is_the_column_stack(self, case):
+        _, m, inp, n = _matrix_cases()[case]
+        states = np.random.default_rng(case).uniform(-1.5, 1.5, size=(n, 6))
+        got = m.eval(inp, states)
+        want = np.column_stack([m.eval(inp, states[:, s].copy()) for s in range(6)])
+        assert got.shape == (m.n_output(inp), 6)
+        assert np.array_equal(got, want)
+
+    def test_single_column_matrix(self):
+        m = IndexMapper(3)
+        got = m.eval(np.array([2, 3]), np.array([[1.0], [2.0], [3.0]]))
+        assert np.array_equal(got, [[2.0], [3.0]])
+
+    def test_matrix_shape_checked(self):
+        with pytest.raises(MapperError, match="state has shape"):
+            IndexMapper(3).eval(np.array([1]), np.zeros((2, 4)))
+        with pytest.raises(MapperError, match="state has shape"):
+            IndexMapper(3).eval(np.array([1]), np.zeros((3, 4, 1)))
+
+    @staticmethod
+    def _random_lse_case(seed, max_rows):
+        """Unsorted block ids, some zero weights, blocks of up to max_rows."""
+        rng = np.random.default_rng(seed)
+        n_block = int(rng.integers(1, 5))
+        sizes = rng.integers(1, max_rows + 1, size=n_block)
+        block = rng.permutation(np.repeat(np.arange(1, n_block + 1), sizes))
+        weights = rng.uniform(0.1, 3.0, size=block.size)
+        weights[rng.random(block.size) < 0.2] = 0.0
+        weights[np.unique(block, return_index=True)[1]] = rng.uniform(0.1, 3.0, n_block)
+        return BlockSpec(block, weights, n_block), rng.normal(scale=3.0, size=block.size)
+
+    @given(seed=st.integers(0, 10_000), rescale=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_logsumexp_matches_the_block_loop(self, seed, rescale):
+        spec, state = self._random_lse_case(seed, max_rows=7)
+        m = LogSumExpMapper(rescale=rescale)
+        np.testing.assert_array_max_ulp(m.eval(spec, state),
+                                        _old_logsumexp(spec, state, rescale), maxulp=4)
+        np.testing.assert_array_max_ulp(m.jacobian(spec, state).toarray().sum(axis=0),
+                                        _old_logsumexp_jacobian(spec, state), maxulp=4)
+
+    @given(seed=st.integers(0, 10_000), rescale=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_logsumexp_large_blocks_match_the_block_loop(self, seed, rescale):
+        # from 8 terms on, np.sum adds pairwise and the indicator product
+        # in row order: the block sums may differ in the last bits
+        spec, state = self._random_lse_case(seed, max_rows=40)
+        m = LogSumExpMapper(rescale=rescale)
+        want = _old_logsumexp(spec, state, rescale)
+        assert_allclose(m.eval(spec, state), want, rtol=0, atol=1e-14 * (1 + np.abs(want)).max())
+        assert_allclose(m.jacobian(spec, state).toarray().sum(axis=0),
+                        _old_logsumexp_jacobian(spec, state), rtol=1e-14, atol=0)
+
+    def test_logsumexp_small_blocks_are_bit_identical_to_the_loop(self):
+        # fewer than 8 rows a block: the loop's np.sum also adds in row order
+        rng = np.random.default_rng(5)
+        spec = BlockSpec(rng.permutation(np.repeat(np.arange(1, 26), 4)), np.ones(100), 25)
+        state = rng.normal(size=100)
+        assert np.array_equal(LogSumExpMapper().eval(spec, state),
+                              _old_logsumexp(spec, state, False))
+
+    @pytest.mark.parametrize("block, weights", [
+        ([1, 3, 1], [1.0, 1.0, 1.0]),       # block 2 has no rows
+        ([1, 2, 3, 2], [1.0, 0.0, 1.0, 0.0]),  # block 2 has only zero weights
+    ])
+    def test_logsumexp_empty_block_rejected(self, block, weights):
+        spec = BlockSpec(block, weights, n_block=3)
+        m = LogSumExpMapper()
+        for state in (np.zeros(len(block)), np.zeros((len(block), 3))):
+            with pytest.raises(MapperError, match="block 2 has no entries"):
+                m.eval(spec, state)
+        with pytest.raises(MapperError, match="block 2 has no entries"):
+            m.jacobian(spec, np.zeros(len(block)))
+
+    def test_aggregate_keeps_empty_blocks_at_zero(self):
+        spec = BlockSpec([1, 3, 1], [1.0, 2.0, 0.5], n_block=3)
+        got = AggregateMapper().eval(spec, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert np.array_equal(got, [[3.5, 5.0], [0.0, 0.0], [6.0, 8.0]])
+
+    def test_blockspec_orders_rows_once(self):
+        spec = BlockSpec([2, 1, 2, 1, 2], np.ones(5), n_block=3)
+        assert np.array_equal(spec.order, [1, 3, 0, 2, 4])
+        assert np.array_equal(spec.bounds, [0, 2, 5, 5])
+        assert np.array_equal(spec.indicator.toarray(),
+                              [[0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]])
