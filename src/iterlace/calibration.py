@@ -19,7 +19,8 @@ import numpy as np
 
 from .engine import EngineError, Model, ObsBlock, check_expr_refs, expr_env, fit, generate
 from .engine import _draw_block, _kriging
-from .exprs import parse_expr
+from .exprs import Ref, parse_expr
+from .mappers import MapperError
 from .sparse import chol
 
 
@@ -83,6 +84,27 @@ def _replace_responses(model, ys):
     return Model(model.components, blocks, model.options)
 
 
+def _first_datum_inputs(model, expr):
+    """The inputs of ``expr``'s components cut to the first datum.
+
+    Each component is bound to the first row of the input ``expr_env``
+    would give it, when its mapper can cut rows; one that cannot keeps
+    every row, of which the first is still the one read.
+    """
+    inputs = {}
+    for r in expr.refs():
+        if not isinstance(r, Ref) or r.kind != "effect":
+            continue
+        inp = next((b.inputs[r.name] for b in model.obs if r.name in b.inputs), None)
+        if inp is None:
+            continue  # expr_env reports it
+        try:
+            inputs[r.name] = model.component(r.name).mapper.slice_rows(inp, [0])
+        except MapperError:
+            pass
+    return inputs
+
+
 def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=None):
     """Simulation-based calibration over K prior-predictive replicates.
 
@@ -93,9 +115,10 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     w = (below-truth count)/J - 1/(2J).  A count of zero is nudged up
     to 1/(4J) so every recorded value stays strictly inside (0, 1).
 
-    ``h`` defaults to the first component's predictor-scale value at
-    the first datum and may be an expression string or a parsed
-    expression.  ``n_data``, when given, must match the model
+    ``h`` defaults to the first component's predictor-scale value and
+    may be an expression string or a parsed expression; it is read at
+    the first datum, where its components are evaluated alone
+    (``_first_datum_inputs``).  ``n_data``, when given, must match the model
     template's total response rows — the template fixes the design.
     Replicate k draws from an independent counter-based substream of
     ``seed``, so runs are reproducible and replicates shareable across
@@ -127,6 +150,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         if hp.prior is None:
             raise CalibrationError(f"free hyperparameter {name} has no prior")
 
+    h_inputs = _first_datum_inputs(model, h_expr)
     C = model.constraints
     mu = model.prior_mean()
     w_values, ranks, failed = [], [], []
@@ -143,7 +167,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         ]
         model_k = _replace_responses(model, ys)
         h_true = float(
-            np.atleast_1d(h_expr.eval(expr_env(model_k, h_expr, u)))[0]
+            np.atleast_1d(h_expr.eval(expr_env(model_k, h_expr, u, h_inputs)))[0]
         )
 
         if posterior_sampler is not None:
@@ -155,7 +179,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
                 res = fit(model_k)
                 if not res.converged:
                     raise EngineError("fit did not converge")
-                h_draws = generate(res, h_expr, J, rng)[:, 0]
+                h_draws = generate(res, h_expr, J, rng, inputs=h_inputs)[:, 0]
             except (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError):
                 failed.append(k)
                 if len(failed) > 0.1 * K:

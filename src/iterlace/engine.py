@@ -40,7 +40,13 @@ A Laplace evaluation factorises once per Newton step and at no other
 time: the curvature at the mode is the last step's factor (that step
 moved the state by less than ``tol``), and the prior's log-determinant
 and constraint covariance come from the components' closed forms
-(``Model.prior_terms``), not from factorising Q(theta).
+(``Model.prior_terms``), not from factorising Q(theta).  A step builds
+no scipy matrix: Q* is its data on the pattern's arrays
+(``SparseSym._on_pattern``), ``chol`` factors it from that data and the
+pattern's plan, and B^T g reads the B^T the linearisation keeps.  Per
+theta, Q(theta) is the components' data concatenated on the model's
+pattern, and its one scipy matrix is built for its products with the
+state.
 
 Marginal variances come from the factor alone, without a solve: a
 ``GaussResult`` takes Q*^-1 once, on the pattern of L + L^T, from the
@@ -159,6 +165,11 @@ class Linearisation:
         bu = self.B @ u
         return self.delta + bu if bu.ndim == 1 else self.delta[:, None] + bu
 
+    @cached_property
+    def BT(self):
+        """B^T, kept for the Newton steps' gradients B^T g."""
+        return self.B.T
+
     def qstar(self, q, h, symmetric=True):
         """Q* = Q - B^T diag(h) B for the SparseSym Q, on a pattern built
         once per linearisation and again whenever Q's pattern changes.
@@ -168,9 +179,17 @@ class Linearisation:
         differ in the last bit, as scipy's expression gives it.
         """
         pattern = self._qstar
-        if pattern is None or not pattern.fits(q.csc):
-            pattern = self._qstar = _QStarPattern(q.csc, self.B)
-        return pattern.assemble(q.csc, h, symmetric)
+        if pattern is None or not pattern.fits(q):
+            pattern = self._qstar = _QStarPattern(q, self.B)
+        return pattern.assemble(q, h, symmetric)
+
+
+def _same_pattern(indptr, indices, ref_indptr, ref_indices):
+    """Whether CSC index arrays hold the reference pattern; arrays that are
+    the reference's own are not compared entry by entry."""
+    return (indptr is ref_indptr or np.array_equal(indptr, ref_indptr)) and (
+        indices is ref_indices or np.array_equal(indices, ref_indices)
+    )
 
 
 class _QStarPattern:
@@ -187,7 +206,7 @@ class _QStarPattern:
     """
 
     def __init__(self, q, B):
-        d = q.shape[0]
+        d = q.n
         self.q_indptr, self.q_indices = q.indptr, q.indices
         # every pair (a, b) of stored entries in one row i of B adds
         # (B_ir h_i) B_ic to entry (r, c), r = column of a, c = column of b
@@ -204,7 +223,7 @@ class _QStarPattern:
         self.rows, self.cols = rows, cols
         self.indices = rows.astype(q.indices.dtype)
         self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
-        self.shape = q.shape
+        self.shape = (d, d)
         self.q_slot = np.searchsorted(keys, q_keys)
         self.t_slot = np.searchsorted(keys, rows * d + cols)
         slot = np.searchsorted(keys, c * d + r)
@@ -217,10 +236,8 @@ class _QStarPattern:
         self.plan = CholPlan(self.indptr, self.indices)
 
     def fits(self, q):
-        """Whether Q has the pattern this was built for."""
-        return np.array_equal(q.indptr, self.q_indptr) and np.array_equal(
-            q.indices, self.q_indices
-        )
+        """Whether the SparseSym Q has the pattern this was built for."""
+        return _same_pattern(q.indptr, q.indices, self.q_indptr, self.q_indices)
 
     def assemble(self, q, h, symmetric=True):
         btb = np.bincount(
@@ -230,11 +247,12 @@ class _QStarPattern:
         m = np.zeros(self.indices.size)
         m[self.q_slot] = q.data
         m -= btb
-        data = (m + m[self.t_slot]) * 0.5 if symmetric else m
-        csc = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
         if symmetric:  # drops exact zeros, and the plan with them
-            return SparseSym._trusted(csc, self.plan)
-        if not data.all():  # exact zeros are dropped, as scipy drops them
+            return SparseSym._on_pattern(
+                (m + m[self.t_slot]) * 0.5, self.indptr, self.indices, self.plan
+            )
+        csc = sp.csc_matrix((m, self.indices, self.indptr), shape=self.shape)
+        if not m.all():  # exact zeros are dropped, as scipy drops them
             csc = csc.copy()
             csc.eliminate_zeros()
         return csc
@@ -397,30 +415,24 @@ class Model:
         """Prior precision Q(theta), block-diagonal in component order.
 
         Component precisions are canonical CSC, so Q's pattern is theirs
-        side by side and a new theta only concatenates their data.  The
-        pattern and its ``CholPlan`` are built, and Q validated as a
-        SparseSym, on the first call and again whenever a component's
-        pattern changes (an AR(1) at rho = 0 stores no off-diagonal
-        entries).
+        side by side and a new theta only concatenates their data, on the
+        pattern's arrays and with its plan.  The pattern and its
+        ``CholPlan`` are built, and Q validated as a SparseSym, on the
+        first call and again whenever a component's pattern changes (an
+        AR(1) at rho = 0 stores no off-diagonal entries).
         """
-        blocks = [
-            c.model.precision(comp_vals[c.name]).csc for c in self.components
-        ]
-        ref = self._q_pattern
-        if ref is None or not all(
-            np.array_equal(b.indptr, indptr) and np.array_equal(b.indices, indices)
+        blocks = [c.model.precision(comp_vals[c.name]) for c in self.components]
+        if self._q_pattern is None or not all(
+            _same_pattern(b.indptr, b.indices, indptr, indices)
             for b, (indptr, indices) in zip(blocks, self._q_blocks)
         ):
-            q = SparseSym(sp.block_diag(blocks, format="csc"))
+            q = SparseSym(sp.block_diag([b.csc for b in blocks], format="csc"))
             self._q_blocks = [(b.indptr, b.indices) for b in blocks]
-            self._q_pattern = q.csc
-            self._q_plan = q.plan = CholPlan(q.csc.indptr, q.csc.indices)
+            self._q_pattern = q.indptr, q.indices
+            self._q_plan = q.plan = CholPlan(q.indptr, q.indices)
             return q
         data = np.concatenate([b.data for b in blocks])
-        return SparseSym._trusted(
-            sp.csc_matrix((data, ref.indices, ref.indptr), shape=ref.shape),
-            self._q_plan,
-        )
+        return SparseSym._on_pattern(data, *self._q_pattern, self._q_plan)
 
     def prior_terms(self, comp_vals):
         """(log|Q(theta)|, C Q(theta)^-1 C^T) from each component's own
@@ -429,17 +441,19 @@ class Model:
         component, in component order.  A component whose log-determinant
         is not finite (a fixed precision <= 0) raises EngineError."""
         log_det, covs = 0.0, []
-        for c in self.components:
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in self.components:
                 ld, cov = c.model.prior_terms(comp_vals[c.name])
-            if not np.isfinite(ld):  # e.g. a fixed precision <= 0
-                raise EngineError(
-                    f"prior precision of component {c.name!r} is not positive definite"
-                )
-            log_det += ld
-            if cov is not None:
-                covs.append(cov)
-        return log_det, (linalg.block_diag(*covs) if covs else None)
+                if not np.isfinite(ld):  # e.g. a fixed precision <= 0
+                    raise EngineError(
+                        f"prior precision of component {c.name!r} is not positive definite"
+                    )
+                log_det += ld
+                if cov is not None:
+                    covs.append(cov)
+        if not covs:
+            return log_det, None
+        return log_det, covs[0] if len(covs) == 1 else linalg.block_diag(*covs)
 
     @cached_property
     def _mu(self):
@@ -686,7 +700,6 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         # feasible start: plain least-squares projection is good enough here
         u = _project(u, C, (C.T, C @ C.T))
 
-    B = lin.B
     Q = prior_q.csc
 
     def objective(u_val):
@@ -703,7 +716,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
         proj = _kriging(factor, C)
-        step = factor.solve(B.T @ g + Q @ (mu_prior - u))
+        step = factor.solve(lin.BT @ g + Q @ (mu_prior - u))
         cand = _project(u + step, C, proj)
         move = cand - u
         # step-halving if the objective got worse or went non-finite
@@ -733,7 +746,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         factor=factor,
         qstar=qstar,
         pattern=lin._qstar,
-        grad_at_mode=B.T @ g + Q @ (mu_prior - u),
+        grad_at_mode=lin.BT @ g + Q @ (mu_prior - u),
         constraint_proj=proj,
     )
 

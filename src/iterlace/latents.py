@@ -12,10 +12,12 @@ sum-to-zero over each connected component, which makes every density
 the engine touches proper while leaving the within-constraint
 distribution essentially untouched.
 
-Every precision here is symmetric by construction, so it is wrapped by
-``SparseSym._trusted`` rather than validated on each call; the engine
-validates the assembled block-diagonal Q(theta) whenever it builds its
-pattern.  A graph's structure matrix is built once per graph.
+Every precision here is symmetric by construction, so it is written as
+its data on a pattern built once per component (``SparseSym._on_pattern``)
+rather than validated on each call; the engine validates the assembled
+block-diagonal Q(theta) whenever it builds its pattern.  A graph's
+structure matrix is built once per graph, and AR(1)'s tridiagonal
+pattern once per model.
 
 Each component also gives the two prior terms a Laplace evaluation needs,
 log|Q(theta)| and C Q(theta)^-1 C^T (``prior_terms``), without a
@@ -267,9 +269,7 @@ def _value(h, values):
 
 def _scaled(unit, tau):
     """tau times the canonical CSC matrix ``unit``, on its index arrays."""
-    return SparseSym._trusted(
-        sp.csc_matrix((tau * unit.data, unit.indices, unit.indptr), shape=unit.shape)
-    )
+    return SparseSym._on_pattern(tau * unit.data, unit.indptr, unit.indices)
 
 
 def _factored_terms(q, C):
@@ -453,17 +453,32 @@ class Ar1Model(LatentModel):
     def hypers(self):
         return [h for h in (self._prec, self._rho) if not h.fixed]
 
-    def precision(self, values):
-        tau, rho = _value(self._prec, values), _value(self._rho, values)
+    @cached_property
+    def _tridiagonal(self):
+        """The n x n tridiagonal pattern in CSC, and masks of its stored
+        entries: the diagonal ones other than the first and last, and the
+        off-diagonal ones."""
         n = self.n
-        if n == 1:
-            return SparseSym._trusted(sp.csc_matrix(np.array([[tau]])))
-        scale = tau / (1.0 - rho * rho)
-        diag = np.full(n, 1.0 + rho * rho)
-        diag[0] = diag[-1] = 1.0
-        off = np.full(n - 1, -rho)
-        q = sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc") * scale
-        return SparseSym._trusted(q)
+        t = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], (-1, 0, 1), format="csc")
+        t.sum_duplicates()  # canonical: each column's rows sorted
+        rows = t.indices
+        cols = np.repeat(np.arange(n), np.diff(t.indptr))
+        inner = (rows == cols) & (rows > 0) & (rows < n - 1)
+        return t.indptr, t.indices, inner, rows != cols
+
+    def precision(self, values):
+        # tau / (1 - rho^2) times the tridiagonal with 1 at both ends of
+        # the diagonal, 1 + rho^2 inside it and -rho beside it; at rho = 0
+        # the off-diagonal entries are zeros, which the pattern drops
+        tau, rho = _value(self._prec, values), _value(self._rho, values)
+        indptr, indices, inner, off = self._tridiagonal
+        if self.n == 1:
+            return SparseSym._on_pattern(np.array([tau], dtype=float), indptr, indices)
+        data = np.ones(indices.size)
+        data[inner] = 1.0 + rho * rho
+        data[off] = -rho
+        data *= tau / (1.0 - rho * rho)
+        return SparseSym._on_pattern(data, indptr, indices)
 
     def prior_terms(self, values):
         # the covariance is rho^|i-j| / tau, whose determinant is
@@ -619,9 +634,7 @@ class BymModel(LatentModel):
             _value(self._prec_u, values) * spatial.unit.data,
             np.full(self.graph.n, _value(self._prec_v, values)),
         ])
-        return SparseSym._trusted(
-            sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        )
+        return SparseSym._on_pattern(data, pattern.indptr, pattern.indices)
 
     def prior_terms(self, values):
         spatial, _ = self._structure

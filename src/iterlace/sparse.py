@@ -17,7 +17,16 @@ matrix's data into the permuted pattern and factors it in natural order.
 The owner of a pattern that is refilled many times (the engine's Q(theta)
 and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
-factorisation runs the same numeric code.
+factorisation runs the same numeric code.  After SuperLU, ``chol`` reads
+the pivots off U and checks them, and leaves the scaling of L to its
+first reader.
+
+A SparseSym is its CSC arrays: ``data``, ``indptr`` and ``indices``.
+One built on a pattern its owner keeps (``SparseSym._on_pattern``: the
+engine's Q(theta) and Q*, and the built-in latent precisions) holds the
+pattern's own index arrays and builds its scipy matrix, ``csc``, only
+when something reads it; ``chol`` reads ``data`` and ``plan`` alone, so
+a Newton step's Q* is factorised without a scipy matrix of its own.
 
 The entries of A^{-1} on the pattern of L + L^T -- its diagonal, and
 every entry that A's own pattern holds -- come from the Takahashi
@@ -34,11 +43,11 @@ public ``SparseSym(...)`` constructor, which ``sparse_from_triplets``
 and user-defined latent models go through.  Precisions that are
 symmetric by construction -- each built-in latent model's Q(theta), and
 the engine's Q(theta) and Q* assembled on fixed sparsity patterns --
-are wrapped by ``SparseSym._trusted``, which only keeps the storage
-canonical.  A factor keeps its SuperLU object for ``solve`` until
-``without_solver`` drops it; what is left (``L``, ``perm``,
-``log_det``) still samples through ``solve_lt`` and gives the selected
-inverse.
+are wrapped by ``SparseSym._on_pattern`` (or ``SparseSym._trusted``,
+from a scipy matrix), which only keeps the storage canonical.  A factor
+keeps its SuperLU object for ``solve`` until ``without_solver`` drops
+it; what is left (``L``, ``perm``, ``log_det``) still samples through
+``solve_lt`` and gives the selected inverse.
 """
 
 from __future__ import annotations
@@ -79,15 +88,16 @@ class FactorizationError(ValueError):
 class SparseSym:
     """A symmetric sparse matrix of order ``n``.
 
-    Canonical storage is a CSC matrix with summed duplicates and no
-    explicit zeros.  Construction validates symmetry to ``1e-12``
-    (relative to the largest entry) and then symmetrises exactly, so
-    downstream code never sees round-off asymmetry.  ``plan`` is the
-    ``CholPlan`` of the matrix's pattern when its builder keeps one, else
-    None.
+    Canonical storage is CSC with summed duplicates, sorted indices and
+    no explicit zeros, held as the arrays ``data``, ``indptr`` and
+    ``indices``; ``csc`` is the scipy matrix on them, built when it is
+    first read.  Construction validates symmetry to ``1e-12`` (relative
+    to the largest entry) and then symmetrises exactly, so downstream
+    code never sees round-off asymmetry.  ``plan`` is the ``CholPlan``
+    of the matrix's pattern when its builder keeps one, else None.
     """
 
-    __slots__ = ("n", "csc", "plan")
+    __slots__ = ("n", "data", "indptr", "indices", "plan", "_csc")
 
     def __init__(self, matrix):
         m = sp.csc_matrix(matrix)
@@ -105,20 +115,45 @@ class SparseSym:
                 raise ValueError(
                     f"matrix is not symmetric: max |A - A^T| = {worst:g}"
                 )
-        self.n = m.shape[0]
-        self.csc = (m + m.T) * 0.5
-        self.csc.sum_duplicates()
+        csc = (m + m.T) * 0.5
+        csc.sum_duplicates()
+        self.n = csc.shape[0]
+        self.data, self.indptr, self.indices = csc.data, csc.indptr, csc.indices
         self.plan = None
+        self._csc = csc
+
+    @classmethod
+    def _on_pattern(cls, data, indptr, indices, plan=None):
+        """The matrix with CSC ``data`` on a canonical pattern that is
+        exactly symmetric by construction, its ``csc`` not yet built.
+
+        Nothing is validated, and the caller must change none of the
+        arrays afterwards.  Exact zeros in ``data`` are dropped, as the
+        public constructor drops them, into new arrays, so a pattern
+        shared with other matrices is never changed; ``plan`` must be
+        the plan of the pattern, and goes with it only if no entry is
+        dropped.
+        """
+        obj = cls.__new__(cls)
+        obj.n = len(indptr) - 1
+        if not data.all():
+            keep = data != 0.0
+            kept = np.concatenate([[0], np.cumsum(keep)])
+            data, indices = data[keep], indices[keep]
+            indptr = kept[indptr].astype(indptr.dtype)
+            plan = None
+        obj.data, obj.indptr, obj.indices = data, indptr, indices
+        obj.plan = plan
+        obj._csc = None
+        return obj
 
     @classmethod
     def _trusted(cls, csc, plan=None):
         """Wrap a square CSC matrix that is exactly symmetric by construction.
 
         Nothing is validated, and the caller must not mutate ``csc``
-        afterwards.  Storage is made canonical (summed duplicates, sorted
-        indices, no explicit zeros) as the public constructor would make
-        it; the index arrays are copied before any zero is dropped, so
-        a pattern shared with other matrices is never changed.  For an
+        afterwards.  Storage is made canonical as the public constructor
+        would make it (``_on_pattern`` drops the zeros), so for an
         exactly symmetric input this gives the same matrix as
         ``SparseSym(csc)``.  ``plan`` must be the plan of ``csc``'s
         pattern; it is attached only if that pattern is kept as it is.
@@ -126,15 +161,19 @@ class SparseSym:
         if not csc.has_canonical_format:
             csc.sum_duplicates()
             plan = None
-        if not csc.data.all():
-            csc = csc.copy()
-            csc.eliminate_zeros()
-            plan = None
-        obj = cls.__new__(cls)
-        obj.n = csc.shape[0]
-        obj.csc = csc
-        obj.plan = plan
+        obj = cls._on_pattern(csc.data, csc.indptr, csc.indices, plan)
+        if obj.data is csc.data:
+            obj._csc = csc
         return obj
+
+    @property
+    def csc(self):
+        """The matrix as a scipy CSC matrix on its arrays, built on first use."""
+        if self._csc is None:
+            self._csc = sp.csc_matrix(
+                (self.data, self.indices, self.indptr), shape=(self.n, self.n)
+            )
+        return self._csc
 
     @classmethod
     def from_dense(cls, arr):
@@ -156,7 +195,7 @@ class SparseSym:
         return self.csc @ other
 
     def __repr__(self):
-        return f"SparseSym(n={self.n}, nnz={self.csc.nnz})"
+        return f"SparseSym(n={self.n}, nnz={self.data.size})"
 
 
 def sparse_from_triplets(n, rows, cols, vals):
@@ -197,17 +236,32 @@ class CholFactor:
     size of ``L``, and ``without_solver`` returns the factor without it,
     for results that are kept and only sampled from.  ``selected_inverse``
     and ``diag_inverse`` read ``L`` alone, so they work either way.
+
+    Given ``pivots``, ``L`` is SuperLU's unit-diagonal factor, a copy that
+    the SuperLU object never reads again; its column j is scaled by
+    sqrt(pivots[j]) in place when ``L`` is first read, so a factor that
+    is only solved with never pays for it.
     """
 
-    __slots__ = ("n", "L", "perm", "log_det", "_splu", "_plan")
+    __slots__ = ("n", "perm", "log_det", "_L", "_pivots", "_splu", "_plan")
 
-    def __init__(self, n, L, perm, log_det, splu_obj, plan):
+    def __init__(self, n, L, perm, log_det, splu_obj, plan, pivots=None):
         self.n = n
-        self.L = L
+        self._L = L
+        self._pivots = pivots
         self.perm = perm
         self.log_det = log_det
         self._splu = splu_obj
         self._plan = plan
+
+    @property
+    def L(self):
+        """The lower-triangular factor, CSC."""
+        if self._pivots is not None:
+            L = self._L
+            L.data *= np.repeat(np.sqrt(self._pivots), np.diff(L.indptr))
+            self._pivots = None
+        return self._L
 
     def _columns(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
@@ -548,38 +602,38 @@ def chol(a):
     *GMRFs*, section 2.4.1).  That order comes from the matrix's
     ``CholPlan`` (a fresh one when ``a.plan`` is None), and the matrix,
     pre-permuted by it, is factorised in natural order; any column order
-    SuperLU still applies is composed into ``perm``.  The LU
-    factorisation is restricted to diagonal pivots with the same row and
-    column order, so for a symmetric positive-definite input U = D L^T
-    and the Cholesky factor of A[perm][:, perm] is L sqrt(D).  A
-    non-positive pivot means the input is not positive definite and is
-    reported by elimination step.
+    SuperLU still applies is composed into ``perm``.  The matrix is read
+    through ``a.data`` and its plan alone, so ``a.csc`` is not built.
+    The LU factorisation is restricted to diagonal pivots with the same
+    row and column order, so for a symmetric positive-definite input
+    U = D L^T and the Cholesky factor of A[perm][:, perm] is L sqrt(D)
+    (scaled when the factor's ``L`` is first read).  A non-positive
+    pivot means the input is not positive definite and is reported by
+    elimination step.
     """
     if not isinstance(a, SparseSym):
         raise TypeError("chol expects a SparseSym")
-    plan = a.plan if a.plan is not None else CholPlan(a.csc.indptr, a.csc.indices)
-    b = plan.permuted(a.csc.data)
+    plan = a.plan if a.plan is not None else CholPlan(a.indptr, a.indices)
+    b = plan.permuted(a.data)
     try:
         lu = _splu(b, "NATURAL")
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise FactorizationError(f"factorisation failed: {err}") from err
     perm_c = lu.perm_c
-    if not np.array_equal(lu.perm_r, perm_c):
+    if not (lu.perm_r == perm_c).all():
         # diagonal pivoting keeps rows and columns in one order; guard so
         # that an off-diagonal pivot never leaks into a "Cholesky" factor
         raise FactorizationError("factorisation produced an unexpected permutation")
-    perm = plan.perm[np.argsort(perm_c)]
-    d = lu.U.diagonal()
-    bad = np.where(~(d > 0.0))[0]
-    if bad.size:
-        k = int(bad[0])
+    perm = np.empty_like(plan.perm)
+    perm[perm_c] = plan.perm  # plan.perm[argsort(perm_c)]
+    # the pivots: U is upper triangular, and SuperLU ends its column j
+    # with the supernode rows up to j, so the diagonal entry comes last
+    U = lu.U
+    d = U.data[U.indptr[1:] - 1]
+    if not (d > 0.0).all():
+        k = int(np.flatnonzero(~(d > 0.0))[0])
         raise FactorizationError(
             f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}",
             pivot=k,
         )
-    # lu.L is a CSC copy of the unit-diagonal factor that lu.solve never
-    # reads; scale its column j by sqrt(d_j) in place
-    L = lu.L
-    L.data *= np.repeat(np.sqrt(d), np.diff(L.indptr))
-    log_det = float(np.sum(np.log(d)))
-    return CholFactor(a.n, L, perm, log_det, lu, plan)
+    return CholFactor(a.n, lu.L, perm, float(np.log(d).sum()), lu, plan, pivots=d)

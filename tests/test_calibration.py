@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from iterlace import calibration
 from iterlace.calibration import CalibrationError, SbcResult, ks_statistic, sbc_run
 from iterlace.engine import Component, Model, ObsBlock
 from iterlace.exprs import parse_expr
@@ -20,7 +21,8 @@ from iterlace.latents import (
     Rw1Model,
     _precision_hyper,
 )
-from iterlace.likelihoods import GaussianFamily
+from iterlace.likelihoods import GaussianFamily, PoissonFamily
+from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
 
 # --- KS statistic ---------------------------------------------------------
 
@@ -77,7 +79,46 @@ def exact_posterior(rng, model_k, J):
     return rng.normal(y / 2.0, np.sqrt(0.5), size=J)
 
 
+def toy_template(rows=100, rate=0.5):
+    """Acceptance test c3's template: ``rows`` Poisson counts of one rate
+    with an Exp(rate) prior, the quantile transform of one latent."""
+    comp = Component(
+        "lam",
+        IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
+        mapper=MarginalMapper(ExponentialQuantile(rate), inner=IndexMapper(1)),
+    )
+    block = ObsBlock(PoissonFamily(), np.zeros(rows), parse_expr("log(lam)"),
+                     {"lam": np.ones(rows, dtype=int)})
+    return Model([comp], [block])
+
+
 class TestSbcRun:
+    def test_h_is_drawn_at_the_first_datum_alone(self, monkeypatch):
+        # h = lam is read at the first datum: drawing it there alone gives
+        # the result that drawing it at all 100 rows gives
+        real = calibration.generate
+        seen = []
+
+        def first_datum(res, expr, n, rng, inputs=None):
+            out = real(res, expr, n, rng, inputs=inputs)
+            seen.append((inputs["lam"].shape, out.shape))
+            return out
+
+        monkeypatch.setattr(calibration, "generate", first_datum)
+        cut = sbc_run(toy_template(), K=3, J=1000, seed=0)
+        assert seen == [((1,), (1000, 1))] * 3
+
+        monkeypatch.setattr(
+            calibration, "generate",
+            lambda res, expr, n, rng, inputs=None: real(res, expr, n, rng),
+        )
+        full = sbc_run(toy_template(), K=3, J=1000, seed=0)
+        assert np.array_equal(cut.w_values, full.w_values)
+        assert np.array_equal(cut.ranks, full.ranks)
+        assert (cut.K, cut.J, cut.failures) == (full.K, full.J, full.failures) == (3, 1000, 0)
+        assert cut.ks_statistic == full.ks_statistic
+        assert cut.ks_pvalue == full.ks_pvalue
+
     def test_exact_sampler_passes_ks_on_seed_sweep(self):
         for seed in (1, 5, 13):
             res = sbc_run(

@@ -458,6 +458,42 @@ class TestQStarAssembly:
             assert (0 not in got.csc.indices[:got.csc.indptr[1]]) == cancels
 
 
+class TestLazyQStar:
+    """Q* keeps its data on the pattern's arrays and builds no CSC until one
+    is read; ``chol`` factors it from the data and the pattern's plan."""
+
+    @staticmethod
+    def _cases():
+        # a random B on an AR(1) prior, and a Q* whose entry (0, 1) cancels
+        rng = np.random.default_rng(14)
+        bmat = _random_b(rng, 40, 15)
+        q = Ar1Model(15).precision({"prec": 2.5, "rho": 0.3})
+        h = -np.abs(rng.normal(size=40))
+        yield q, bmat, h, True
+        q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
+        yield q, sp.csr_matrix(np.array([[1.0, 1.0, 0.0]])), np.array([-0.5]), False
+
+    def test_csc_is_built_on_first_read_and_matches_scipy(self):
+        for q, bmat, h, planned in self._cases():
+            lin = TestQStarAssembly._lin(bmat)
+            a = lin.qstar(q, h)
+            assert a._csc is None and (a.plan is not None) == planned
+            csc = a.csc
+            assert _same_matrix(csc, TestQStarAssembly._scipy(q, bmat, h).csc)
+            assert a.csc is csc
+            assert np.shares_memory(csc.data, a.data)  # built on Q*'s own arrays
+
+    def test_chol_from_data_and_plan_matches_a_dense_round_trip(self):
+        for q, bmat, h, _ in self._cases():
+            a = TestQStarAssembly._lin(bmat).qstar(q, h)
+            got = chol(a)
+            assert a._csc is None  # factorised without building the CSC
+            want = chol(SparseSym(a.to_dense()))
+            assert _same_matrix(got.L, want.L)
+            assert np.array_equal(got.perm, want.perm)
+            assert got.log_det == want.log_det
+
+
 class TestModelPrecision:
     def _model(self):
         comps = [
@@ -478,6 +514,14 @@ class TestModelPrecision:
             blocks = [c.model.precision(comp_vals[c.name]).csc for c in model.components]
             want = SparseSym(sp.block_diag(blocks, format="csc"))
             assert _same_matrix(model.precision(comp_vals).csc, want.csc)
+
+    def test_a_new_theta_reuses_the_pattern(self):
+        model = self._model()
+        first = model.precision(model.natural_values(np.array([0.3, 0.8, -1.0]))[0])
+        again = model.precision(model.natural_values(np.array([1.1, 0.5, 2.0]))[0])
+        assert again.indptr is first.indptr and again.indices is first.indices
+        assert again.plan is first.plan is not None
+        assert again._csc is None
 
 
 # --- hyperparameter posterior ------------------------------------------------
@@ -572,6 +616,44 @@ class TestLogPosteriorTheta:
         assert newton_steps >= 3
         assert len(factored) == newton_steps
         assert ga.qstar is factored[-1]
+
+    def test_scipy_matrices_built_per_evaluation_do_not_grow_with_steps(self, monkeypatch):
+        # once a warm-up evaluation has built the patterns, their plans and
+        # B^T, an evaluation builds Q(theta)'s CSC (for its products with
+        # the state) and no scipy matrix per Newton step.  SuperLU hands
+        # its factors out as csc_array, part of each factorisation, which
+        # the count leaves out.
+        rng = np.random.default_rng(5)
+        comp = Component("f", Rw1Model(12))
+        block = ObsBlock(
+            PoissonFamily(), rng.poisson(3.0, size=12).astype(float),
+            parse_expr("f"), {"f": np.arange(1, 13)},
+        )
+        model = Model([comp], [block])
+        lin = model.linearise(np.zeros(12))
+        _, warm = log_posterior_theta(model, lin, np.array([0.4]))
+
+        built, gradients = [], []
+        for cls in (sp.csc_matrix, sp.csr_matrix, sp.coo_matrix):
+            real = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *a, _real=real, **k: built.append(1) or _real(self, *a, **k),
+            )
+        real_grad_hess = engine._obs_grad_hess
+        monkeypatch.setattr(
+            engine, "_obs_grad_hess",
+            lambda *args: gradients.append(1) or real_grad_hess(*args),
+        )
+        budget = 1  # Q(theta)'s CSC
+        steps = []
+        for theta, start in ((-0.7, None), (1.2, None), (0.4, warm.mode)):
+            built.clear()
+            gradients.clear()
+            log_posterior_theta(model, lin, np.array([theta]), u_init=start)
+            steps.append(len(gradients) - 1)
+            assert len(built) <= budget
+        assert max(steps) >= 3 and min(steps) < max(steps)
 
 
 class TestThetaExplore:

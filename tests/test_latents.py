@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -194,6 +195,23 @@ class TestAr1:
     def test_single_node(self):
         q = Ar1Model(1).precision({"prec": 3.0, "rho": 0.5}).to_dense()
         assert_allclose(q, [[3.0]])
+
+    def test_cached_pattern_matches_the_scipy_expression(self):
+        # the tridiagonal written on a cached pattern is, bit for bit, the
+        # matrix scipy's diags expression gives, zeros dropped at rho = 0
+        for n in (2, 3, 9):
+            m = Ar1Model(n)
+            for tau, rho in ((2.0, 0.0), (0.7, 0.35), (1.3, -0.9)):
+                q = m.precision({"prec": tau, "rho": rho})
+                diag = np.full(n, 1.0 + rho * rho)
+                diag[0] = diag[-1] = 1.0
+                off = np.full(n - 1, -rho)
+                want = sp.diags([off, diag, off], (-1, 0, 1), format="csc")
+                want = want * (tau / (1.0 - rho * rho))
+                want.eliminate_zeros()
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(q.csc, attr), getattr(want, attr))
+                assert q.indptr is m._tridiagonal[0] or rho == 0.0
 
     def test_two_hypers_with_defaults(self):
         m = Ar1Model(4)

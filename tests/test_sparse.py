@@ -151,6 +151,18 @@ class TestChol:
         np.linalg.cholesky(ap[:k, :k])
         assert np.linalg.eigvalsh(ap[: k + 1, : k + 1]).min() <= 0.0
 
+    def test_pivots_are_superlu_diagonal(self):
+        # chol reads each pivot as the last entry of its column of U, and
+        # scales SuperLU's unit-diagonal L by their square roots
+        rng = np.random.default_rng(13)
+        for n in (1, 4, 30, 80):
+            f = chol(random_spd(rng, n))
+            d = f._splu.U.diagonal()
+            assert f.log_det == float(np.log(d).sum())
+            unit = f.L.copy()
+            unit.data /= np.repeat(np.sqrt(d), np.diff(unit.indptr))
+            np.testing.assert_allclose(unit.diagonal(), 1.0, rtol=1e-15)
+
     def test_singular_raises(self):
         a = SparseSym.from_dense(np.zeros((3, 3)) + np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(FactorizationError):
