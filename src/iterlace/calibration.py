@@ -13,7 +13,7 @@ untouched; choose the functional to match the quantity you care about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class SbcResult:
     ``w_values`` holds one value strictly inside (0, 1) per kept
     replicate; ``ranks`` the matching below-truth counts in 0..J;
     ``failures`` how many replicates were dropped because their fit
-    failed.
+    failed, and ``failure_reasons`` why: one ``(k, error type, message)``
+    per dropped replicate k, in k-order.
     """
 
     w_values: np.ndarray
@@ -45,6 +46,7 @@ class SbcResult:
     ks_statistic: float
     ks_pvalue: float
     ranks: np.ndarray
+    failure_reasons: list = field(default_factory=list)
 
 
 def ks_statistic(values):
@@ -123,10 +125,11 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     Replicate k draws from an independent counter-based substream of
     ``seed``, so runs are reproducible and replicates shareable across
     workers; results are reduced in k-order.  Fits that raise or fail
-    to converge are recorded and excluded; more than 10% of them aborts
-    the run.  ``posterior_sampler(rng, model_k, J) -> J values``
-    replaces the fit-and-sample step, for pipelines with a known exact
-    posterior.
+    to converge are excluded, each with its reason ("fit did not
+    converge" for the latter); more than 10% of them aborts the run, and
+    the error names every reason.  ``posterior_sampler(rng, model_k, J)
+    -> J values`` replaces the fit-and-sample step, for pipelines with a
+    known exact posterior.
     """
     if K < 1 or J < 1:
         raise CalibrationError("K and J must be positive")
@@ -180,12 +183,17 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
                 if not res.converged:
                     raise EngineError("fit did not converge")
                 h_draws = generate(res, h_expr, J, rng, inputs=h_inputs)[:, 0]
-            except (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError):
-                failed.append(k)
+            except (
+                RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError
+            ) as err:
+                failed.append((k, type(err).__name__, str(err)))
                 if len(failed) > 0.1 * K:
+                    reasons = "; ".join(
+                        f"replicate {i}: {name}: {msg}" for i, name, msg in failed
+                    )
                     raise CalibrationError(
                         f"aborting: {len(failed)} of {K} replicate fits failed "
-                        f"(more than 10%); failed replicates: {failed}"
+                        f"(more than 10%): {reasons}"
                     )
                 continue
 
@@ -206,4 +214,5 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         ks_statistic=d,
         ks_pvalue=p,
         ranks=np.array(ranks, dtype=int),
+        failure_reasons=failed,
     )

@@ -10,7 +10,12 @@ is fitted by a Laplace/grid scheme:
                               and precision of p(u | theta, y),
 * ``log_posterior_theta``  -- Laplace approximation of p(theta | y),
 * ``theta_explore``        -- Nelder-Mead mode search plus an axis grid
-                              in standardised coordinates,
+                              in standardised coordinates; the search
+                              stops once the simplex's log-posteriors
+                              agree within ``SEARCH_FATOL`` and its
+                              vertices within ``SEARCH_XATOL``, since
+                              below that it follows the jitter of
+                              warm-started Laplace evaluations,
 * ``line_search``          -- the predictor-space step-size control,
 * ``fit``                  -- the outer loop choosing successive
                               linearisation points until they stop
@@ -808,6 +813,16 @@ def log_posterior_theta(model, lin, theta, u_init=None):
 GRID_SPACING = 0.75
 GRID_DROP = 5.0
 MAX_THETA_DIM = 3
+# The mode search stops once the simplex's log-posteriors agree within
+# SEARCH_FATOL and its vertices within SEARCH_XATOL (internal scale).
+# Each Laplace evaluation is warm-started and keeps its last Newton
+# factor, so log p(theta | y) carries about 1e-9 of jitter; SEARCH_FATOL
+# sits just above it.  Once the values agree that closely, shrinking
+# the simplex further follows the jitter, not the mode: SEARCH_XATOL is
+# a 0.01 % change in a precision, against grid steps of GRID_SPACING
+# posterior sds.
+SEARCH_FATOL = 1e-8
+SEARCH_XATOL = 1e-4
 
 
 class _ThetaCache:
@@ -914,7 +929,8 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
             lambda t: -evals(t)[0],
             start,
             method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 500, "maxiter": 1000},
+            options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL,
+                     "maxfev": 500, "maxiter": 1000},
         )
         evals.searching = False
         if not res.success:

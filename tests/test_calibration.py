@@ -6,6 +6,9 @@ conjugate posteriors, where the rank of the truth must be uniform by
 construction.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -13,6 +16,7 @@ from scipy import special, stats
 from iterlace import calibration
 from iterlace.calibration import CalibrationError, SbcResult, ks_statistic, sbc_run
 from iterlace.engine import Component, Model, ObsBlock
+from iterlace.engine import fit as engine_fit
 from iterlace.exprs import parse_expr
 from iterlace.latents import (
     FixedEffectsModel,
@@ -243,6 +247,44 @@ class TestSbcRun:
         model = Model([comp], [block], options={"bru_max_iter": 1})
         with pytest.raises(CalibrationError, match="fits failed"):
             sbc_run(model, K=5, J=10, seed=1)
+
+    @staticmethod
+    def _failing_fits(monkeypatch, raise_at, unconverged_at):
+        """``calibration.fit`` that raises on one call and returns a fit
+        marked not converged on another; calls are made in replicate order."""
+        calls = itertools.count()
+
+        def fit(model):
+            k = next(calls)
+            if k == raise_at:
+                raise ValueError("simulated failure")
+            res = engine_fit(model)
+            return replace(res, converged=False) if k == unconverged_at else res
+
+        monkeypatch.setattr(calibration, "fit", fit)
+
+    def test_failure_reasons_are_recorded(self, monkeypatch):
+        self._failing_fits(monkeypatch, raise_at=3, unconverged_at=7)
+        res = sbc_run(conjugate_model(), K=20, J=10, seed=2)
+        assert res.failures == 2
+        assert res.failure_reasons == [
+            (3, "ValueError", "simulated failure"),
+            (7, "EngineError", "fit did not converge"),
+        ]
+        assert res.w_values.size == res.ranks.size == 18
+
+    def test_abort_names_every_reason(self, monkeypatch):
+        self._failing_fits(monkeypatch, raise_at=0, unconverged_at=1)
+        with pytest.raises(CalibrationError) as info:
+            sbc_run(conjugate_model(), K=10, J=10, seed=2)
+        msg = str(info.value)
+        assert "2 of 10 replicate fits failed" in msg
+        assert "replicate 0: ValueError: simulated failure" in msg
+        assert "replicate 1: EngineError: fit did not converge" in msg
+
+    def test_successful_run_records_no_reasons(self):
+        res = sbc_run(conjugate_model(), K=5, J=10, seed=2)
+        assert res.failures == 0 and res.failure_reasons == []
 
     def test_seed_reproducibility(self):
         a = sbc_run(conjugate_model(), K=20, J=16, seed=9,

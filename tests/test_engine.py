@@ -656,6 +656,57 @@ class TestLogPosteriorTheta:
         assert max(steps) >= 3 and min(steps) < max(steps)
 
 
+def _iid_groups_model():
+    """The 25-group iid model of ``test_mixture_mean_matches_quadrature``,
+    with its exact log p(theta | y) from the per-group evidence."""
+    rng = np.random.default_rng(42)
+    groups, reps, tau_true, tau_obs = 25, 4, 2.0, 4.0
+    u_true = rng.normal(size=groups) / np.sqrt(tau_true)
+    idx = np.repeat(np.arange(1, groups + 1), reps)
+    y = u_true[idx - 1] + rng.normal(size=groups * reps) / np.sqrt(tau_obs)
+    model = Model(
+        [Component("u", IidModel(groups))],
+        [ObsBlock(GaussianFamily(fixed_prec=tau_obs), y, parse_expr("u"), {"u": idx})],
+    )
+    y_g = y.reshape(groups, reps)
+    prior = model.theta_entries[0][2].prior
+
+    def log_post(theta):
+        cov = np.ones((reps, reps)) / np.exp(theta) + np.eye(reps) / tau_obs
+        ll = stats.multivariate_normal.logpdf(y_g, mean=np.zeros(reps), cov=cov).sum()
+        return prior.logpdf(theta) + ll
+
+    return model, log_post
+
+
+def _rw1_iid_noise_model():
+    """RW1 + iid over crossed indices with a free Gaussian noise
+    precision: 20 latents and p = 3 free hyperparameters, the cap."""
+    rng = np.random.default_rng(11)
+    n = 10
+    f_idx = np.repeat(np.arange(1, n + 1), n)
+    v_idx = np.tile(np.arange(1, n + 1), n)
+    v = rng.normal(size=n) / 2.0
+    y = np.sin(np.linspace(0.0, 3.0, n))[f_idx - 1] + v[v_idx - 1]
+    y = y + rng.normal(size=y.size) / np.sqrt(10.0)
+    def hyper(initial, prior_mean):
+        return _precision_hyper(initial=initial, prior=GaussianPrior(prior_mean, 2.0))
+
+    comps = [
+        Component("f", Rw1Model(n, hyper(2.0, 0.0))),
+        Component("v", IidModel(n, hyper(2.0, 1.0))),
+    ]
+    family = GaussianFamily(prec_hyper=hyper(10.0, 2.0))
+    block = ObsBlock(family, y, parse_expr("f + v"), {"f": f_idx, "v": v_idx})
+    return Model(comps, [block])
+
+
+def _tight_search(monkeypatch):
+    """Stop the mode search only when its simplex is 1e-8 wide."""
+    monkeypatch.setattr(engine, "SEARCH_XATOL", 1e-8)
+    monkeypatch.setattr(engine, "SEARCH_FATOL", 1e-8)
+
+
 class TestThetaExplore:
     def test_mixture_mean_matches_quadrature(self):
         # 25 groups of 4 replicate observations, free group precision
@@ -706,6 +757,46 @@ class TestThetaExplore:
         _, grid, _ = theta_explore(model, lin)
         assert len(grid) == 1
         assert grid[0].weight == 1.0
+
+    def test_search_stops_near_the_exact_mode(self):
+        # Gaussian data and a linear predictor make the Laplace
+        # log p(theta | y) exact, so the mode is a scalar minimisation
+        model, log_post = _iid_groups_model()
+        lin = model.linearise(np.zeros(model.n_latent))
+        theta_hat, _, _ = theta_explore(model, lin, mode_only=True)
+        exact = optimize.minimize_scalar(
+            lambda t: -log_post(t), bounds=(-3.0, 5.0), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert abs(theta_hat[0] - exact.x) < 1e-4
+
+    def test_search_saves_evaluations(self, monkeypatch):
+        calls = [0]
+        original = engine.log_posterior_theta
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "log_posterior_theta", counted)
+        default = _fit_rw1_free_precision()
+        n_default, calls[0] = calls[0], 0
+        _tight_search(monkeypatch)
+        tight = _fit_rw1_free_precision()
+        assert n_default <= 0.8 * calls[0]
+        shift = np.abs(default.latent_mean - tight.latent_mean) / tight.latent_sd
+        assert shift.max() < 1e-5
+
+    def test_three_free_hyperparameters(self, monkeypatch):
+        model = _rw1_iid_noise_model()
+        assert len(model.theta_names) == engine.MAX_THETA_DIM == 3
+        res = fit(model)
+        assert res.converged
+        assert sum(p.weight for p in res.grid) == pytest.approx(1.0, abs=1e-12)
+        theta_hat = engine._mode_point(res.grid).theta
+        _tight_search(monkeypatch)
+        tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
+        assert np.max(np.abs(theta_hat - tight)) < 1e-3
 
 
 # --- line search ---------------------------------------------------------
