@@ -53,6 +53,16 @@ theta, Q(theta) is the components' data concatenated on the model's
 pattern, and its one scipy matrix is built for its products with the
 state.
 
+Each state is evaluated once.  The step-halving objective runs at
+exactly the point that becomes the next state and hands on its
+predictor eta, Q d (d = u - mu), the log-likelihood and d^T Q d: the
+next step's gradient and h read that eta, its right-hand side is
+B^T g - Q d, the gradient at the mode reuses the mode's eta and Q d, and
+``log_posterior_theta`` reads the mode's log-likelihood and d^T Q d off
+the ``GaussResult``.  The factor of a step builds no L (``chol`` keeps
+it raw until it is read), so an evaluation's only scipy matrix is
+Q(theta)'s.
+
 Marginal variances come from the factor alone, without a solve: a
 ``GaussResult`` takes Q*^-1 once, on the pattern of L + L^T, from the
 Takahashi recursions (``CholFactor.selected_inverse``), and keeps it.
@@ -84,6 +94,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -468,6 +479,13 @@ class Model:
     def _c_mu(self):
         return None if self._constraints is None else self._constraints @ self._mu
 
+    @cached_property
+    def _feasible_proj(self):
+        """(C^T, C C^T): the least-squares projection onto C u = 0 that
+        gives each Newton iteration a feasible start."""
+        C = self._constraints
+        return None if C is None else (C.T, C @ C.T)
+
     def prior_mean(self):
         return self._mu.copy()
 
@@ -652,6 +670,8 @@ class GaussResult:
     pattern: _QStarPattern  # the pattern Q* was assembled on
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
     constraint_proj: tuple = None  # (W, S) with W = Q*^{-1} C^T, S = C W
+    loglik: float = None  # log p(y | mode)
+    prior_quad: float = None  # d^T Q d for d = mode - mu
 
     @cached_property
     def _sigma(self):
@@ -679,8 +699,24 @@ class GaussResult:
         return var
 
 
-def _obs_grad_hess(model, lin, u, obs_vals):
-    eta = lin.eval(u)
+class _Objective(NamedTuple):
+    """The Newton objective f = log p(y | u) - d^T Q d / 2, d = u - mu, at
+    the state u, with the products a step from u reuses: the predictor
+    ``eta``, ``qd`` = Q d, and f's two terms."""
+
+    u: np.ndarray
+    f: float
+    eta: np.ndarray
+    qd: np.ndarray
+    loglik: float
+    prior_quad: float
+
+
+def _obs_grad_hess(model, lin, u, obs_vals, eta=None):
+    """Per-row g and h of the log-likelihood at u; ``eta``, when given,
+    is the predictor at u, already evaluated."""
+    if eta is None:
+        eta = lin.eval(u)
     g = np.empty(eta.size)
     h = np.empty(eta.size)
     for block, vals, sl in zip(model.obs, obs_vals, lin.block_slices):
@@ -698,14 +734,21 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     against overshooting.  One factorisation per step: the curvature at
     the mode is the last step's Q*, taken less than ``tol`` from the mode
     (exactly at it when h does not depend on u, as for Gaussian data).
+
+    The objective is evaluated at exactly the point that becomes the next
+    state, and hands on what it computed there (``_Objective``): the next
+    step's predictor and right-hand side B^T g - Q d, which equals
+    B^T g + Q (mu - u) bit for bit, and at the mode the gradient and the
+    result's ``loglik`` and ``prior_quad``.
     """
     C = model.constraints
     u = np.array(mu_prior if u_init is None else u_init, dtype=float)
     if C is not None:
         # feasible start: plain least-squares projection is good enough here
-        u = _project(u, C, (C.T, C @ C.T))
+        u = _project(u, C, model._feasible_proj)
 
     Q = prior_q.csc
+    BT = lin.BT
 
     def objective(u_val):
         eta = lin.eval(u_val)
@@ -713,31 +756,32 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         for block, vals, sl in zip(model.obs, obs_vals, lin.block_slices):
             ll += block.family.loglik(block.y, eta[sl], vals)
         d = u_val - mu_prior
-        return ll - 0.5 * float(d @ (Q @ d))
+        qd = Q @ d
+        quad = float(d @ qd)
+        return _Objective(u_val, ll - 0.5 * quad, eta, qd, ll, quad)
 
-    f_cur = objective(u)
+    at = objective(u)
     for _ in range(max_iter):
-        g, h = _obs_grad_hess(model, lin, u, obs_vals)
+        u = at.u
+        g, h = _obs_grad_hess(model, lin, u, obs_vals, at.eta)
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
         proj = _kriging(factor, C)
-        step = factor.solve(lin.BT @ g + Q @ (mu_prior - u))
-        cand = _project(u + step, C, proj)
-        move = cand - u
+        step = factor.solve(BT @ g - at.qd)
+        move = _project(u + step, C, proj) - u
         # step-halving if the objective got worse or went non-finite
         t = 1.0
-        f_new = objective(cand)
+        nxt = objective(u + move)
         halvings = 0
-        while (not np.isfinite(f_new)) or f_new < f_cur - 1e-12:
+        while (not np.isfinite(nxt.f)) or nxt.f < at.f - 1e-12:
             t *= 0.5
             halvings += 1
             if halvings > 30:
                 raise EngineError(
                     "inner Newton iteration failed to improve the objective"
                 )
-            f_new = objective(u + t * move)
-        u = u + t * move
-        f_cur = f_new
+            nxt = objective(u + t * move)
+        at = nxt
         if np.max(np.abs(t * move)) < tol:
             break
     else:
@@ -745,14 +789,16 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
             f"inner Newton iteration did not converge in {max_iter} steps"
         )
 
-    g, _ = _obs_grad_hess(model, lin, u, obs_vals)
+    g, _ = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
     return GaussResult(
-        mode=u,
+        mode=at.u,
         factor=factor,
         qstar=qstar,
         pattern=lin._qstar,
-        grad_at_mode=lin.BT @ g + Q @ (mu_prior - u),
+        grad_at_mode=BT @ g - at.qd,
         constraint_proj=proj,
+        loglik=at.loglik,
+        prior_quad=at.prior_quad,
     )
 
 
@@ -770,7 +816,8 @@ def log_posterior_theta(model, lin, theta, u_init=None):
 
     The prior's log-determinant and constraint covariance come from
     ``Model.prior_terms``, so the only factorisations are the Newton
-    steps'.
+    steps'; the log-likelihood and d^T Q d at the mode are the Newton
+    objective's last terms (``GaussResult.loglik``, ``prior_quad``).
     """
     comp_vals, obs_vals = model.natural_values(theta)
     log_det_q, cov_prior = model.prior_terms(comp_vals)
@@ -779,15 +826,7 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     ga = gaussian_approx(model, lin, prior_q, mu, obs_vals, u_init=u_init)
     u_star = ga.mode
     d = model.n_latent
-    dev = u_star - mu
-    log_prior_u = (
-        -0.5 * d * LOG_2PI + 0.5 * log_det_q - 0.5 * float(dev @ (prior_q.csc @ dev))
-    )
-
-    eta = lin.eval(u_star)
-    ll = 0.0
-    for block, vals, sl in zip(model.obs, obs_vals, lin.block_slices):
-        ll += block.family.loglik(block.y, eta[sl], vals)
+    log_prior_u = -0.5 * d * LOG_2PI + 0.5 * log_det_q - 0.5 * ga.prior_quad
 
     # minus the Gaussian approximation's own log-density at u_star; with
     # constraints the approximation is centred at the unconstrained
@@ -797,7 +836,7 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     quad = float(g0 @ shift)
     log_approx_at_mode = -0.5 * d * LOG_2PI + 0.5 * ga.factor.log_det - 0.5 * quad
 
-    lp = model.log_prior_theta(theta) + log_prior_u + ll - log_approx_at_mode
+    lp = model.log_prior_theta(theta) + log_prior_u + ga.loglik - log_approx_at_mode
 
     C = model.constraints
     if C is not None:

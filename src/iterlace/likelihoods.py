@@ -22,7 +22,7 @@ class LikelihoodError(ValueError):
 
 def _check_eta(eta):
     eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise LikelihoodError("non-finite predictor value")
     return eta
 
@@ -31,6 +31,7 @@ class PoissonFamily:
     """Poisson counts with log link: eta = log(mean)."""
 
     name = "poisson"
+    _log_y_fact = None  # (y, log(y!)) of the last response array seen
 
     def hypers(self):
         return []
@@ -46,7 +47,16 @@ class PoissonFamily:
     def loglik(self, y, eta, values=None):
         y = np.asarray(y, dtype=float)
         eta = _check_eta(eta)
-        return float(np.sum(y * eta - np.exp(eta) - special.gammaln(y + 1.0)))
+        return float(np.sum(y * eta - np.exp(eta) - self._log_factorial(y)))
+
+    def _log_factorial(self, y):
+        """log(y!), a constant of the data, computed once per response
+        array: a block's response is one array for the life of the block,
+        and is not changed in place."""
+        kept = self._log_y_fact
+        if kept is None or kept[0] is not y:
+            kept = self._log_y_fact = (y, special.gammaln(y + 1.0))
+        return kept[1]
 
     def grad_hess(self, y, eta, values=None):
         y = np.asarray(y, dtype=float)

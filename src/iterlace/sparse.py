@@ -17,9 +17,20 @@ matrix's data into the permuted pattern and factors it in natural order.
 The owner of a pattern that is refilled many times (the engine's Q(theta)
 and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
-factorisation runs the same numeric code.  After SuperLU, ``chol`` reads
-the pivots off U and checks them, and leaves the scaling of L to its
-first reader.
+factorisation runs the same numeric code.
+
+``chol`` calls SuperLU through ``_superlu.gstrf``, the private entry
+point behind ``spla.splu``, because only there can it ask for L and U as
+raw CSC arrays: ``splu`` hands both out as ``csc_array``s, whose
+construction cost about a third of a small factorisation.  ``chol``
+reads the pivots off U's raw arrays and checks them; L stays raw, and
+the factor builds and scales its CSC matrix on the first read of ``L``,
+so a factor that is only solved with (a Newton step's) builds none.
+Grid points, sampling, the selected inverse and the diagnostics read
+``L``; so does a bench run with ``--trace 1``, whose per-call nnz(L)
+count therefore builds L at every ``chol``.
+``TestPrivateFactorisation`` in ``tests/test_sparse.py`` pins the
+private call to the public route bit for bit.
 
 A SparseSym is its CSC arrays: ``data``, ``indptr`` and ``indices``.
 One built on a pattern its owner keeps (``SparseSym._on_pattern``: the
@@ -46,8 +57,8 @@ the engine's Q(theta) and Q* assembled on fixed sparsity patterns --
 are wrapped by ``SparseSym._on_pattern`` (or ``SparseSym._trusted``,
 from a scipy matrix), which only keeps the storage canonical.  A factor
 keeps its SuperLU object for ``solve`` until ``without_solver`` drops
-it; what is left (``L``, ``perm``, ``log_det``) still samples through
-``solve_lt`` and gives the selected inverse.
+it; what is left (``L``, built then, ``perm``, ``log_det``) still
+samples through ``solve_lt`` and gives the selected inverse.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = [
     "FactorizationError",
@@ -237,10 +249,12 @@ class CholFactor:
     for results that are kept and only sampled from.  ``selected_inverse``
     and ``diag_inverse`` read ``L`` alone, so they work either way.
 
-    Given ``pivots``, ``L`` is SuperLU's unit-diagonal factor, a copy that
-    the SuperLU object never reads again; its column j is scaled by
-    sqrt(pivots[j]) in place when ``L`` is first read, so a factor that
-    is only solved with never pays for it.
+    Given ``pivots``, ``L`` arrives as SuperLU's unit-diagonal factor in
+    raw CSC arrays ``(data, indices, indptr)``, a copy that the SuperLU
+    object never reads again.  The first read of ``L`` builds its CSC
+    matrix and scales column j by sqrt(pivots[j]) in place, and later
+    reads return that same matrix, so a factor that is only solved with
+    (a Newton step's) builds no scipy matrix at all.
     """
 
     __slots__ = ("n", "perm", "log_det", "_L", "_pivots", "_splu", "_plan")
@@ -256,10 +270,14 @@ class CholFactor:
 
     @property
     def L(self):
-        """The lower-triangular factor, CSC."""
+        """The lower-triangular factor, CSC, built on first read."""
         if self._pivots is not None:
-            L = self._L
-            L.data *= np.repeat(np.sqrt(self._pivots), np.diff(L.indptr))
+            data, indices, indptr = self._L
+            # SuperLU sizes its arrays before dropping entries that
+            # cancelled to zero, so they can run past indptr[-1]
+            data, indices = data[: indptr[-1]], indices[: indptr[-1]]
+            data *= np.repeat(np.sqrt(self._pivots), np.diff(indptr))
+            self._L = sp.csc_array((data, indices, indptr), shape=(self.n, self.n))
             self._pivots = None
         return self._L
 
@@ -333,21 +351,26 @@ class CholFactor:
         return self.selected_inverse()[0]
 
 
+# diagonal pivots only, rows and columns in one order: for a symmetric
+# positive-definite input, U = D L^T.  Factors in a fill-reducing order
+# are too sparse for SuperLU's panels and relaxed supernodes to pay:
+# panel size 1 and relaxation 1 factor Q* of the c5 joint model
+# (n = 103) and of 12x12 and 30x30 BYM lattices (n = 289, 1 801)
+# 25-35 % faster than the defaults, with the same nonzeros in L.
+_SUPERLU_OPTIONS = {"DiagPivotThresh": 0.0, "SymmetricMode": True, "PanelSize": 1, "Relax": 1}
+_NATURAL_OPTIONS = dict(_SUPERLU_OPTIONS, ColPerm="NATURAL")
+
+
 def _splu(csc, permc_spec):
-    # diagonal pivots only, rows and columns in one order: for a symmetric
-    # positive-definite input, U = D L^T.  Factors in a fill-reducing order
-    # are too sparse for SuperLU's panels and relaxed supernodes to pay:
-    # panel size 1 and relaxation 1 factor Q* of the c5 joint model
-    # (n = 103) and of 12x12 and 30x30 BYM lattices (n = 289, 1 801)
-    # 25-35 % faster than the defaults, with the same nonzeros in L.
-    return spla.splu(
-        csc,
-        permc_spec=permc_spec,
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-        panel_size=1,
-        relax=1,
-    )
+    """``spla.splu`` with ``chol``'s SuperLU options and the column order
+    ``permc_spec``: the public route to the factorisation ``chol`` makes."""
+    return spla.splu(csc, options=dict(_SUPERLU_OPTIONS, ColPerm=permc_spec))
+
+
+def _raw_csc(arrays, shape):
+    """SuperLU's hand-out of L or U as it comes: the CSC arrays
+    ``(data, indices, indptr)`` and the shape, with no scipy matrix."""
+    return arrays, shape
 
 
 class CholPlan:
@@ -610,13 +633,24 @@ def chol(a):
     (scaled when the factor's ``L`` is first read).  A non-positive
     pivot means the input is not positive definite and is reported by
     elimination step.
+
+    SuperLU is called through ``_superlu.gstrf``, the entry point that
+    ``spla.splu`` itself calls with the same arguments, so that its L and
+    U come out as raw CSC arrays (``_raw_csc``) instead of the
+    ``csc_array``s ``splu`` would build: ``chol`` reads U only for the
+    pivots, and L stays raw until the factor's ``L`` is first read.
+    ``tests/test_sparse.py`` (``TestPrivateFactorisation``) pins this
+    call to the public ``splu`` route bit for bit.
     """
     if not isinstance(a, SparseSym):
         raise TypeError("chol expects a SparseSym")
     plan = a.plan if a.plan is not None else CholPlan(a.indptr, a.indices)
     b = plan.permuted(a.data)
     try:
-        lu = _splu(b, "NATURAL")
+        lu = _superlu.gstrf(
+            a.n, b.nnz, b.data, b.indices, b.indptr,
+            csc_construct_func=_raw_csc, ilu=False, options=_NATURAL_OPTIONS,
+        )
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise FactorizationError(f"factorisation failed: {err}") from err
     perm_c = lu.perm_c
@@ -628,12 +662,12 @@ def chol(a):
     perm[perm_c] = plan.perm  # plan.perm[argsort(perm_c)]
     # the pivots: U is upper triangular, and SuperLU ends its column j
     # with the supernode rows up to j, so the diagonal entry comes last
-    U = lu.U
-    d = U.data[U.indptr[1:] - 1]
+    u_data, _, u_indptr = lu.U[0]
+    d = u_data[u_indptr[1:] - 1]
     if not (d > 0.0).all():
         k = int(np.flatnonzero(~(d > 0.0))[0])
         raise FactorizationError(
             f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}",
             pivot=k,
         )
-    return CholFactor(a.n, lu.L, perm, float(np.log(d).sum()), lu, plan, pivots=d)
+    return CholFactor(a.n, lu.L[0], perm, float(np.log(d).sum()), lu, plan, pivots=d)

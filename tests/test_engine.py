@@ -655,6 +655,37 @@ class TestLogPosteriorTheta:
             assert len(built) <= budget
         assert max(steps) >= 3 and min(steps) < max(steps)
 
+    def test_an_evaluation_builds_no_factor_matrix(self, monkeypatch):
+        # a Newton step reads its factor's pivots and solver only, so
+        # SuperLU's L and U stay raw arrays: no csc_array is built until
+        # the kept factor's L is read, and then once
+        rng = np.random.default_rng(5)
+        comp = Component("f", Rw1Model(12))
+        block = ObsBlock(
+            PoissonFamily(), rng.poisson(3.0, size=12).astype(float),
+            parse_expr("f"), {"f": np.arange(1, 13)},
+        )
+        model = Model([comp], [block])
+        lin = model.linearise(np.zeros(12))
+
+        built, gradients = [], []
+        real_init = sp.csc_array.__init__
+        monkeypatch.setattr(
+            sp.csc_array, "__init__",
+            lambda self, *a, **k: built.append(1) or real_init(self, *a, **k),
+        )
+        real_grad_hess = engine._obs_grad_hess
+        monkeypatch.setattr(
+            engine, "_obs_grad_hess",
+            lambda *args: gradients.append(1) or real_grad_hess(*args),
+        )
+        _, ga = log_posterior_theta(model, lin, np.array([0.4]))
+        assert len(gradients) - 1 >= 3
+        assert built == []
+        L = ga.factor.L
+        assert len(built) == 1
+        assert ga.factor.L is L and len(built) == 1
+
 
 def _iid_groups_model():
     """The 25-group iid model of ``test_mixture_mean_matches_quadrature``,

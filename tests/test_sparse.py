@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from iterlace.engine import Component, Linearisation, Model, ObsBlock, theta_explore
 from iterlace.exprs import parse_expr
@@ -15,6 +16,7 @@ from iterlace.sparse import (
     CholPlan,
     FactorizationError,
     SparseSym,
+    _splu,
     chol,
     sparse_from_triplets,
 )
@@ -156,8 +158,9 @@ class TestChol:
         # scales SuperLU's unit-diagonal L by their square roots
         rng = np.random.default_rng(13)
         for n in (1, 4, 30, 80):
-            f = chol(random_spd(rng, n))
-            d = f._splu.U.diagonal()
+            a = random_spd(rng, n)
+            f = chol(a)
+            d = _splu(f._plan.permuted(a.data), "NATURAL").U.diagonal()
             assert f.log_det == float(np.log(d).sum())
             unit = f.L.copy()
             unit.data /= np.repeat(np.sqrt(d), np.diff(unit.indptr))
@@ -294,14 +297,16 @@ class TestCholPlan:
             assert plans[0] is not plans[1] and plans[1] is not plans[2]
 
     def test_ordering_computed_once_per_pattern(self, monkeypatch):
+        # every SuperLU factorisation goes through gstrf: chol calls it
+        # directly, and the plan's ordering through spla.splu
         calls = {"MMD_AT_PLUS_A": 0, "NATURAL": 0}
-        real_splu = spla.splu
+        real_gstrf = _superlu.gstrf
 
-        def counting(a, permc_spec=None, **kwargs):
-            calls[permc_spec] += 1
-            return real_splu(a, permc_spec=permc_spec, **kwargs)
+        def counting(*args, options, **kwargs):
+            calls[options["ColPerm"]] += 1
+            return real_gstrf(*args, options=options, **kwargs)
 
-        monkeypatch.setattr(spla, "splu", counting)
+        monkeypatch.setattr(_superlu, "gstrf", counting)
         rng = np.random.default_rng(9)
         comp = Component("f", Rw1Model(15))
         block = ObsBlock(PoissonFamily(), rng.poisson(4.0, size=15).astype(float),
@@ -313,6 +318,74 @@ class TestCholPlan:
         # many factorisations run
         assert calls["MMD_AT_PLUS_A"] == 2
         assert calls["NATURAL"] > 50
+
+
+def _public_route(a):
+    """``a`` factored through the public ``spla.splu`` with chol's options,
+    on a fresh plan of its pattern: (plan, SuperLU object, perm, pivots)."""
+    plan = CholPlan(a.indptr, a.indices)
+    lu = _splu(plan.permuted(a.data), "NATURAL")
+    perm = np.empty_like(plan.perm)
+    perm[lu.perm_c] = plan.perm
+    return plan, lu, perm, lu.U.diagonal()
+
+
+def _cancelled_qstar():
+    """A Q* whose (0, 1) entry cancels to an exact zero (see
+    ``test_qstar_with_a_cancelled_entry``)."""
+    q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
+    bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
+    lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(1), block_slices=[])
+    return lin.qstar(q, np.array([-0.5]))
+
+
+class TestPrivateFactorisation:
+    """``chol`` calls SuperLU's ``gstrf`` directly; every factor must equal,
+    bit for bit, the one the public ``spla.splu`` gives."""
+
+    def test_matches_the_public_route(self):
+        rng = np.random.default_rng(17)
+        cases = [random_spd(rng, n) for n in (1, 4, 30, 80)]
+        cases += [intercept_bym_qstar(), _cancelled_qstar()]
+        for a in cases:
+            f = chol(a)
+            plan, lu, perm, d = _public_route(a)
+            np.testing.assert_array_equal(f.perm, perm)
+            assert f.log_det == float(np.log(d).sum())
+            L = lu.L
+            L.data *= np.repeat(np.sqrt(d), np.diff(L.indptr))
+            assert f.L.shape == L.shape
+            for got, want in ((f.L.data, L.data), (f.L.indices, L.indices),
+                              (f.L.indptr, L.indptr)):
+                np.testing.assert_array_equal(got, want)
+            rhs = rng.standard_normal((a.n, 3))
+            for b in (rhs[:, 0], rhs):
+                want = lu.solve(b[plan.perm])[plan.inverse]
+                np.testing.assert_array_equal(f.solve(b), want)
+
+    def test_indefinite_raises_the_same_pivot(self):
+        rng = np.random.default_rng(18)
+        for n in (4, 30, 80):
+            dense = random_spd(rng, n).to_dense()
+            dense[n // 2, n // 2] = -1.0
+            a = SparseSym.from_dense(dense)
+            _, _, perm, d = _public_route(a)
+            k = int(np.flatnonzero(d <= 0.0)[0])
+            with pytest.raises(FactorizationError) as exc:
+                chol(a)
+            assert exc.value.pivot == k
+            assert str(exc.value) == (
+                f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}"
+            )
+
+    def test_singular_raises(self):
+        a = SparseSym.from_dense(np.ones((2, 2)))
+        with pytest.raises(RuntimeError) as public:
+            _public_route(a)
+        with pytest.raises(FactorizationError) as exc:
+            chol(a)
+        assert str(exc.value) == f"factorisation failed: {public.value}"
+        assert exc.value.pivot is None
 
 
 class TestSolve:
