@@ -91,7 +91,8 @@ def correction_matrix(fit):
 
     The perturbed states are the columns of one (d, P) matrix: u0, then
     u0 +- h e_j for each diagonal entry, then u0 +- h e_j +- h e_k (four
-    columns) for each coupled pair j < k.
+    columns) for each coupled pair j < k.  A state outside the
+    predictor's domain raises DiagnosticsError naming the latent.
     """
     model, lin = fit.model, fit.linearisation
     point = _mode_point(fit.grid)
@@ -133,6 +134,13 @@ def correction_matrix(fit):
     rows = np.concatenate([jd, jo, ko])
     cols = np.concatenate([jd, ko, jo])
     vals = np.concatenate([diag_vals, off_vals, off_vals])
+    bad = rows[~np.isfinite(vals)]
+    if bad.size:
+        name, (start, _) = next((n, o) for n, o in model.offsets.items() if bad[0] < o[1])
+        raise DiagnosticsError(
+            f"correction matrix is not finite at latent {name}[{bad[0] - start}]: "
+            f"a second-difference step of {h:g} leaves the predictor's domain"
+        )
     return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
 
 

@@ -100,7 +100,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import linalg, optimize
 
-from .exprs import AdditiveAll, Ref, expr_jacobian, detect_additive
+from .exprs import AdditiveAll, expr_jacobian, detect_additive
 from .sparse import CholFactor, CholPlan, SparseSym, chol
 
 __all__ = [
@@ -360,19 +360,20 @@ class Model:
         declared = set(self._by_name)
         for i, block in enumerate(self.obs):
             for ref in block.formula.refs():
-                if isinstance(ref, Ref) and ref.name not in declared:
+                if ref.name not in declared:
                     raise EngineError(
                         f"formula for likelihood {i + 1} references "
                         f"undeclared component {ref.name!r}"
                     )
+            if not self.block_components(block):
+                raise EngineError(f"likelihood {i + 1} references no components")
 
     def block_components(self, block):
         """Component names participating in a block, in component order."""
-        refs = block.formula.refs()
         if isinstance(block.formula, AdditiveAll):
             wanted = set(block.inputs)
         else:
-            wanted = {r.name for r in refs if isinstance(r, Ref)}
+            wanted = {r.name for r in block.formula.refs()}
         return [c.name for c in self.components if c.name in wanted]
 
     def component(self, name):
@@ -508,13 +509,7 @@ class Model:
         inputs = block.inputs if inputs is None else inputs
         env = {}
         needed = self.block_components(block)
-        latent_refs = sorted(
-            {
-                r.name
-                for r in block.formula.refs()
-                if isinstance(r, Ref) and r.kind == "latent"
-            }
-        )
+        latent_refs = sorted({r.name for r in block.formula.refs() if r.kind == "latent"})
         for name in needed:
             comp = self.component(name)
             if name not in inputs:
@@ -525,27 +520,17 @@ class Model:
         for name in latent_refs:
             env[f"{name}_latent"] = np.array(u[self.slice_of(name)])
         for r in block.formula.refs():
-            if isinstance(r, Ref) and r.kind == "eval":
-                raise EngineError(
-                    f"{r.name}_eval(...) is only available when predicting"
-                )
+            if r.kind == "eval":
+                raise EngineError(f"{r.name}_eval(...) is only available when predicting")
         return env
 
     def eta_block(self, block, u, inputs=None):
         env = self._block_env(block, u, inputs)
         eta = np.asarray(block.formula.eval(env), dtype=float)
-        if eta.ndim == 0:
-            eta = np.full((self._block_rows(block, inputs),) + np.shape(u)[1:], float(eta))
         if block.aggregation is not None:
             agg, spec = block.aggregation
             eta = agg.eval(spec, eta)
         return eta
-
-    def _block_rows(self, block, inputs=None):
-        inputs = block.inputs if inputs is None else inputs
-        for name in self.block_components(block):
-            return self.component(name).mapper.n_output(inputs[name])
-        raise EngineError("likelihood references no components")
 
     def eta(self, u):
         """Full non-linear predictor, blocks stacked; at a state vector, or
@@ -560,55 +545,32 @@ class Model:
         for block in self.obs:
             env = self._block_env(block, u0)
             eta_pre = np.asarray(block.formula.eval(env), dtype=float)
-            n_rows = self._block_rows(block)
-            if eta_pre.ndim == 0:
-                eta_pre = np.full(n_rows, float(eta_pre))
             if not np.all(np.isfinite(eta_pre)):
                 raise EngineError("non-finite predictor at the linearisation point")
 
-            if isinstance(block.formula, AdditiveAll):
-                # the sentinel is an exact sum: unit derivatives, no
-                # finite-difference noise on the linear path
-                diffs = {name: np.ones(n_rows) for name in env}
-            else:
-                diffs = expr_jacobian(block.formula, env, list(env))
-            parts = []
-            for key, dvec in diffs.items():
-                if np.ndim(dvec) == 0:
-                    dvec = np.full(n_rows, float(dvec))
-                if key.endswith("_latent"):
-                    name = key[: -len("_latent")]
-                    inner = sp.eye(
-                        self.component(name).model.n_latent(), format="csr"
-                    )
-                else:
-                    name = key
-                    comp = self.component(name)
-                    inner = comp.mapper.jacobian(
-                        block.inputs[name], u0[self.slice_of(name)]
-                    )
-                s = self.slice_of(name)
-                scattered = sp.hstack(
-                    [
-                        sp.csr_matrix((inner.shape[0], s.start)),
-                        inner,
-                        sp.csr_matrix((inner.shape[0], self.n_latent - s.stop)),
-                    ],
-                    format="csr",
+            # B before aggregation from one set of COO triplets: each mapper
+            # Jacobian's rows scaled by the formula's derivative, its
+            # columns offset by the component's slice
+            triplets = []
+            for key, dvec in expr_jacobian(block.formula, env, list(env)).items():
+                name = key.removesuffix("_latent")
+                comp = self.component(name)
+                inner = sp.coo_matrix(
+                    sp.eye(comp.model.n_latent()) if key != name
+                    else comp.mapper.jacobian(block.inputs[name], u0[self.slice_of(name)])
                 )
-                parts.append(sp.diags(dvec).tocsr() @ scattered)
-            b_pre = parts[0]
-            for p in parts[1:]:
-                b_pre = b_pre + p
+                triplets.append((inner.data * dvec[inner.row], inner.row,
+                                 inner.col + self.offsets[name][0]))
+            vals, rows, cols = map(np.concatenate, zip(*triplets))
+            b_block = sp.csr_matrix((vals, (rows, cols)),
+                                    shape=(eta_pre.size, self.n_latent))
+            b_block.eliminate_zeros()  # a zero slope adds no pair to Q*'s pattern
 
+            eta_b = eta_pre
             if block.aggregation is not None:
                 agg, spec = block.aggregation
-                j_agg = agg.jacobian(spec, eta_pre)
+                b_block = (agg.jacobian(spec, eta_pre) @ b_block).tocsr()
                 eta_b = agg.eval(spec, eta_pre)
-                b_block = (j_agg @ b_pre).tocsr()
-            else:
-                eta_b = eta_pre
-                b_block = b_pre.tocsr()
             etas.append(eta_b)
             jacs.append(b_block)
             slices.append(slice(start, start + eta_b.size))
@@ -1385,7 +1347,7 @@ def check_expr_refs(model, expr):
     if isinstance(expr, AdditiveAll):
         raise EngineError("prediction expressions must reference components")
     for r in expr.refs():
-        if isinstance(r, Ref) and r.name not in model.offsets:
+        if r.name not in model.offsets:
             raise EngineError(f"unknown component {r.name!r} in expression")
 
 
@@ -1411,8 +1373,6 @@ def expr_env(model, expr, u, inputs=None):
 
     env = {}
     for r in expr.refs():
-        if not isinstance(r, Ref):
-            continue
         s = model.slice_of(r.name)
         comp = model.component(r.name)
         if r.kind == "latent":

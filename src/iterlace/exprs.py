@@ -3,7 +3,11 @@
 A predictor formula combines named component effects with +, -, *, /,
 unary minus, exp() and log().  ``parse_expr`` builds a small AST;
 evaluation looks names up in a plain dict of per-row effect arrays, so
-all arithmetic is elementwise.  Three reference kinds exist:
+all arithmetic is elementwise.  Derivatives are exact, by forward mode
+(Griewank & Walther, *Evaluating Derivatives*, 2008): each node's
+``forward`` returns its value and its derivative with respect to one
+name, by the sum, product, quotient, exp and log rules.  Three
+reference kinds exist:
 
 * ``name``            -- the component's effect vector,
 * ``name_latent``     -- the component's raw latent state,
@@ -52,7 +56,10 @@ class Num:
     value: float
 
     def eval(self, env):
-        return self.value
+        return np.float64(self.value)  # IEEE division: 1 / 0 is inf, not an error
+
+    def forward(self, env, name):
+        return self.eval(env), 0.0
 
     def to_string(self):
         return repr(self.value)
@@ -87,6 +94,9 @@ class Ref:
         except KeyError:
             raise ExprError(f"unknown name {self.key!r} in expression") from None
 
+    def forward(self, env, name):
+        return self.eval(env), float(self.key == name)
+
     def to_string(self):
         if self.kind == "eval":
             inner = ", ".join(repr(a) for a in self.args)
@@ -103,6 +113,10 @@ class Neg:
 
     def eval(self, env):
         return -self.operand.eval(env)
+
+    def forward(self, env, name):
+        val, dval = self.operand.forward(env, name)
+        return -val, -dval
 
     def to_string(self):
         s = self.operand.to_string()
@@ -124,6 +138,13 @@ class Call:
         if self.func == "exp":
             return np.exp(val)
         return np.log(val)
+
+    def forward(self, env, name):
+        val, dval = self.operand.forward(env, name)
+        if self.func == "exp":
+            out = np.exp(val)
+            return out, out * dval
+        return np.log(val), dval / val
 
     def to_string(self):
         return f"{self.func}({self.operand.to_string()})"
@@ -150,6 +171,19 @@ class BinOp:
         with np.errstate(divide="ignore", invalid="ignore"):
             return a / b
 
+    def forward(self, env, name):
+        a, da = self.left.forward(env, name)
+        b, db = self.right.forward(env, name)
+        if self.op == "+":
+            return a + b, da + db
+        if self.op == "-":
+            return a - b, da - db
+        if self.op == "*":
+            return a * b, da * b + a * db
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = a / b
+            return q, (da - q * db) / b
+
     def to_string(self):
         left = _wrap(self.left, self.op, side="left")
         right = _wrap(self.right, self.op, side="right")
@@ -169,6 +203,10 @@ class AdditiveAll:
                 continue
             total = total + val
         return total
+
+    def forward(self, env, name):
+        effect = name in env and not name.endswith(("_latent", "_eval"))
+        return self.eval(env), float(effect)
 
     def to_string(self):
         return "."
@@ -367,21 +405,16 @@ def detect_additive(expr):
     return walk(expr)
 
 
-def expr_jacobian(expr, env, names, h=1e-4):
+def expr_jacobian(expr, env, names):
     """Derivative of the formula with respect to chosen effect vectors.
 
     Since all expression arithmetic is elementwise, d(output_i)/d(effect_i)
-    is diagonal; this returns {name: diagonal array} via central
-    differences with per-row steps h * max(1, |effect_i|).
+    is diagonal; this returns {name: diagonal array}, exact up to
+    round-off, from one forward-mode pass per name.  Each array has the
+    shape of the formula's value.
     """
     out = {}
     for name in names:
-        base = np.asarray(env[name], dtype=float)
-        step = h * np.maximum(1.0, np.abs(base))
-        up = dict(env)
-        dn = dict(env)
-        up[name] = base + step
-        dn[name] = base - step
-        diff = np.asarray(expr.eval(up)) - np.asarray(expr.eval(dn))
-        out[name] = diff / (2.0 * step)
+        val, dval = expr.forward(env, name)
+        out[name] = np.array(np.broadcast_to(dval, np.shape(val)), dtype=float)
     return out

@@ -384,9 +384,6 @@ class ExponentialQuantile:
         log_phi = -0.5 * t * t - 0.5 * np.log(2.0 * np.pi)
         return np.exp(log_phi - special.log_ndtr(-t)) / self.rate
 
-    def params(self):
-        return {"rate": self.rate}
-
 
 class GammaQuantile:
     """Gamma(shape, rate) quantile family through the normal CDF."""
@@ -415,9 +412,6 @@ class GammaQuantile:
         with np.errstate(divide="ignore"):
             log_pdf = (self.shape - 1.0) * np.log(g) - g - special.gammaln(self.shape)
         return np.exp(log_phi - log_pdf) / self.rate
-
-    def params(self):
-        return {"shape": self.shape, "rate": self.rate}
 
 
 class MarginalMapper(Mapper):

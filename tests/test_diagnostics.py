@@ -161,6 +161,22 @@ class TestKlDivergences:
         assert abs(rep.kl_nonlin_to_lin) <= 1e-12
         assert rep.g_matrix_norm <= 1e-6
 
+    def test_domain_exit_names_the_latent(self):
+        # log(b) at b of about 5e-4: the steps b -+ FD_STEP leave log's
+        # domain, so the correction matrix is not finite
+        rng = np.random.default_rng(0)
+        y = np.log(5e-4) + 0.1 * rng.normal(size=50)
+        block = ObsBlock(GaussianFamily(fixed_prec=100.0), y, parse_expr("log(b)"),
+                         {"b": np.ones(50)})
+        model = Model([Component("b", FixedEffectsModel.constant())], [block],
+                      options={"bru_initial": {"b": 1e-3}})
+        res = fit(model)
+        assert res.converged
+        with pytest.raises(DiagnosticsError, match=r"correction matrix is not finite at latent b\[0\]"):
+            correction_matrix(res)
+        with pytest.raises(DiagnosticsError, match="not finite"):
+            kl_divergences(res)
+
     def test_nonlinear_fit_invariants(self):
         rep = kl_divergences(fit(make_toy()))
         assert rep.kl_lin_to_nonlin >= -1e-12

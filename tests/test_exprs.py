@@ -156,6 +156,27 @@ class TestJacobian:
         got = expr_jacobian(parse_expr("a * a"), env, ["a"])
         assert_allclose(got["a"], 2 * env["a"], rtol=1e-6)
 
+    def test_log_at_a_tiny_effect(self):
+        x = np.array([2e-4, 5e-4])
+        got = expr_jacobian(parse_expr("log(x)"), {"x": x}, ["x"])["x"]
+        assert_allclose(got, 1.0 / x, rtol=1e-12)
+
+    def test_sum_is_exactly_one_at_large_effects(self):
+        env = {"a": np.array([1e3, -1e3]), "b": np.array([-1e3, 1e3])}
+        got = expr_jacobian(parse_expr("a + b"), env, ["a", "b"])
+        assert np.all(got["a"] == 1.0) and np.all(got["b"] == 1.0)
+
+    def test_quotient_rule(self):
+        env = {"a": np.array([1.5, -2.0, 0.3]), "b": np.array([0.5, 4.0, -3.0])}
+        got = expr_jacobian(parse_expr("a / b"), env, ["a", "b"])
+        assert_allclose(got["a"], 1.0 / env["b"], rtol=1e-14)
+        assert_allclose(got["b"], -env["a"] / env["b"] ** 2, rtol=1e-14)
+
+    def test_unreferenced_name_has_zero_derivative(self):
+        env = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+        got = expr_jacobian(parse_expr("exp(a)"), env, ["b"])
+        assert np.array_equal(got["b"], np.zeros(2))
+
 
 _names = st.sampled_from(["a", "bb", "c1"])
 _leaf = st.one_of(
@@ -196,3 +217,34 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     def test_printing_preserves_structure(self, expr):
         assert parse_expr(expr.to_string()) == expr
+
+
+# magnitudes well above the complex step, so that x + ih stays a perturbation
+_effects = st.lists(
+    st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)), min_size=4, max_size=4
+)
+
+
+def _complex_step(expr, env, name, h):
+    """Im f(x + ih) / h: a derivative that takes no difference of nearby
+    values, so it is exact to round-off like forward mode."""
+    return np.imag(expr.eval(dict(env, **{name: env[name] + h * 1j}))) / h
+
+
+class TestForwardModeProperty:
+    @given(expr=_ast, a=_effects, bb=_effects, c1=_effects, name=_names)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_complex_step(self, expr, a, bb, c1, name):
+        env = {"a": np.array(a), "bb": np.array(bb), "c1": np.array(c1)}
+        with np.errstate(all="ignore"):
+            value = np.asarray(expr.eval(env), dtype=float)
+            got = expr_jacobian(expr, env, [name])[name]
+            want, check = (np.broadcast_to(_complex_step(expr, env, name, h), got.shape)
+                           for h in (1e-30, 1e-20))
+        # rows where the value is finite, and where the complex step is
+        # trustworthy: h times an intermediate derivative did not underflow
+        # (the two steps agree) and no intermediate overflowed to inf
+        rows = (np.isfinite(value) & np.isfinite(got) & np.isfinite(want)
+                & np.isclose(want, check, rtol=1e-12, atol=0.0))
+        # atol: round-off of derivatives that cancel to 0, as in d(a / a)
+        assert_allclose(got[rows], want[rows], rtol=1e-9, atol=1e-9)
