@@ -13,6 +13,13 @@ matrices and evaluated a block of columns at a time
 (``engine._column_blocks``), with no Python loop over states; the
 reductions over them keep the order of a state-by-state loop, so the
 results are the same bit for bit.
+
+The KL comparison builds no matrix of its own: its Q-bar is the
+engine's Q* (``Linearisation.qstar``), the one matrix every Laplace
+evaluation factors, and the traces tr(G A^-1) read A^-1 on G's pattern
+from each factor's selected inverse (Takahashi recursions; Rue &
+Martino 2007), as the marginal variances do, so the one solve it makes
+is for the corrected mean.
 """
 
 from __future__ import annotations
@@ -144,25 +151,6 @@ def correction_matrix(fit):
     return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
 
 
-def _trace_with_inverse(gmat, factor):
-    """tr(G A^-1) reading only the inverse's entries on G's pattern.
-
-    One solve per non-empty column of G; never forms the full inverse.
-    """
-    g = gmat.tocsc()
-    n = g.shape[0]
-    total = 0.0
-    for k in range(n):
-        lo, hi = g.indptr[k], g.indptr[k + 1]
-        if lo == hi:
-            continue
-        e = np.zeros(n)
-        e[k] = 1.0
-        x = factor.solve(e)
-        total += float(g.data[lo:hi] @ x[g.indices[lo:hi]])
-    return total
-
-
 def kl_divergences(fit):
     """Both KL divergences between the fitted latent Gaussian and its
     curvature-corrected counterpart, evaluated at the hyperparameter
@@ -182,13 +170,12 @@ def kl_divergences(fit):
 
     m_bar = point.mode
     _, h_bar = _obs_grad_hess(model, lin, m_bar, obs_vals)
-    q_prior = model.precision(comp_vals)
-    q_bar = lin.qstar(q_prior, h_bar, symmetric=False)
+    q_bar = lin.qstar(model.precision(comp_vals), h_bar)
 
     gmat = correction_matrix(fit)
-    q_tilde = (q_bar - gmat).tocsc()
+    q_tilde = q_bar.csc - gmat
 
-    factor_bar = chol(lin.qstar(q_prior, h_bar))
+    factor_bar = chol(q_bar)
     try:
         factor_tilde = chol(SparseSym(q_tilde))
     except FactorizationError as err:
@@ -201,9 +188,13 @@ def kl_divergences(fit):
     delta = m_tilde - m_bar
 
     # tr(Qt Qb^-1) = d - tr(G Qb^-1) and tr(Qb Qt^-1) = d + tr(G Qt^-1),
-    # so only the inverse entries on G's pattern are ever needed
-    tr_bar = _trace_with_inverse(gmat, factor_bar)
-    tr_tilde = _trace_with_inverse(gmat, factor_tilde)
+    # and tr(G A^-1) sums G_rc (A^-1)_rc over G's entries, so only the
+    # inverse's entries there are needed: the factor's selected inverse
+    g = gmat.tocoo()
+    tr_bar, tr_tilde = (
+        float(g.data @ factor.selected_inverse(g.row, g.col)[1])
+        for factor in (factor_bar, factor_tilde)
+    )
 
     kl_lin = 0.5 * (
         factor_bar.log_det

@@ -186,18 +186,15 @@ class Linearisation:
         """B^T, kept for the Newton steps' gradients B^T g."""
         return self.B.T
 
-    def qstar(self, q, h, symmetric=True):
-        """Q* = Q - B^T diag(h) B for the SparseSym Q, on a pattern built
-        once per linearisation and again whenever Q's pattern changes.
-
-        The result is a SparseSym.  With ``symmetric=False`` it is the CSC
-        matrix before symmetrisation, whose (r, c) and (c, r) entries can
-        differ in the last bit, as scipy's expression gives it.
-        """
+    def qstar(self, q, h):
+        """Q* = Q - B^T diag(h) B for the SparseSym Q, as a SparseSym, on a
+        pattern built once per linearisation and again whenever Q's
+        pattern changes.  Every Laplace evaluation and the KL diagnostic
+        use this one matrix."""
         pattern = self._qstar
         if pattern is None or not pattern.fits(q):
             pattern = self._qstar = _QStarPattern(q, self.B)
-        return pattern.assemble(q, h, symmetric)
+        return pattern.assemble(q, h)
 
 
 def _same_pattern(indptr, indices, ref_indptr, ref_indices):
@@ -214,9 +211,9 @@ class _QStarPattern:
 
     ``assemble`` does the arithmetic of
     ``SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())`` on this fixed
-    pattern, so it returns the same matrix bit for bit: entry (r, c) of
-    B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing order,
-    as scipy's sparse product does, and the symmetrisation is
+    pattern, so it returns the same SparseSym bit for bit: entry (r, c)
+    of B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing
+    order, as scipy's sparse product does, and the symmetrisation is
     SparseSym's (M + M^T) / 2.  The pattern's ``CholPlan`` goes with
     every Q* built on it.
     """
@@ -239,7 +236,6 @@ class _QStarPattern:
         self.rows, self.cols = rows, cols
         self.indices = rows.astype(q.indices.dtype)
         self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
-        self.shape = (d, d)
         self.q_slot = np.searchsorted(keys, q_keys)
         self.t_slot = np.searchsorted(keys, rows * d + cols)
         slot = np.searchsorted(keys, c * d + r)
@@ -255,7 +251,7 @@ class _QStarPattern:
         """Whether the SparseSym Q has the pattern this was built for."""
         return _same_pattern(q.indptr, q.indices, self.q_indptr, self.q_indices)
 
-    def assemble(self, q, h, symmetric=True):
+    def assemble(self, q, h):
         btb = np.bincount(
             self.slot, weights=(self.b_r * h[self.obs]) * self.b_c,
             minlength=self.indices.size,
@@ -263,15 +259,10 @@ class _QStarPattern:
         m = np.zeros(self.indices.size)
         m[self.q_slot] = q.data
         m -= btb
-        if symmetric:  # drops exact zeros, and the plan with them
-            return SparseSym._on_pattern(
-                (m + m[self.t_slot]) * 0.5, self.indptr, self.indices, self.plan
-            )
-        csc = sp.csc_matrix((m, self.indices, self.indptr), shape=self.shape)
-        if not m.all():  # exact zeros are dropped, as scipy drops them
-            csc = csc.copy()
-            csc.eliminate_zeros()
-        return csc
+        # drops exact zeros, and the plan with them
+        return SparseSym._on_pattern(
+            (m + m[self.t_slot]) * 0.5, self.indptr, self.indices, self.plan
+        )
 
 
 @dataclass
@@ -542,7 +533,7 @@ class Model:
         u0 = np.asarray(u0, dtype=float)
         etas, jacs, slices = [], [], []
         start = 0
-        for block in self.obs:
+        for i, block in enumerate(self.obs):
             env = self._block_env(block, u0)
             eta_pre = np.asarray(block.formula.eval(env), dtype=float)
             if not np.all(np.isfinite(eta_pre)):
@@ -559,8 +550,13 @@ class Model:
                     sp.eye(comp.model.n_latent()) if key != name
                     else comp.mapper.jacobian(block.inputs[name], u0[self.slice_of(name)])
                 )
-                triplets.append((inner.data * dvec[inner.row], inner.row,
-                                 inner.col + self.offsets[name][0]))
+                slopes = inner.data * dvec[inner.row]
+                if not np.all(np.isfinite(slopes)):
+                    raise EngineError(
+                        f"non-finite slope of likelihood {i + 1}'s predictor in "
+                        f"component {name!r} at the linearisation point"
+                    )
+                triplets.append((slopes, inner.row, inner.col + self.offsets[name][0]))
             vals, rows, cols = map(np.concatenate, zip(*triplets))
             b_block = sp.csr_matrix((vals, (rows, cols)),
                                     shape=(eta_pre.size, self.n_latent))
@@ -1009,13 +1005,13 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     return theta_hat, grid, ga_hat
 
 
-def _make_point(theta, lp, ga, lin, weight=1.0):
-    """A grid point from a Laplace evaluation: its summaries, and its
-    factor without the SuperLU object."""
+def _make_point(theta, lp, ga, lin):
+    """A grid point of weight 1 from a Laplace evaluation: its summaries,
+    and its factor without the SuperLU object."""
     return ThetaPoint(
         theta=np.array(theta, dtype=float),
         log_post=float(lp),
-        weight=float(weight),
+        weight=1.0,
         mode=ga.mode,
         factor=ga.factor.without_solver(),
         latent_var=ga.latent_var(),
@@ -1178,18 +1174,8 @@ def fit(model, options=None):
         log.say(f"iinla: Iteration 1 [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
         theta_hat, grid, _ = theta_explore(model, lin, theta_start=theta_warm)
-        sd = _mode_sd(grid)
-        dev = np.abs(_mode_point(grid).mode - u0) / sd
-        records.append(
-            IterationRecord(
-                iter=1,
-                alpha=1.0,
-                max_dev_over_sd=float(dev.max()),
-                mean_dev_over_sd=float(dev.mean()),
-                theta=_theta_dict(model, theta_hat),
-                line_search_ran=False,
-            )
-        )
+        point = _mode_point(grid)
+        records.append(_record(model, 1, theta_hat, point, u0, point.mode))
         return _finish(model, grid, lin, True, records, log)
 
     final_iter = max_iter
@@ -1201,25 +1187,13 @@ def fit(model, options=None):
         )
         theta_warm = theta_hat
         u_hat = point.mode
-        sd = np.sqrt(np.maximum(point.latent_var, 1e-300))
 
         if k == 1:
-            dev_vec = np.abs(u_hat - u0) / sd
-            records.append(
-                IterationRecord(
-                    iter=1,
-                    alpha=1.0,
-                    max_dev_over_sd=float(dev_vec.max()),
-                    mean_dev_over_sd=float(dev_vec.mean()),
-                    theta=_theta_dict(model, theta_hat),
-                    line_search_ran=False,
-                )
-            )
+            records.append(_record(model, k, theta_hat, point, u0, u_hat))
             u0 = u_hat
             continue
 
-        cand_dev = float(np.max(np.abs(u_hat - u0) / sd))
-        if cand_dev < rel_tol:
+        if _deviation(point, u0, u_hat).max() < rel_tol:
             alpha, v, ran_search = 1.0, u_hat, False
         else:
             sigma2 = point.pred_var
@@ -1230,18 +1204,8 @@ def fit(model, options=None):
             )
             ran_search = True
 
-        dev_vec = np.abs(v - u0) / sd
-        max_dev = float(dev_vec.max())
-        records.append(
-            IterationRecord(
-                iter=k,
-                alpha=float(alpha),
-                max_dev_over_sd=max_dev,
-                mean_dev_over_sd=float(dev_vec.mean()),
-                theta=_theta_dict(model, theta_hat),
-                line_search_ran=ran_search,
-            )
-        )
+        records.append(_record(model, k, theta_hat, point, u0, v, alpha, ran_search))
+        max_dev = records[-1].max_dev_over_sd
         if ran_search:
             log.say(f"iinla: Step rescaling: {_fmt3(100.0 * alpha)}")
         log.say(f"iinla: Max deviation from previous: {_fmt3(100.0 * max_dev)}")
@@ -1279,8 +1243,22 @@ def _mode_point(grid):
     return max(grid, key=lambda p: p.log_post)
 
 
-def _mode_sd(grid):
-    return np.sqrt(np.maximum(_mode_point(grid).latent_var, 1e-300))
+def _deviation(point, u0, v):
+    """|v - u0| in units of the point's marginal posterior sds."""
+    return np.abs(v - u0) / np.sqrt(np.maximum(point.latent_var, 1e-300))
+
+
+def _record(model, k, theta_hat, point, u0, v, alpha=1.0, line_search_ran=False):
+    """Iteration k's record of the move from u0 to v, measured by ``point``."""
+    dev = _deviation(point, u0, v)
+    return IterationRecord(
+        iter=k,
+        alpha=float(alpha),
+        max_dev_over_sd=float(dev.max()),
+        mean_dev_over_sd=float(dev.mean()),
+        theta=_theta_dict(model, theta_hat),
+        line_search_ran=line_search_ran,
+    )
 
 
 def _finish(model, grid, lin, converged, records, log):

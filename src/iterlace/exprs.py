@@ -6,8 +6,11 @@ evaluation looks names up in a plain dict of per-row effect arrays, so
 all arithmetic is elementwise.  Derivatives are exact, by forward mode
 (Griewank & Walther, *Evaluating Derivatives*, 2008): each node's
 ``forward`` returns its value and its derivative with respect to one
-name, by the sum, product, quotient, exp and log rules.  Three
-reference kinds exist:
+name, by the sum, product, quotient, exp and log rules.  A subtree that
+does not reference the name has the derivative None, an exact zero that
+no rule multiplies into its value, so a value that overflows there
+(``exp(800)``) leaves the derivative finite.  Three reference kinds
+exist:
 
 * ``name``            -- the component's effect vector,
 * ``name_latent``     -- the component's raw latent state,
@@ -59,7 +62,7 @@ class Num:
         return np.float64(self.value)  # IEEE division: 1 / 0 is inf, not an error
 
     def forward(self, env, name):
-        return self.eval(env), 0.0
+        return self.eval(env), None
 
     def to_string(self):
         return repr(self.value)
@@ -95,7 +98,7 @@ class Ref:
             raise ExprError(f"unknown name {self.key!r} in expression") from None
 
     def forward(self, env, name):
-        return self.eval(env), float(self.key == name)
+        return self.eval(env), 1.0 if self.key == name else None
 
     def to_string(self):
         if self.kind == "eval":
@@ -116,7 +119,7 @@ class Neg:
 
     def forward(self, env, name):
         val, dval = self.operand.forward(env, name)
-        return -val, -dval
+        return -val, None if dval is None else -dval
 
     def to_string(self):
         s = self.operand.to_string()
@@ -141,10 +144,10 @@ class Call:
 
     def forward(self, env, name):
         val, dval = self.operand.forward(env, name)
-        if self.func == "exp":
-            out = np.exp(val)
-            return out, out * dval
-        return np.log(val), dval / val
+        out = np.exp(val) if self.func == "exp" else np.log(val)
+        if dval is None:
+            return out, None
+        return out, out * dval if self.func == "exp" else dval / val
 
     def to_string(self):
         return f"{self.func}({self.operand.to_string()})"
@@ -175,14 +178,17 @@ class BinOp:
         a, da = self.left.forward(env, name)
         b, db = self.right.forward(env, name)
         if self.op == "+":
-            return a + b, da + db
+            return a + b, _sum(da, db)
         if self.op == "-":
-            return a - b, da - db
+            return a - b, _sum(da, None if db is None else -db)
         if self.op == "*":
-            return a * b, da * b + a * db
+            return a * b, _sum(None if da is None else da * b,
+                               None if db is None else a * db)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = a / b
-            return q, (da - q * db) / b
+            if db is None:
+                return q, None if da is None else da / b
+            return q, (-(q * db) if da is None else da - q * db) / b
 
     def to_string(self):
         left = _wrap(self.left, self.op, side="left")
@@ -206,7 +212,7 @@ class AdditiveAll:
 
     def forward(self, env, name):
         effect = name in env and not name.endswith(("_latent", "_eval"))
-        return self.eval(env), float(effect)
+        return self.eval(env), 1.0 if effect else None
 
     def to_string(self):
         return "."
@@ -219,6 +225,13 @@ class AdditiveAll:
 
     def __hash__(self):
         return hash("AdditiveAll")
+
+
+def _sum(da, db):
+    """The sum of two derivatives, either of which may be None (zero)."""
+    if da is None:
+        return db
+    return da if db is None else da + db
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -411,10 +424,12 @@ def expr_jacobian(expr, env, names):
     Since all expression arithmetic is elementwise, d(output_i)/d(effect_i)
     is diagonal; this returns {name: diagonal array}, exact up to
     round-off, from one forward-mode pass per name.  Each array has the
-    shape of the formula's value.
+    shape of the formula's value; it is exactly 0 for a name the formula
+    does not reference.
     """
     out = {}
     for name in names:
         val, dval = expr.forward(env, name)
+        dval = 0.0 if dval is None else dval
         out[name] = np.array(np.broadcast_to(dval, np.shape(val)), dtype=float)
     return out

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 
 from iterlace.diagnostics import (
     DiagnosticsError,
-    _trace_with_inverse,
     correction_matrix,
     kl_divergences,
     linearisation_deviation,
@@ -276,35 +275,6 @@ class TestCorrectionMatrix:
         assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
 
 
-class TestTraceWithInverse:
-    def test_matches_dense_and_solves_only_pattern_columns(self):
-        rng = np.random.default_rng(2)
-        n = 9
-        m = rng.normal(size=(n, n))
-        a = m @ m.T + n * np.eye(n)
-        factor = chol(SparseSym(sp.csc_matrix(a)))
-        g_dense = np.zeros((n, n))
-        g_dense[0, 0] = 0.7
-        g_dense[2, 5] = g_dense[5, 2] = -0.4
-        g_dense[7, 7] = 1.1
-        gmat = sp.csr_matrix(g_dense)
-
-        class CountingFactor:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def solve(self, rhs):
-                self.calls += 1
-                return self.inner.solve(rhs)
-
-        probe = CountingFactor(factor)
-        got = _trace_with_inverse(gmat, probe)
-        want = float(np.trace(g_dense @ np.linalg.inv(a)))
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-        assert probe.calls == 4  # columns 0, 2, 5 and 7 carry entries
-
-
 # --- sampling deviation ----------------------------------------------------
 
 def one_latent_exp_fit(n=40, tau=4.0, seed=11):
@@ -506,3 +476,89 @@ class TestInteractionPairs:
     def test_a_broken_mapper_propagates(self):
         with pytest.raises(TypeError, match="outside the domain"):
             self._with_probe_error(TypeError)()
+
+
+# --- KL against dense linear algebra ----------------------------------------
+
+def dense_kl(fit_result):
+    """Both KL divergences from dense Q-bar, G and Q-tilde, by the textbook
+    formula 0.5 (tr(Q1 Q0^-1) - d + delta' Q1 delta + log|Q0| - log|Q1|)
+    for KL(N(m0, Q0^-1) || N(m1, Q1^-1))."""
+    from iterlace.engine import _mode_point, _obs_grad_hess
+
+    model, lin = fit_result.model, fit_result.linearisation
+    point = _mode_point(fit_result.grid)
+    comp_vals, obs_vals = model.natural_values(point.theta)
+    _, h = _obs_grad_hess(model, lin, point.mode, obs_vals)
+    bmat = lin.B.toarray()
+    q_bar = model.precision(comp_vals).to_dense() - bmat.T @ np.diag(h) @ bmat
+    g = correction_matrix(fit_result).toarray()
+    q_tilde = q_bar - g
+    m_tilde = np.linalg.solve(q_tilde, q_bar @ point.mode - g @ lin.u0)
+    delta = m_tilde - point.mode
+    d = delta.size
+
+    def kl(q0, q1):
+        return 0.5 * (np.trace(q1 @ np.linalg.inv(q0)) - d + delta @ q1 @ delta
+                      + np.linalg.slogdet(q0)[1] - np.linalg.slogdet(q1)[1])
+
+    return kl(q_bar, q_tilde), kl(q_tilde, q_bar), g
+
+
+def product_fit_off_pattern():
+    """``product_fit`` relinearised where b0 = 0: there b0 * exp(v) has no
+    slope in v, so Q-bar = Q* holds no (b0, v_j) entry, while G, whose
+    pattern also comes from the probe point, holds them all.  The
+    responses are scaled down tenfold, which keeps the likelihood
+    gradient at the anchor, and with it G, small enough for the corrected
+    precision to stay positive definite."""
+    res = product_fit()
+    res.model.obs[0].y = 0.1 * res.model.obs[0].y
+    u0 = res.linearisation.u0.copy()
+    u0[res.model.slice_of("b0")] = 0.0
+    lin = res.model.linearise(u0)
+    grid = [dataclasses.replace(pt, mode=u0) for pt in res.grid]
+    return dataclasses.replace(res, linearisation=lin, grid=grid)
+
+
+class TestKlAgainstDense:
+    @pytest.mark.parametrize("make", [product_fit, product_fit_off_pattern])
+    def test_matches_dense_inverse_and_log_determinants(self, make):
+        res = make()
+        rep = kl_divergences(res)
+        want_lin, want_nonlin, g = dense_kl(res)
+        assert rep.kl_lin_to_nonlin > 1e-6 and rep.kl_nonlin_to_lin > 1e-6
+        # the log-determinants and the trace are O(1) and cancel to the
+        # KL, so round-off is absolute at that scale
+        assert abs(rep.kl_lin_to_nonlin - want_lin) <= 1e-10 * max(1.0, want_lin)
+        assert abs(rep.kl_nonlin_to_lin - want_nonlin) <= 1e-10 * max(1.0, want_nonlin)
+        assert rep.g_matrix_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    def test_off_pattern_fixture_has_pairs_outside_qstar(self):
+        from iterlace.engine import _mode_point
+
+        res = product_fit_off_pattern()
+        point = _mode_point(res.grid)
+        comp_vals, _ = res.model.natural_values(point.theta)
+        q_bar = res.linearisation.qstar(res.model.precision(comp_vals),
+                                        np.ones(res.linearisation.delta.size))
+        in_qstar = q_bar.to_dense() != 0.0
+        in_g = correction_matrix(res).toarray() != 0.0
+        assert (in_g & ~in_qstar).any()
+
+    def test_one_qstar_and_one_solve(self, monkeypatch):
+        from iterlace.sparse import CholFactor
+
+        res = product_fit()
+        calls = {"qstar": 0, "solve": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Linearisation, "qstar", counted("qstar", Linearisation.qstar))
+        monkeypatch.setattr(CholFactor, "solve", counted("solve", CholFactor.solve))
+        kl_divergences(res)
+        assert calls == {"qstar": 1, "solve": 1}

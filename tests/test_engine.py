@@ -213,6 +213,21 @@ class TestLinearise:
         assert gaps[1] / gaps[0] == pytest.approx(0.25, rel=0.1)
         assert gaps[2] / gaps[1] == pytest.approx(0.25, rel=0.1)
 
+    def test_non_finite_slope_names_likelihood_and_component(self):
+        # a / (1 + exp(c)) at c = 800: the predictor is 0, but its slope in
+        # c is inf / inf, which must not reach Q*
+        comps = [Component("a", FixedEffectsModel.constant()),
+                 Component("c", FixedEffectsModel.constant())]
+        block = ObsBlock(GaussianFamily(fixed_prec=1.0), np.zeros(3),
+                         parse_expr("a / (1 + exp(c))"),
+                         {"a": np.ones(3), "c": np.ones(3)})
+        model = Model(comps, [block])
+        lin = model.linearise(np.array([1.0, 0.0]))
+        assert np.all(np.isfinite(lin.B.data))
+        with np.errstate(over="ignore"):
+            with pytest.raises(EngineError, match=r"likelihood 1.*component 'c'"):
+                model.linearise(np.array([1.0, 800.0]))
+
 
 # --- gaussian approximation ------------------------------------------------
 
@@ -416,10 +431,6 @@ class TestQStarAssembly:
             h = rng.normal(size=70) * 3.0  # mixed sign
             h[rng.integers(0, 70)] = 0.0
             assert _same_matrix(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
-        # the unsymmetrised form is scipy's difference itself
-        want = (q.csc - (bmat.T @ sp.diags(h) @ bmat)).tocsc()
-        want.sum_duplicates()
-        assert _same_matrix(lin.qstar(q, h, symmetric=False), want)
 
     def test_b_with_zero_rows(self):
         q = Ar1Model(6).precision({"prec": 2.0, "rho": -0.3})

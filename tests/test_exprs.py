@@ -177,6 +177,22 @@ class TestJacobian:
         got = expr_jacobian(parse_expr("exp(a)"), env, ["b"])
         assert np.array_equal(got["b"], np.zeros(2))
 
+    def test_overflow_outside_the_name_leaves_the_derivative_exact(self):
+        # exp(800) is inf, but the subtree 1 + exp(c) does not reference
+        # a, so d/da is 1 / inf = 0 in row 0, not inf * 0
+        env = {"a": np.array([1.0, 2.0]), "c": np.array([800.0, 0.0])}
+        with np.errstate(over="ignore"):
+            got = expr_jacobian(parse_expr("a / (1 + exp(c))"), env, ["a"])
+        assert np.array_equal(got["a"], [0.0, 0.5])
+
+    def test_log_of_zero_outside_the_name_leaves_the_derivative_exact(self):
+        # log(0) is -inf, and forward mode would take its slope as 0 / 0,
+        # but log(b) does not reference a
+        env = {"a": np.array([1.0, 2.0]), "b": np.array([0.0, 1.0])}
+        with np.errstate(divide="ignore"):
+            got = expr_jacobian(parse_expr("a + log(b)"), env, ["a"])
+        assert np.array_equal(got["a"], [1.0, 1.0])
+
 
 _names = st.sampled_from(["a", "bb", "c1"])
 _leaf = st.one_of(
