@@ -130,9 +130,13 @@ def correction_matrix(fit):
         (step_vals, (step_rows, step_cols)), shape=(d, first_off + 4 * n_off)
     )
     psi = np.empty(steps.shape[1])
-    for cols in _column_blocks(0, psi.size, d + lin.delta.size):
-        eta_t = np.ascontiguousarray(model.eta(u0[:, None] + steps[:, cols].toarray()).T)
-        psi[cols] = [float(g_star @ row) for row in eta_t]
+    # a state outside the domain gives a non-finite psi, reported below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for cols in _column_blocks(0, psi.size, d + lin.delta.size):
+            eta_t = np.ascontiguousarray(
+                model.eta(u0[:, None] + steps[:, cols].toarray()).T
+            )
+            psi[cols] = [float(g_star @ row) for row in eta_t]
 
     psi0 = psi[0]
     diag_vals = (psi[1:first_off:2] - 2.0 * psi0 + psi[2:first_off:2]) / h**2

@@ -9,13 +9,16 @@ is fitted by a Laplace/grid scheme:
 * ``gaussian_approx``      -- Newton iteration for the conditional mode
                               and precision of p(u | theta, y),
 * ``log_posterior_theta``  -- Laplace approximation of p(theta | y),
-* ``theta_explore``        -- Nelder-Mead mode search plus an axis grid
-                              in standardised coordinates; the search
-                              stops once the simplex's log-posteriors
-                              agree within ``SEARCH_FATOL`` and its
-                              vertices within ``SEARCH_XATOL``, since
-                              below that it follows the jitter of
-                              warm-started Laplace evaluations,
+* ``theta_explore``        -- the theta mode plus an axis grid in
+                              standardised coordinates.  A search with
+                              no start runs Nelder-Mead; a search from
+                              a start (the previous outer iteration's
+                              mode) refines it by Newton steps on the
+                              central-difference stencil that also
+                              gives the grid its curvature.  Both stop
+                              at ``SEARCH_XATOL`` and ``SEARCH_FATOL``,
+                              since below that they follow the jitter
+                              of warm-started Laplace evaluations,
 * ``line_search``          -- the predictor-space step-size control,
 * ``fit``                  -- the outer loop choosing successive
                               linearisation points until they stop
@@ -810,16 +813,21 @@ def log_posterior_theta(model, lin, theta, u_init=None):
 GRID_SPACING = 0.75
 GRID_DROP = 5.0
 MAX_THETA_DIM = 3
-# The mode search stops once the simplex's log-posteriors agree within
-# SEARCH_FATOL and its vertices within SEARCH_XATOL (internal scale).
-# Each Laplace evaluation is warm-started and keeps its last Newton
-# factor, so log p(theta | y) carries about 1e-9 of jitter; SEARCH_FATOL
-# sits just above it.  Once the values agree that closely, shrinking
-# the simplex further follows the jitter, not the mode: SEARCH_XATOL is
-# a 0.01 % change in a precision, against grid steps of GRID_SPACING
-# posterior sds.
+# Mode searches.  A cold search (no start) runs Nelder-Mead, which stops
+# once the simplex's log-posteriors agree within SEARCH_FATOL and its
+# vertices within SEARCH_XATOL (internal scale).  A warm search refines
+# its start by Newton steps on the stencil's curvature, and stops once a
+# step is shorter than SEARCH_XATOL, or once the ascent it predicts is
+# below SEARCH_FATOL, or once halving a step below SEARCH_XATOL still
+# finds no ascent.  Each Laplace evaluation is warm-started and keeps
+# its last Newton factor, so log p(theta | y) carries about 1e-9 of
+# jitter; SEARCH_FATOL sits just above it, and below it either search
+# follows the jitter, not the mode.  SEARCH_XATOL is a 0.01 % change in
+# a precision, against grid steps of GRID_SPACING posterior sds.  Each
+# search may make SEARCH_MAXFEV Laplace evaluations.
 SEARCH_FATOL = 1e-8
 SEARCH_XATOL = 1e-4
+SEARCH_MAXFEV = 500
 
 
 class _ThetaCache:
@@ -828,15 +836,17 @@ class _ThetaCache:
     ``cache`` holds one ``(lp, kept)`` entry per evaluated theta.
 
     * A call without ``lp_floor`` keeps the GaussResult.  While
-      ``searching`` is set (the Nelder-Mead mode search, which reads only
-      lp), a new entry keeps it only if it is the best so far or ties
-      it; earlier results are dropped to ``(lp, None)``, so the search
-      holds a few factors instead of one per evaluation.
+      ``searching`` is set (Nelder-Mead's evaluations, and the start and
+      step candidates of a Newton refinement; a search reads only lp),
+      a new entry keeps it only if it is the best so far or ties it;
+      earlier results are dropped to ``(lp, None)``, so the search holds
+      a few factors instead of one per evaluation.
     * A call with ``lp_floor`` keeps the finished grid point
       (``_make_point``) when lp >= lp_floor and nothing otherwise, so no
       SuperLU object outlives its evaluation; ``lp_floor=inf`` keeps only
-      lp.  A GaussResult the entry already holds is finished without
-      evaluating again.
+      lp (the stencil's points, for a search's gradient or the grid's
+      curvature).  A GaussResult the entry already holds is finished
+      without evaluating again.
 
     A lookup outside the search that finds less than it would keep
     re-evaluates.
@@ -903,6 +913,9 @@ def _check_theta_dim(model):
 def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None):
     """Find the theta mode and build the integration grid.
 
+    Without ``theta_start`` the mode is searched by Nelder-Mead from the
+    hyperparameters' initial values; with it, the start is refined by
+    Newton steps (``_refine_mode``), which suits a start near the mode.
     ``mode_only`` returns a single-point grid at the mode (used inside
     the outer iterations); ``known_mode`` skips the optimisation
     entirely (the final integration pass of an iterative fit).
@@ -915,26 +928,10 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
         theta_hat = np.empty(0)
     elif known_mode is not None:
         theta_hat = np.asarray(known_mode, dtype=float)
+    elif theta_start is None:
+        theta_hat = _nelder_mead(evals, model.theta_internal0())
     else:
-        start = (
-            np.asarray(theta_start, dtype=float)
-            if theta_start is not None
-            else model.theta_internal0()
-        )
-        evals.searching = True
-        res = optimize.minimize(
-            lambda t: -evals(t)[0],
-            start,
-            method="Nelder-Mead",
-            options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL,
-                     "maxfev": 500, "maxiter": 1000},
-        )
-        evals.searching = False
-        if not res.success:
-            raise EngineError(
-                "hyperparameter optimisation failed within 500 evaluations"
-            )
-        theta_hat = res.x
+        theta_hat = _refine_mode(evals, np.asarray(theta_start, dtype=float).reshape(p))
 
     lp_hat, ga_hat = evals(theta_hat)
 
@@ -942,28 +939,8 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
         point = _make_point(theta_hat, lp_hat, ga_hat, lin)
         return theta_hat, [point], ga_hat
 
-    # curvature at the mode (central differences, internal scale); these
-    # evaluations keep only lp
-    def lp_at(theta):
-        return evals(theta, lp_floor=np.inf)[0]
-
-    step = 0.01
-    hess = np.empty((p, p))
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = step
-        fp = lp_at(theta_hat + ei)
-        fm = lp_at(theta_hat - ei)
-        hess[i, i] = (fp - 2.0 * lp_hat + fm) / step**2
-        for j in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[j] = step
-            fpp = lp_at(theta_hat + ei + ej)
-            fpm = lp_at(theta_hat + ei - ej)
-            fmp = lp_at(theta_hat - ei + ej)
-            fmm = lp_at(theta_hat - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-
+    # curvature at the mode; these evaluations keep only lp
+    _, hess = _stencil(lambda t: evals(t, lp_floor=np.inf)[0], theta_hat, lp_hat)
     lam, vec = np.linalg.eigh(-hess)
     lam = np.maximum(lam, 1e-8 * max(1.0, lam.max()))
     axes = vec @ np.diag(1.0 / np.sqrt(lam))  # z -> theta displacement
@@ -1003,6 +980,99 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     w /= w.sum()
     grid = [replace(pt, weight=float(weight)) for pt, weight in zip(points, w)]
     return theta_hat, grid, ga_hat
+
+
+def _search_failed(evals, search, start):
+    return EngineError(
+        f"hyperparameter {search} did not converge within {SEARCH_MAXFEV} "
+        f"evaluations, started at {_theta_dict(evals.model, start)}"
+    )
+
+
+def _nelder_mead(evals, start):
+    """The mode by Nelder-Mead from ``start``."""
+    evals.searching = True
+    res = optimize.minimize(
+        lambda t: -evals(t)[0],
+        start,
+        method="Nelder-Mead",
+        # an iteration evaluates at least once, so maxfev binds first
+        options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL,
+                 "maxfev": SEARCH_MAXFEV, "maxiter": 2 * SEARCH_MAXFEV},
+    )
+    evals.searching = False
+    if not res.success:
+        raise _search_failed(evals, "Nelder-Mead search", start)
+    return res.x
+
+
+def _stencil(lp_at, theta, lp0, cross=True):
+    """Central-difference gradient and Hessian of lp at ``theta``, whose
+    lp is ``lp0``, from 2p^2 + 1 points.  Without ``cross`` only the 2p
+    axis points are evaluated and the Hessian is None."""
+    p = theta.size
+    step = 0.01  # well above lp's jitter
+    grad = np.empty(p)
+    hess = np.empty((p, p)) if cross else None
+    for i in range(p):
+        ei = np.zeros(p)
+        ei[i] = step
+        fp = lp_at(theta + ei)
+        fm = lp_at(theta - ei)
+        grad[i] = (fp - fm) / (2.0 * step)
+        if not cross:
+            continue
+        hess[i, i] = (fp - 2.0 * lp0 + fm) / step**2
+        for j in range(i + 1, p):
+            ej = np.zeros(p)
+            ej[j] = step
+            fpp = lp_at(theta + ei + ej)
+            fpm = lp_at(theta + ei - ej)
+            fmp = lp_at(theta - ei + ej)
+            fmm = lp_at(theta - ei - ej)
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+    return grad, hess
+
+
+def _refine_mode(evals, start):
+    """The mode near ``start`` by chord Newton steps s = (-H)^-1 g.
+
+    H is the stencil's at ``start`` and is kept; each accepted point gets
+    a fresh central-difference gradient.  A step is halved until lp does
+    not decrease.  Where -H is not positive definite, Nelder-Mead runs
+    from ``start`` instead.  The start and the step candidates are
+    evaluated as search points, so the best keeps its GaussResult; the
+    stencil's points keep only lp.
+    """
+    n_calls = 0
+
+    def lp_at(theta, searching=False):
+        nonlocal n_calls
+        if n_calls >= SEARCH_MAXFEV:
+            raise _search_failed(evals, "Newton refinement", start)
+        n_calls += 1
+        evals.searching = searching
+        lp = evals(theta, lp_floor=None if searching else np.inf)[0]
+        evals.searching = False
+        return lp
+
+    theta, lp = start, lp_at(start, searching=True)
+    grad, hess = _stencil(lp_at, theta, lp)
+    try:
+        chord = linalg.cho_factor(-hess)
+    except linalg.LinAlgError:
+        return _nelder_mead(evals, start)
+    while True:
+        s = linalg.cho_solve(chord, grad)
+        if np.abs(s).max() < SEARCH_XATOL or 0.5 * grad @ s < SEARCH_FATOL:
+            return theta
+        # a NaN lp counts as a decrease
+        while not (lp_new := lp_at(theta + s, searching=True)) >= lp:
+            s = 0.5 * s
+            if np.abs(s).max() < SEARCH_XATOL:
+                return theta  # no ascent above lp's jitter
+        theta, lp = theta + s, lp_new
+        grad, _ = _stencil(lp_at, theta, lp, cross=False)
 
 
 def _make_point(theta, lp, ga, lin):
@@ -1166,14 +1236,14 @@ def fit(model, options=None):
     log = _RunLog(opts.get("bru_verbose", 0))
 
     u0 = _initial_point(model, opts)
-    theta_warm = model.theta_internal0()
+    theta_warm = None  # the first search is cold
     records = []
     converged = False
 
     if model.is_linear and not opts["force_iterative"]:
         log.say(f"iinla: Iteration 1 [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
-        theta_hat, grid, _ = theta_explore(model, lin, theta_start=theta_warm)
+        theta_hat, grid, _ = theta_explore(model, lin)
         point = _mode_point(grid)
         records.append(_record(model, 1, theta_hat, point, u0, point.mode))
         return _finish(model, grid, lin, True, records, log)

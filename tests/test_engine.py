@@ -49,6 +49,7 @@ from iterlace.latents import (
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
 from iterlace.sparse import CholFactor, SparseSym, chol
+from test_acceptance import build_joint  # c5's joint non-linear model
 
 
 # --- dense oracles -----------------------------------------------------
@@ -744,9 +745,29 @@ def _rw1_iid_noise_model():
 
 
 def _tight_search(monkeypatch):
-    """Stop the mode search only when its simplex is 1e-8 wide."""
+    """Stop a mode search only at a 1e-8 wide simplex or a 1e-8 step."""
     monkeypatch.setattr(engine, "SEARCH_XATOL", 1e-8)
     monkeypatch.setattr(engine, "SEARCH_FATOL", 1e-8)
+
+
+def _count_laplace(monkeypatch):
+    """Count log_posterior_theta calls in calls[0]."""
+    calls = [0]
+    original = engine.log_posterior_theta
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "log_posterior_theta", counted)
+    return calls
+
+
+def _exact_scalar_mode(log_post):
+    return optimize.minimize_scalar(
+        lambda t: -log_post(t), bounds=(-3.0, 5.0), method="bounded",
+        options={"xatol": 1e-10},
+    ).x
 
 
 class TestThetaExplore:
@@ -806,21 +827,82 @@ class TestThetaExplore:
         model, log_post = _iid_groups_model()
         lin = model.linearise(np.zeros(model.n_latent))
         theta_hat, _, _ = theta_explore(model, lin, mode_only=True)
-        exact = optimize.minimize_scalar(
-            lambda t: -log_post(t), bounds=(-3.0, 5.0), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        assert abs(theta_hat[0] - exact.x) < 1e-4
+        assert abs(theta_hat[0] - _exact_scalar_mode(log_post)) < 1e-4
 
-    def test_search_saves_evaluations(self, monkeypatch):
-        calls = [0]
-        original = engine.log_posterior_theta
+    def test_warm_search_refines_to_the_exact_mode(self, monkeypatch):
+        model, log_post = _iid_groups_model()
+        lin = model.linearise(np.zeros(model.n_latent))
+        exact = _exact_scalar_mode(log_post)
+        calls = _count_laplace(monkeypatch)
+        theta_explore(model, lin, mode_only=True)
+        n_cold, calls[0] = calls[0], 0
+        for start in (exact + 0.3, exact - 0.3):
+            theta_hat, _, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
+            assert abs(theta_hat[0] - exact) < 1e-4
+            assert calls[0] < n_cold
+            calls[0] = 0
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
+    def test_convex_start_falls_back_to_nelder_mead(self, monkeypatch):
+        # the Laplace log p(theta | y) of this model is convex at theta = 5
+        model, log_post = _iid_groups_model()
+        lin = model.linearise(np.zeros(model.n_latent))
+        methods = []
+        original = optimize.minimize
+
+        def recorded(*args, **kwargs):
+            methods.append(kwargs["method"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "log_posterior_theta", counted)
+        monkeypatch.setattr(engine.optimize, "minimize", recorded)
+        exact = _exact_scalar_mode(log_post)
+        theta_explore(model, lin, theta_start=[exact + 0.3], mode_only=True)
+        assert methods == []
+        theta_hat, _, _ = theta_explore(model, lin, theta_start=[5.0], mode_only=True)
+        assert methods == ["Nelder-Mead"]
+        assert abs(theta_hat[0] - exact) < 1e-4
+
+    def test_tight_refinement_ends_at_the_jitter(self, monkeypatch):
+        # with SEARCH_FATOL = 0 only the step rules stop a refinement:
+        # in lp's ~1e-9 jitter, halving a step below SEARCH_XATOL ends it
+        model = build_joint(0)
+        res = fit(model)
+        theta_hat = engine._mode_point(res.grid).theta
+        _tight_search(monkeypatch)
+        monkeypatch.setattr(engine, "SEARCH_FATOL", 0.0)
+        for start in (theta_hat + 0.3, theta_hat - np.array([0.2, -0.1])):
+            refined, _, _ = theta_explore(
+                model, res.linearisation, theta_start=start, mode_only=True
+            )
+            assert np.max(np.abs(refined - theta_hat)) < 1e-4
+
+    def test_joint_fit_evaluation_budget(self, monkeypatch):
+        # c5's seed-0 data: the warm searches of outer iterations 2-5
+        # refine the previous mode instead of restarting Nelder-Mead
+        model = build_joint(0)
+        calls = _count_laplace(monkeypatch)
+        res = fit(model)
+        assert calls[0] <= 300
+        assert res.converged and len(res.records) == 5
+        theta_hat = engine._mode_point(res.grid).theta
+        _tight_search(monkeypatch)
+        tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
+        assert np.max(np.abs(theta_hat - tight)) < 1e-3
+
+    def test_exhausted_search_names_itself_and_its_start(self, monkeypatch):
+        model, log_post = _iid_groups_model()
+        lin = model.linearise(np.zeros(model.n_latent))
+        monkeypatch.setattr(engine, "SEARCH_MAXFEV", 3)
+        start = str(engine._theta_dict(model, model.theta_internal0()))
+        with pytest.raises(EngineError, match="Nelder-Mead") as cold:
+            theta_explore(model, lin, mode_only=True)
+        assert start in str(cold.value) and "within 3 evaluations" in str(cold.value)
+        warm = [_exact_scalar_mode(log_post) + 0.3]
+        with pytest.raises(EngineError, match="Newton refinement") as refined:
+            theta_explore(model, lin, theta_start=warm, mode_only=True)
+        assert str(engine._theta_dict(model, warm)) in str(refined.value)
+
+    def test_search_saves_evaluations(self, monkeypatch):
+        calls = _count_laplace(monkeypatch)
         default = _fit_rw1_free_precision()
         n_default, calls[0] = calls[0], 0
         _tight_search(monkeypatch)
