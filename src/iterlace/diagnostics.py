@@ -14,12 +14,13 @@ matrices and evaluated a block of columns at a time
 reductions over them keep the order of a state-by-state loop, so the
 results are the same bit for bit.
 
-The KL comparison builds no matrix of its own: its Q-bar is the
+The KL comparison builds no pattern of its own: its Q-bar is the
 engine's Q* (``Linearisation.qstar``), the one matrix every Laplace
-evaluation factors, and the traces tr(G A^-1) read A^-1 on G's pattern
-from each factor's selected inverse (Takahashi recursions; Rue &
-Martino 2007), as the marginal variances do, so the one solve it makes
-is for the corrected mean.
+evaluation factors, and G lies in Q-bar's pattern, so Q-tilde is data on
+that pattern, factored with its plan.  The traces tr(G A^-1) read A^-1
+on G's pattern from each factor's selected inverse (Takahashi
+recursions; Rue & Martino 2007), as the marginal variances do, so the
+one solve it makes is for the corrected mean.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import (
-    EngineError,
     _column_blocks,
     _mode_point,
     _obs_grad_hess,
@@ -57,33 +57,17 @@ class KlReport:
     g_matrix_norm: float
 
 
-def _pair_pattern(bmat):
-    """Structural (row, col) pairs of B^T B, cancellation-proof."""
-    a = bmat.tocsr(copy=True)
-    a.data = np.abs(a.data)
-    m = (a.T @ a).tocoo()
-    keep = m.data > 0
-    return set(zip(m.row[keep].tolist(), m.col[keep].tolist()))
+def _interaction_pairs(lin):
+    """Latent index pairs (j <= k) the predictor can couple, one a row.
 
-
-def _interaction_pairs(model, lin):
-    """Latent index pairs (j <= k) the predictor can couple.
-
-    Second derivatives of the predictor live inside the sparsity of
-    B^T B.  The pattern is read off the stored Jacobian and, to dodge
-    derivatives that happen to vanish exactly at the expansion point,
-    off a second Jacobian at a nearby probe point.
+    Second derivatives of the predictor live inside the pattern of
+    B^T B, which B stores whatever its values (``Model.linearise``), so
+    the pairs are B's, plus the diagonal, and lie in Q*'s pattern.
     """
-    pairs = _pair_pattern(lin.B)
-    shift = 0.01 * (1.0 + np.abs(lin.u0))
-    probe = lin.u0 + shift * np.random.default_rng(0).standard_normal(lin.u0.size)
-    try:
-        pairs |= _pair_pattern(model.linearise(probe).B)
-    except (EngineError, ValueError, ArithmeticError):
-        pass  # probe left the predictor's domain; keep the anchored pattern
-    out = {(j, k) for j, k in pairs if j < k}
-    out |= {(j, j) for j in range(lin.u0.size)}
-    return sorted(out)
+    B = lin.B
+    ones = sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
+    m = sp.triu(ones.T @ ones + sp.identity(B.shape[1]), format="coo")
+    return np.column_stack([m.row, m.col])
 
 
 def correction_matrix(fit):
@@ -110,7 +94,7 @@ def correction_matrix(fit):
     u0 = lin.u0
     d = u0.size
     h = FD_STEP
-    pairs = np.array(_interaction_pairs(model, lin), dtype=np.int64).reshape(-1, 2)
+    pairs = _interaction_pairs(lin)
     on_diag = pairs[:, 0] == pairs[:, 1]
     jd = pairs[on_diag, 0]
     jo, ko = pairs[~on_diag].T
@@ -177,11 +161,16 @@ def kl_divergences(fit):
     q_bar = lin.qstar(model.precision(comp_vals), h_bar)
 
     gmat = correction_matrix(fit)
-    q_tilde = q_bar.csc - gmat
+    # Q-tilde = Q-bar - G as data on Q-bar's pattern, which holds G's
+    g = gmat.tocoo()
+    q_keys = np.repeat(np.arange(q_bar.n), np.diff(q_bar.indptr)) * q_bar.n + q_bar.indices
+    data = q_bar.data.copy()
+    data[np.searchsorted(q_keys, g.col * q_bar.n + g.row)] -= g.data
+    q_tilde = SparseSym._on_pattern(data, q_bar.indptr, q_bar.indices, q_bar.plan)
 
     factor_bar = chol(q_bar)
     try:
-        factor_tilde = chol(SparseSym(q_tilde))
+        factor_tilde = chol(q_tilde)
     except FactorizationError as err:
         raise DiagnosticsError(
             "nonlinearity too strong for Gaussian comparison: corrected "
@@ -194,7 +183,6 @@ def kl_divergences(fit):
     # tr(Qt Qb^-1) = d - tr(G Qb^-1) and tr(Qb Qt^-1) = d + tr(G Qt^-1),
     # and tr(G A^-1) sums G_rc (A^-1)_rc over G's entries, so only the
     # inverse's entries there are needed: the factor's selected inverse
-    g = gmat.tocoo()
     tr_bar, tr_tilde = (
         float(g.data @ factor.selected_inverse(g.row, g.col)[1])
         for factor in (factor_bar, factor_tilde)

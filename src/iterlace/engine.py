@@ -31,18 +31,19 @@ applies u - W S^-1 C u.  Every Newton step, mode, sample, and marginal
 variance goes through them, and the Laplace ratio gets matching
 correction terms so the hyperparameter posterior stays consistent.
 
-Precisions are assembled on fixed sparsity patterns.  The pattern of
-Q(theta) is fixed per model (``Model.precision``) and that of
-Q* = Q - B^T diag(h) B per linearisation (``Linearisation.qstar``), so a
-new theta writes only Q's data and a Newton step only Q*'s, with the
-same floating-point operations as the scipy expressions they replace.
+Precisions are assembled on fixed sparsity patterns, which keep exact
+zeros.  The pattern of Q(theta) is fixed per model (``Model.precision``)
+and that of Q* = Q - B^T diag(h) B per fit (``Linearisation.qstar``),
+since B stores every slope the structure gives, zeros included.  A new
+theta writes only Q's data and a Newton step only Q*'s, with the same
+floating-point operations as the scipy expressions they replace.
 Symmetry is validated when Q's pattern is built (and rebuilt, if a
 component's pattern changes); per-theta matrices are not re-validated.
-Each pattern owns the ``CholPlan`` (fill-reducing order) of its
-matrices, so an ordering is computed once per pattern, not once per
-factorisation.  A Laplace evaluation's SuperLU object lives no longer
-than its evaluation: a grid point keeps its factor's ``L``, ``perm`` and
-``log_det`` only, which is all sampling needs.
+Each pattern owns the ``CholPlan`` (fill-reducing order and inverse
+schedule) of its matrices, so an ordering is computed once per pattern,
+not once per factorisation.  A Laplace evaluation's SuperLU object lives
+no longer than its evaluation: a grid point keeps its factor's ``L``,
+``perm`` and ``log_det`` only, which is all sampling needs.
 
 A Laplace evaluation factorises once per Newton step and at no other
 time: the curvature at the mode is the last step's factor (that step
@@ -174,7 +175,7 @@ class Linearisation:
     """eta_bar(u) = delta + B u, anchored so eta_bar(u0) = eta_tilde(u0)."""
 
     u0: np.ndarray
-    B: sp.csr_matrix
+    B: sp.csr_matrix  # canonical
     delta: np.ndarray
     block_slices: list
     _qstar: object = field(default=None, init=False, repr=False, compare=False)
@@ -189,15 +190,20 @@ class Linearisation:
         """B^T, kept for the Newton steps' gradients B^T g."""
         return self.B.T
 
+    @cached_property
+    def b_pairs(self):
+        """(B_ir, B_ic) for the Q* pattern's pairs of entries in a row i."""
+        return self.B.data[self._qstar.a], self.B.data[self._qstar.b]
+
     def qstar(self, q, h):
         """Q* = Q - B^T diag(h) B for the SparseSym Q, as a SparseSym, on a
-        pattern built once per linearisation and again whenever Q's
-        pattern changes.  Every Laplace evaluation and the KL diagnostic
-        use this one matrix."""
+        pattern built once per fit (``Model.linearise`` hands it on) and
+        again whenever Q's pattern changes.  Every Laplace evaluation and
+        the KL diagnostic use this one matrix."""
         pattern = self._qstar
         if pattern is None or not pattern.fits(q):
             pattern = self._qstar = _QStarPattern(q, self.B)
-        return pattern.assemble(q, h)
+        return pattern.assemble(q, h, *self.b_pairs)
 
 
 def _same_pattern(indptr, indices, ref_indptr, ref_indices):
@@ -208,17 +214,29 @@ def _same_pattern(indptr, indices, ref_indptr, ref_indices):
     )
 
 
+def _structural_product(a, b):
+    """The sparse product a @ b on the product of the stored patterns: a
+    sum that cancels to 0, which scipy's product drops, stays stored as a
+    zero, and every value is scipy's, bit for bit (0.0 + v = v)."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    ones = [sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape) for m in (a, b)]
+    p, v = (ones[0] @ ones[1]).tocoo(), (a @ b).tocoo()  # sums of ones cannot cancel
+    ij = (np.concatenate([p.row, v.row]), np.concatenate([p.col, v.col]))
+    return sp.csr_matrix((np.concatenate([0.0 * p.data, v.data]), ij), shape=p.shape)
+
+
 class _QStarPattern:
     """The sparsity pattern of Q* = Q - B^T diag(h) B: the union of Q's and
     B^T B's, in canonical CSC order.
 
     ``assemble`` does the arithmetic of
     ``SparseSym(Q - (B.T @ sp.diags(h) @ B).tocsc())`` on this fixed
-    pattern, so it returns the same SparseSym bit for bit: entry (r, c)
-    of B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing
-    order, as scipy's sparse product does, and the symmetrisation is
-    SparseSym's (M + M^T) / 2.  The pattern's ``CholPlan`` goes with
-    every Q* built on it.
+    pattern, so it returns the same values bit for bit: entry (r, c) of
+    B^T diag(h) B sums (B_ir h_i) B_ic over rows i in increasing order,
+    as scipy's sparse product does, and the symmetrisation is
+    SparseSym's (M + M^T) / 2; exact zeros stay stored, with the plan.
+    Pair p of entries in row ``obs[p]`` of B reads ``B.data`` at ``a[p]``
+    and ``b[p]``, so every B with one stored pattern shares this one.
     """
 
     def __init__(self, q, B):
@@ -226,43 +244,36 @@ class _QStarPattern:
         self.q_indptr, self.q_indices = q.indptr, q.indices
         # every pair (a, b) of stored entries in one row i of B adds
         # (B_ir h_i) B_ic to entry (r, c), r = column of a, c = column of b
-        B = sp.csr_matrix(B)
         row_of = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
         reps = np.diff(B.indptr)[row_of]  # partners of each stored entry
         a = np.repeat(np.arange(B.nnz), reps)
         b = np.repeat(B.indptr[row_of] - np.cumsum(reps) + reps, reps) + np.arange(a.size)
-        r, c = B.indices[a].astype(np.int64), B.indices[b].astype(np.int64)
+        pair_keys = B.indices[b].astype(np.int64) * d + B.indices[a]  # c * d + r
         q_cols = np.repeat(np.arange(d, dtype=np.int64), np.diff(q.indptr))
         q_keys = q_cols * d + q.indices
-        keys = np.unique(np.concatenate([q_keys, c * d + r]))  # column-major
-        rows, cols = keys % d, keys // d
-        self.rows, self.cols = rows, cols
+        keys = np.unique(np.concatenate([q_keys, pair_keys]))  # column-major
+        self.rows, self.cols = rows, cols = keys % d, keys // d
         self.indices = rows.astype(q.indices.dtype)
         self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
         self.q_slot = np.searchsorted(keys, q_keys)
         self.t_slot = np.searchsorted(keys, rows * d + cols)
-        slot = np.searchsorted(keys, c * d + r)
-        order = np.argsort(slot, kind="stable")  # rows i stay increasing per entry
-        self.slot = slot[order]
+        order = np.argsort(pair_keys, kind="stable")  # rows i stay increasing per entry
+        self.slot = np.searchsorted(keys, pair_keys[order])
         self.obs = row_of[a][order]
-        self.b_r = B.data[a][order]
-        self.b_c = B.data[b][order]
-        self.B = B
+        self.a, self.b = a[order], b[order]
         self.plan = CholPlan(self.indptr, self.indices)
 
     def fits(self, q):
         """Whether the SparseSym Q has the pattern this was built for."""
         return _same_pattern(q.indptr, q.indices, self.q_indptr, self.q_indices)
 
-    def assemble(self, q, h):
+    def assemble(self, q, h, b_r, b_c):
         btb = np.bincount(
-            self.slot, weights=(self.b_r * h[self.obs]) * self.b_c,
-            minlength=self.indices.size,
+            self.slot, weights=(b_r * h[self.obs]) * b_c, minlength=self.indices.size
         )
         m = np.zeros(self.indices.size)
         m[self.q_slot] = q.data
         m -= btb
-        # drops exact zeros, and the plan with them
         return SparseSym._on_pattern(
             (m + m[self.t_slot]) * 0.5, self.indptr, self.indices, self.plan
         )
@@ -346,7 +357,8 @@ class Model:
 
         self._validate_refs()
         self._constraints = self._build_constraints()
-        self._q_blocks = self._q_pattern = self._q_plan = None  # see precision()
+        # see precision() and linearise()
+        self._q_blocks = self._q_pattern = self._q_plan = self._last_lin = None
 
     # -- bookkeeping
 
@@ -429,19 +441,19 @@ class Model:
         side by side and a new theta only concatenates their data, on the
         pattern's arrays and with its plan.  The pattern and its
         ``CholPlan`` are built, and Q validated as a SparseSym, on the
-        first call and again whenever a component's pattern changes (an
-        AR(1) at rho = 0 stores no off-diagonal entries).
+        first call and again whenever a component's pattern changes (one
+        built through the public ``SparseSym``, which drops zeros, may).
         """
         blocks = [c.model.precision(comp_vals[c.name]) for c in self.components]
         if self._q_pattern is None or not all(
             _same_pattern(b.indptr, b.indices, indptr, indices)
             for b, (indptr, indices) in zip(blocks, self._q_blocks)
         ):
-            q = SparseSym(sp.block_diag([b.csc for b in blocks], format="csc"))
+            q = sp.block_diag([b.csc for b in blocks], format="csc")
+            SparseSym(q)  # validates Q's symmetry
             self._q_blocks = [(b.indptr, b.indices) for b in blocks]
             self._q_pattern = q.indptr, q.indices
-            self._q_plan = q.plan = CholPlan(q.indptr, q.indices)
-            return q
+            self._q_plan = CholPlan(q.indptr, q.indices)
         data = np.concatenate([b.data for b in blocks])
         return SparseSym._on_pattern(data, *self._q_pattern, self._q_plan)
 
@@ -561,14 +573,14 @@ class Model:
                     )
                 triplets.append((slopes, inner.row, inner.col + self.offsets[name][0]))
             vals, rows, cols = map(np.concatenate, zip(*triplets))
+            # a slope of exactly 0 stays stored: B's pattern is the model's
             b_block = sp.csr_matrix((vals, (rows, cols)),
                                     shape=(eta_pre.size, self.n_latent))
-            b_block.eliminate_zeros()  # a zero slope adds no pair to Q*'s pattern
 
             eta_b = eta_pre
             if block.aggregation is not None:
                 agg, spec = block.aggregation
-                b_block = (agg.jacobian(spec, eta_pre) @ b_block).tocsr()
+                b_block = _structural_product(agg.jacobian(spec, eta_pre), b_block)
                 eta_b = agg.eval(spec, eta_pre)
             etas.append(eta_b)
             jacs.append(b_block)
@@ -578,7 +590,11 @@ class Model:
         eta_full = np.concatenate(etas)
         B = sp.vstack(jacs, format="csr")
         delta = eta_full - B @ u0
-        return Linearisation(u0=u0.copy(), B=B, delta=delta, block_slices=slices)
+        lin = Linearisation(u0=u0.copy(), B=B, delta=delta, block_slices=slices)
+        last, self._last_lin = self._last_lin, lin
+        if last is not None and _same_pattern(B.indptr, B.indices, last.B.indptr, last.B.indices):
+            lin._qstar = last._qstar  # one Q* pattern, plan and schedule per fit
+        return lin
 
     def responses(self):
         return np.concatenate([b.y for b in self.obs])
@@ -628,6 +644,7 @@ class GaussResult:
     mode: np.ndarray
     factor: CholFactor
     qstar: SparseSym
+    lin: Linearisation
     pattern: _QStarPattern  # the pattern Q* was assembled on
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
     constraint_proj: tuple = None  # (W, S) with W = Q*^{-1} C^T, S = C W
@@ -650,13 +667,14 @@ class GaussResult:
     def pred_var(self):
         """diag(B Q*^-1 B^T) for the linearisation's B, summed over the
         pairs of entries in each row of B, less the kriging drop."""
-        p = self.pattern
+        p, B = self.pattern, self.lin.B
+        b_r, b_c = self.lin.b_pairs
         var = np.bincount(
-            p.obs, weights=p.b_r * p.b_c * self._sigma[1][p.slot], minlength=p.B.shape[0]
+            p.obs, weights=b_r * b_c * self._sigma[1][p.slot], minlength=B.shape[0]
         )
         if self.constraint_proj is not None:
             W, S = self.constraint_proj
-            var = var - _kriging_var_drop(p.B @ W, S)
+            var = var - _kriging_var_drop(B @ W, S)
         return var
 
 
@@ -755,6 +773,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         mode=at.u,
         factor=factor,
         qstar=qstar,
+        lin=lin,
         pattern=lin._qstar,
         grad_at_mode=BT @ g - at.qd,
         constraint_proj=proj,

@@ -469,7 +469,7 @@ class Ar1Model(LatentModel):
     def precision(self, values):
         # tau / (1 - rho^2) times the tridiagonal with 1 at both ends of
         # the diagonal, 1 + rho^2 inside it and -rho beside it; at rho = 0
-        # the off-diagonal entries are zeros, which the pattern drops
+        # the off-diagonal entries are zeros, stored on the pattern
         tau, rho = _value(self._prec, values), _value(self._rho, values)
         indptr, indices, inner, off = self._tridiagonal
         if self.n == 1:

@@ -37,7 +37,8 @@ One built on a pattern its owner keeps (``SparseSym._on_pattern``: the
 engine's Q(theta) and Q*, and the built-in latent precisions) holds the
 pattern's own index arrays and builds its scipy matrix, ``csc``, only
 when something reads it; ``chol`` reads ``data`` and ``plan`` alone, so
-a Newton step's Q* is factorised without a scipy matrix of its own.
+a Newton step's Q* is factorised without a scipy matrix of its own.  It
+keeps its exact zeros, so its pattern and plan do not follow the values.
 
 The entries of A^{-1} on the pattern of L + L^T -- its diagonal, and
 every entry that A's own pattern holds -- come from the Takahashi
@@ -55,7 +56,7 @@ and user-defined latent models go through.  Precisions that are
 symmetric by construction -- each built-in latent model's Q(theta), and
 the engine's Q(theta) and Q* assembled on fixed sparsity patterns --
 are wrapped by ``SparseSym._on_pattern`` (or ``SparseSym._trusted``,
-from a scipy matrix), which only keeps the storage canonical.  A factor
+from a scipy matrix), which keeps the pattern as it is given.  A factor
 keeps its SuperLU object for ``solve`` until ``without_solver`` drops
 it; what is left (``L``, built then, ``perm``, ``log_det``) still
 samples through ``solve_lt`` and gives the selected inverse.
@@ -100,19 +101,19 @@ class FactorizationError(ValueError):
 class SparseSym:
     """A symmetric sparse matrix of order ``n``.
 
-    Canonical storage is CSC with summed duplicates, sorted indices and
-    no explicit zeros, held as the arrays ``data``, ``indptr`` and
-    ``indices``; ``csc`` is the scipy matrix on them, built when it is
-    first read.  Construction validates symmetry to ``1e-12`` (relative
-    to the largest entry) and then symmetrises exactly, so downstream
-    code never sees round-off asymmetry.  ``plan`` is the ``CholPlan``
-    of the matrix's pattern when its builder keeps one, else None.
+    Canonical storage is CSC with summed duplicates and sorted indices,
+    held as the arrays ``data``, ``indptr`` and ``indices``; ``csc`` is
+    the scipy matrix on them, built when it is first read.  The public
+    constructor drops explicit zeros, validates symmetry to ``1e-12``
+    (relative to the largest entry) and then symmetrises exactly, so
+    downstream code never sees round-off asymmetry.  ``plan`` is the
+    ``CholPlan`` of the matrix's pattern when its builder keeps one.
     """
 
     __slots__ = ("n", "data", "indptr", "indices", "plan", "_csc")
 
     def __init__(self, matrix):
-        m = sp.csc_matrix(matrix)
+        m = sp.csc_matrix(matrix, copy=True)  # dropping zeros must not touch a kept pattern
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
@@ -140,20 +141,12 @@ class SparseSym:
         exactly symmetric by construction, its ``csc`` not yet built.
 
         Nothing is validated, and the caller must change none of the
-        arrays afterwards.  Exact zeros in ``data`` are dropped, as the
-        public constructor drops them, into new arrays, so a pattern
-        shared with other matrices is never changed; ``plan`` must be
-        the plan of the pattern, and goes with it only if no entry is
-        dropped.
+        arrays afterwards.  The pattern is kept as it is, with any exact
+        zeros in ``data`` stored, so that every matrix built on it shares
+        its arrays and ``plan``, the pattern's ``CholPlan``.
         """
         obj = cls.__new__(cls)
         obj.n = len(indptr) - 1
-        if not data.all():
-            keep = data != 0.0
-            kept = np.concatenate([[0], np.cumsum(keep)])
-            data, indices = data[keep], indices[keep]
-            indptr = kept[indptr].astype(indptr.dtype)
-            plan = None
         obj.data, obj.indptr, obj.indices = data, indptr, indices
         obj.plan = plan
         obj._csc = None
@@ -165,17 +158,16 @@ class SparseSym:
 
         Nothing is validated, and the caller must not mutate ``csc``
         afterwards.  Storage is made canonical as the public constructor
-        would make it (``_on_pattern`` drops the zeros), so for an
-        exactly symmetric input this gives the same matrix as
-        ``SparseSym(csc)``.  ``plan`` must be the plan of ``csc``'s
-        pattern; it is attached only if that pattern is kept as it is.
+        would make it, but stored zeros are kept, so for an exactly
+        symmetric input without them this gives ``SparseSym(csc)``.
+        ``plan`` must be the plan of ``csc``'s pattern; it is attached
+        only if that pattern is kept as it is.
         """
         if not csc.has_canonical_format:
             csc.sum_duplicates()
             plan = None
         obj = cls._on_pattern(csc.data, csc.indptr, csc.indices, plan)
-        if obj.data is csc.data:
-            obj._csc = csc
+        obj._csc = csc
         return obj
 
     @property

@@ -20,7 +20,6 @@ from iterlace.diagnostics import (
 )
 from iterlace.engine import (
     Component,
-    EngineError,
     FitResult,
     Linearisation,
     Model,
@@ -36,7 +35,6 @@ from iterlace.mappers import (
     ExponentialQuantile,
     IndexMapper,
     LogSumExpMapper,
-    MapperError,
     MarginalMapper,
 )
 from iterlace.sparse import SparseSym, chol
@@ -382,7 +380,7 @@ def reference_correction_matrix(fit_result):
 
     psi0 = psi(u0)
     rows, cols, vals = [], [], []
-    for j, k in _interaction_pairs(model, lin):
+    for j, k in _interaction_pairs(lin):
         ej = np.zeros(d)
         ej[j] = h
         if j == k:
@@ -447,37 +445,6 @@ class TestBatchedAgainstPerState:
             assert got[1] == want[1]
 
 
-class TestInteractionPairs:
-    def _with_probe_error(self, error):
-        """The product fit, with v's mapper raising ``error`` at any state
-        other than the linearisation point."""
-        from iterlace.diagnostics import _interaction_pairs
-
-        res = product_fit()
-        model, lin = res.model, res.linearisation
-        mapper = model.component("v").mapper
-        anchor = lin.u0[model.slice_of("v")].copy()
-
-        class Probed(type(mapper)):
-            def eval(self, inp, state):
-                if not np.array_equal(state, anchor):
-                    raise error("outside the domain")
-                return super().eval(inp, state)
-
-        broken = Probed(mapper.n)
-        model.component("v").mapper = broken
-        return lambda: _interaction_pairs(model, lin)
-
-    @pytest.mark.parametrize("error", [MapperError, ValueError, ZeroDivisionError, EngineError])
-    def test_domain_errors_keep_the_anchored_pattern(self, error):
-        pairs = self._with_probe_error(error)()
-        assert (0, 1) in pairs and (1, 1) in pairs
-
-    def test_a_broken_mapper_propagates(self):
-        with pytest.raises(TypeError, match="outside the domain"):
-            self._with_probe_error(TypeError)()
-
-
 # --- KL against dense linear algebra ----------------------------------------
 
 def dense_kl(fit_result):
@@ -507,9 +474,9 @@ def dense_kl(fit_result):
 
 def product_fit_off_pattern():
     """``product_fit`` relinearised where b0 = 0: there b0 * exp(v) has no
-    slope in v, so Q-bar = Q* holds no (b0, v_j) entry, while G, whose
-    pattern also comes from the probe point, holds them all.  The
-    responses are scaled down tenfold, which keeps the likelihood
+    slope in v, so B stores those slopes as zeros and Q-bar = Q* stores
+    its (b0, v_j) entries as zeros, while G has non-zero values there.
+    The responses are scaled down tenfold, which keeps the likelihood
     gradient at the anchor, and with it G, small enough for the corrected
     precision to stay positive definite."""
     res = product_fit()
@@ -519,6 +486,19 @@ def product_fit_off_pattern():
     lin = res.model.linearise(u0)
     grid = [dataclasses.replace(pt, mode=u0) for pt in res.grid]
     return dataclasses.replace(res, linearisation=lin, grid=grid)
+
+
+def test_product_b_pattern_is_the_same_where_b0_is_zero():
+    # at b0 = 0 the slopes in v vanish, and B stores them as zeros
+    res = product_fit()
+    lin = res.linearisation
+    u0 = lin.u0.copy()
+    u0[res.model.slice_of("b0")] = 0.0
+    off = res.model.linearise(u0)
+    assert np.array_equal(off.B.indptr, lin.B.indptr)
+    assert np.array_equal(off.B.indices, lin.B.indices)
+    assert (off.B.toarray()[:, 1:] == 0.0).all() and (lin.B.data != 0.0).all()
+    assert off._qstar is lin._qstar
 
 
 class TestKlAgainstDense:
@@ -534,17 +514,41 @@ class TestKlAgainstDense:
         assert abs(rep.kl_nonlin_to_lin - want_nonlin) <= 1e-10 * max(1.0, want_nonlin)
         assert rep.g_matrix_norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
-    def test_off_pattern_fixture_has_pairs_outside_qstar(self):
+    @pytest.mark.parametrize("make", [product_fit, product_fit_off_pattern])
+    def test_g_lies_in_q_bar_pattern(self, make):
+        from iterlace.diagnostics import _interaction_pairs
         from iterlace.engine import _mode_point
 
-        res = product_fit_off_pattern()
-        point = _mode_point(res.grid)
-        comp_vals, _ = res.model.natural_values(point.theta)
-        q_bar = res.linearisation.qstar(res.model.precision(comp_vals),
-                                        np.ones(res.linearisation.delta.size))
-        in_qstar = q_bar.to_dense() != 0.0
-        in_g = correction_matrix(res).toarray() != 0.0
-        assert (in_g & ~in_qstar).any()
+        res = make()
+        lin = res.linearisation
+        comp_vals, _ = res.model.natural_values(_mode_point(res.grid).theta)
+        q_bar = lin.qstar(res.model.precision(comp_vals), np.ones(lin.delta.size))
+        stored, g = q_bar.csc.tocoo(), correction_matrix(res).tocoo()
+        assert set(zip(g.row, g.col)) <= set(zip(stored.row, stored.col))
+        pairs = set(map(tuple, _interaction_pairs(lin).tolist()))
+        assert (0, 1) in pairs and (1, 1) in pairs
+        if make is product_fit_off_pattern:
+            # b0 = 0: Q-bar's (b0, v_j) entries are stored zeros, G's are not
+            assert (q_bar.to_dense()[0, 1:] == 0.0).all()
+            assert (g.toarray()[0, 1:] != 0.0).all()
+
+    @pytest.mark.parametrize("make", [product_fit, product_fit_off_pattern])
+    def test_no_ordering_and_no_linearisation(self, make, monkeypatch):
+        from iterlace.sparse import CholPlan
+
+        res = make()
+        calls = {"order": 0, "linearise": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CholPlan, "_analyse", counted("order", CholPlan._analyse))
+        monkeypatch.setattr(Model, "linearise", counted("linearise", Model.linearise))
+        kl_divergences(res)
+        assert calls == {"order": 0, "linearise": 0}
 
     def test_one_qstar_and_one_solve(self, monkeypatch):
         from iterlace.sparse import CholFactor

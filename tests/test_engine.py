@@ -363,15 +363,24 @@ class TestPosteriorVariances:
 
     def test_cancelled_qstar_entry(self):
         # Q[0, 1] = -0.5 and h = -0.5 on the row of B touching latents 0
-        # and 1 cancel: Q* drops (0, 1) and its plan, and (0, 1) falls
-        # outside L's pattern, yet pred_var of that row needs Sigma[0, 1]
-        q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
-        bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]]))
-        lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(2), block_slices=[])
-        qstar = lin.qstar(q, np.array([-0.5, 0.0]))
-        assert qstar.plan is None
-        ga = engine.GaussResult(mode=np.zeros(3), factor=chol(qstar), qstar=qstar,
-                                pattern=lin._qstar, grad_at_mode=np.zeros(3))
+        # and 1 cancel: Q* stores (0, 1) as a zero and keeps its plan, but
+        # (0, 1) falls outside L's pattern, yet pred_var of that row needs
+        # Sigma[0, 1]
+        q = SparseSym.from_dense([[2.0, -0.5, 0.3, 0.0], [-0.5, 2.0, 0.3, 0.3],
+                                  [0.3, 0.3, 2.0, 0.3], [0.0, 0.3, 0.3, 2.0]])
+        bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, 1.0, 0.0]]))
+        lin = Linearisation(u0=np.zeros(4), B=bmat, delta=np.zeros(2), block_slices=[])
+        h = np.array([-0.5, 0.0])
+        qstar = lin.qstar(q, h)
+        assert qstar.plan is lin._qstar.plan and qstar.to_dense()[0, 1] == 0.0
+        want = SparseSym(q.csc - (bmat.T @ sp.diags(h) @ bmat).tocsc())
+        assert np.array_equal(qstar.to_dense(), want.to_dense())
+        factor = chol(qstar)
+        at = np.argsort(factor.perm)[:2]  # where latents 0 and 1 sit in L
+        coo = factor.L.tocoo()
+        assert (at.max(), at.min()) not in set(zip(coo.row, coo.col))
+        ga = engine.GaussResult(mode=np.zeros(4), factor=factor, qstar=qstar, lin=lin,
+                                pattern=lin._qstar, grad_at_mode=np.zeros(4))
         cov = np.linalg.inv(qstar.to_dense())
         np.testing.assert_allclose(ga.latent_var(), np.diag(cov), rtol=1e-12)
         b = bmat.toarray()
@@ -398,6 +407,12 @@ def _same_matrix(got, want):
         np.array_equal(getattr(got, attr), getattr(want, attr))
         for attr in ("data", "indices", "indptr")
     )
+
+
+def _same_values(got, want):
+    """Equal dense values: a matrix on a kept pattern may store zeros that
+    scipy's expression drops."""
+    return np.array_equal(got.toarray(), want.toarray())
 
 
 def _random_b(rng, n_rows, d, max_per_row=6):
@@ -431,7 +446,9 @@ class TestQStarAssembly:
         for _ in range(5):
             h = rng.normal(size=70) * 3.0  # mixed sign
             h[rng.integers(0, 70)] = 0.0
-            assert _same_matrix(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
+            got = lin.qstar(q, h)
+            assert _same_values(got.csc, self._scipy(q, bmat, h).csc)
+            assert got.indices is lin._qstar.indices and got.plan is lin._qstar.plan
 
     def test_b_with_zero_rows(self):
         q = Ar1Model(6).precision({"prec": 2.0, "rho": -0.3})
@@ -441,24 +458,25 @@ class TestQStarAssembly:
         assert _same_matrix(got.csc, q.csc)
 
     def test_pattern_follows_q(self):
-        # AR(1) at rho = 0 stores no off-diagonal entries, so Q's pattern
-        # changes when rho moves off zero and the Q* pattern is rebuilt
+        # an AR(1) through the public constructor stores no off-diagonal
+        # entries at rho = 0, so Q's pattern changes when rho moves off
+        # zero and the Q* pattern is rebuilt
         rng = np.random.default_rng(13)
         bmat = _random_b(rng, 30, 12, max_per_row=2)
         lin = self._lin(bmat)
         ar1 = Ar1Model(12)
         patterns = []
         for rho in (0.0, 0.0, 0.6, 0.6, 0.0):
-            q = ar1.precision({"prec": 1.0, "rho": rho})
+            q = SparseSym(ar1.precision({"prec": 1.0, "rho": rho}).csc)
             h = rng.normal(size=30)
-            assert _same_matrix(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
+            assert _same_values(lin.qstar(q, h).csc, self._scipy(q, bmat, h).csc)
             patterns.append(lin._qstar)
         assert patterns[0] is patterns[1] and patterns[2] is patterns[3]
         assert patterns[1] is not patterns[2] and patterns[3] is not patterns[4]
 
     def test_exact_cancellation_drops_entries(self):
-        # Q[0, 0] = 1, and these h cancel it exactly: the entry is dropped
-        # from Q*, as scipy drops it
+        # Q[0, 0] = 1, and these h cancel it exactly: scipy drops the
+        # entry, and Q* stores it as a zero on its kept pattern
         q = Ar1Model(4).precision({"prec": 0.75, "rho": 0.5})
         bmat = sp.csr_matrix(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [1.0, 1.0, 0, 0]]))
         lin = self._lin(bmat)
@@ -466,8 +484,11 @@ class TestQStarAssembly:
                            ([0.0, 0.0, 0.0], False)):
             h = np.array(h)
             got = lin.qstar(q, h)
-            assert _same_matrix(got.csc, self._scipy(q, bmat, h).csc)
-            assert (0 not in got.csc.indices[:got.csc.indptr[1]]) == cancels
+            want = self._scipy(q, bmat, h).csc
+            assert _same_values(got.csc, want)
+            assert (0 not in want.indices[:want.indptr[1]]) == cancels
+            assert 0 in got.csc.indices[:got.csc.indptr[1]]
+            assert got.indices is lin._qstar.indices and got.plan is lin._qstar.plan
 
 
 class TestLazyQStar:
@@ -481,29 +502,74 @@ class TestLazyQStar:
         bmat = _random_b(rng, 40, 15)
         q = Ar1Model(15).precision({"prec": 2.5, "rho": 0.3})
         h = -np.abs(rng.normal(size=40))
-        yield q, bmat, h, True
+        yield q, bmat, h
         q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
-        yield q, sp.csr_matrix(np.array([[1.0, 1.0, 0.0]])), np.array([-0.5]), False
+        yield q, sp.csr_matrix(np.array([[1.0, 1.0, 0.0]])), np.array([-0.5])
 
     def test_csc_is_built_on_first_read_and_matches_scipy(self):
-        for q, bmat, h, planned in self._cases():
+        for q, bmat, h in self._cases():
             lin = TestQStarAssembly._lin(bmat)
             a = lin.qstar(q, h)
-            assert a._csc is None and (a.plan is not None) == planned
+            assert a._csc is None and a.plan is lin._qstar.plan
             csc = a.csc
-            assert _same_matrix(csc, TestQStarAssembly._scipy(q, bmat, h).csc)
+            assert _same_values(csc, TestQStarAssembly._scipy(q, bmat, h).csc)
             assert a.csc is csc
             assert np.shares_memory(csc.data, a.data)  # built on Q*'s own arrays
 
     def test_chol_from_data_and_plan_matches_a_dense_round_trip(self):
-        for q, bmat, h, _ in self._cases():
+        for q, bmat, h in self._cases():
             a = TestQStarAssembly._lin(bmat).qstar(q, h)
             got = chol(a)
             assert a._csc is None  # factorised without building the CSC
-            want = chol(SparseSym(a.to_dense()))
+            # the dense values back on Q*'s pattern (which stores the
+            # cancelled entry), factorised on a plan of their own
+            cols = np.repeat(np.arange(a.n), np.diff(a.indptr))
+            again = SparseSym._on_pattern(a.to_dense()[a.indices, cols],
+                                          a.indptr.copy(), a.indices.copy())
+            assert again.plan is None
+            want = chol(again)
             assert _same_matrix(got.L, want.L)
             assert np.array_equal(got.perm, want.perm)
             assert got.log_det == want.log_det
+
+
+class TestStructuralPatterns:
+    """B stores every slope the model's structure gives, zeros included, so
+    a fit keeps one Q* pattern, with one ordering, for all its
+    linearisations."""
+
+    def test_joint_b_pattern_is_the_same_at_three_states(self):
+        model = build_joint(0)
+        start = engine._initial_point(model, model.options)  # xi = 0, beta1 = 1
+        assert not start[model.slice_of("xi")].any()
+        fitted = fit(model).linearisation.u0
+        no_beta1 = fitted.copy()
+        no_beta1[model.slice_of("beta1")] = 0.0
+        bs = [model.linearise(u).B for u in (start, no_beta1, fitted)]
+        for b in bs[1:]:
+            assert np.array_equal(b.indptr, bs[0].indptr)
+            assert np.array_equal(b.indices, bs[0].indices)
+        # the slopes that vanish there are stored zeros
+        assert (bs[0].data == 0.0).any() and (bs[1].data == 0.0).any()
+        assert (bs[2].data != 0.0).all()
+
+    def test_a_joint_fit_builds_one_qstar_pattern(self, monkeypatch):
+        calls = {"pattern": 0, "order": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine._QStarPattern, "__init__",
+                            counted("pattern", engine._QStarPattern.__init__))
+        monkeypatch.setattr(engine.CholPlan, "_analyse",
+                            counted("order", engine.CholPlan._analyse))
+        res = fit(build_joint(0))
+        assert len(res.records) == 5
+        # one ordering for Q*'s pattern, one for the Besag field's R + c I
+        assert calls["pattern"] == 1 and calls["order"] <= 2
 
 
 class TestModelPrecision:
@@ -521,11 +587,17 @@ class TestModelPrecision:
 
     def test_matches_the_validated_block_diagonal(self):
         model = self._model()
+        first = None
         for theta in ([0.3, 0.0, -1.0], [0.3, 0.8, -1.0], [1.1, 0.8, 2.0], [0.5, 0.0, 0.0]):
             comp_vals, _ = model.natural_values(np.array(theta))
             blocks = [c.model.precision(comp_vals[c.name]).csc for c in model.components]
             want = SparseSym(sp.block_diag(blocks, format="csc"))
-            assert _same_matrix(model.precision(comp_vals).csc, want.csc)
+            got = model.precision(comp_vals)
+            assert _same_values(got.csc, want.csc)
+            # AR(1) at rho = 0 (theta[1] = 0) stores its off-diagonal
+            # zeros, so every theta keeps the first pattern and its plan
+            first = got if first is None else first
+            assert got.indices is first.indices and got.plan is first.plan is not None
 
     def test_a_new_theta_reuses_the_pattern(self):
         model = self._model()

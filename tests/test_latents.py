@@ -197,8 +197,9 @@ class TestAr1:
         assert_allclose(q, [[3.0]])
 
     def test_cached_pattern_matches_the_scipy_expression(self):
-        # the tridiagonal written on a cached pattern is, bit for bit, the
-        # matrix scipy's diags expression gives, zeros dropped at rho = 0
+        # the tridiagonal written on a cached pattern holds, bit for bit,
+        # the values scipy's diags expression gives, and keeps the whole
+        # pattern at rho = 0, where the off-diagonal entries are stored zeros
         for n in (2, 3, 9):
             m = Ar1Model(n)
             for tau, rho in ((2.0, 0.0), (0.7, 0.35), (1.3, -0.9)):
@@ -208,10 +209,9 @@ class TestAr1:
                 off = np.full(n - 1, -rho)
                 want = sp.diags([off, diag, off], (-1, 0, 1), format="csc")
                 want = want * (tau / (1.0 - rho * rho))
-                want.eliminate_zeros()
-                for attr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(q.csc, attr), getattr(want, attr))
-                assert q.indptr is m._tridiagonal[0] or rho == 0.0
+                assert np.array_equal(q.to_dense(), want.toarray())
+                assert q.indptr is m._tridiagonal[0] and q.indices is m._tridiagonal[1]
+                assert q.data.size == 3 * n - 2
 
     def test_two_hypers_with_defaults(self):
         m = Ar1Model(4)

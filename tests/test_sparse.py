@@ -9,7 +9,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 from iterlace.engine import Component, Linearisation, Model, ObsBlock, theta_explore
 from iterlace.exprs import parse_expr
-from iterlace.latents import Ar1Model, Rw1Model
+from iterlace.latents import Ar1Model, LatentModel, Rw1Model
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.sparse import (
     CholFactor,
@@ -65,15 +65,23 @@ class TestTrustedConstruction:
             assert np.array_equal(getattr(got.csc, attr), getattr(want.csc, attr))
 
     def test_zeros_dropped_without_touching_a_shared_pattern(self):
+        # the validating constructor drops the zeros into arrays of its
+        # own, leaving the shared pattern as it is; a trusted matrix keeps
+        # the zeros, the pattern's arrays and its plan, with the same values
         base = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], [-1, 0, 1], format="csc")
         data = base.data.copy()
         data[base.indices != np.repeat(np.arange(3), np.diff(base.indptr))] = 0.0
         shared = sp.csc_matrix((data, base.indices, base.indptr), shape=(3, 3))
+        plan = CholPlan(shared.indptr, shared.indices)
+        a = SparseSym._trusted(shared, plan)
+        assert a.csc is shared and a.plan is plan and a.csc.nnz == 7
+        assert a.indices is shared.indices and a.indptr is shared.indptr
         indices = shared.indices.copy()
-        a = SparseSym._trusted(shared)
-        assert a.csc.nnz == 3
-        np.testing.assert_array_equal(a.to_dense(), 2.0 * np.eye(3))
+        want = SparseSym(shared)
+        assert want.csc.nnz == 3 and shared.nnz == 7
         np.testing.assert_array_equal(shared.indices, indices)
+        assert np.array_equal(a.to_dense(), want.to_dense())
+        _check_factor(chol(a), a)
 
 
 class TestWithoutSolver:
@@ -263,22 +271,25 @@ class TestCholPlan:
         np.testing.assert_array_equal(f.perm, np.argsort(lu.perm_c))
         assert f.L.nnz == lu.L.nnz
 
-    def test_an_exact_zero_drops_the_plan(self):
-        # Q[0, 1] = -0.5 and h = (0, 0, -0.5) cancel it exactly: Q* loses
-        # entries (0, 1) and (1, 0), so it goes without the pattern's plan
+    def test_an_exact_zero_keeps_the_plan(self):
+        # Q[0, 1] = -0.5 and h = (0, 0, -0.5) cancel it exactly: Q* stores
+        # entries (0, 1) and (1, 0) as zeros and keeps the pattern's plan
         q = Ar1Model(4).precision({"prec": 0.75, "rho": 0.5})
         bmat = sp.csr_matrix(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [1.0, 1.0, 0, 0]]))
         lin = Linearisation(u0=np.zeros(4), B=bmat, delta=np.zeros(3), block_slices=[])
-        kept = lin.qstar(q, np.array([-1.0, 0.0, 0.0]))
-        assert kept.plan is lin._qstar.plan
-        dropped = lin.qstar(q, np.array([0.0, 0.0, -0.5]))
-        assert dropped.csc.nnz == kept.csc.nnz - 2 and dropped.plan is None
-        for a in (kept, dropped):
+        for h, cancels in (([-1.0, 0.0, 0.0], False), ([0.0, 0.0, -0.5], True)):
+            h = np.array(h)
+            a = lin.qstar(q, h)
+            assert a.plan is lin._qstar.plan and a.indices is lin._qstar.indices
+            assert (a.to_dense()[0, 1] == 0.0) == cancels
+            want = SparseSym(q.csc - (bmat.T @ sp.diags(h) @ bmat).tocsc())
+            assert np.array_equal(a.to_dense(), want.to_dense())
             _check_factor(chol(a), a)
 
     def test_ar1_pattern_changes_rebuild_the_plan(self):
-        # AR(1) at rho = 0 stores no off-diagonal entries
-        comp = Component("a", Ar1Model(9))
+        # an AR(1) through the public constructor stores no off-diagonal
+        # entries at rho = 0, so Q's pattern, and Q*'s, follow rho
+        comp = Component("a", _PublicAr1(9))
         block = ObsBlock(GaussianFamily(fixed_prec=1.0), np.zeros(9), parse_expr("a"),
                          {"a": np.arange(1, 10)})
         model = Model([comp], [block])
@@ -320,6 +331,26 @@ class TestCholPlan:
         assert calls["NATURAL"] > 50
 
 
+class _PublicAr1(LatentModel):
+    """An AR(1) whose precision goes through the public ``SparseSym``
+    constructor, which drops the off-diagonal zeros at rho = 0."""
+
+    def __init__(self, n):
+        self.ar1 = Ar1Model(n)
+
+    def n_latent(self):
+        return self.ar1.n
+
+    def hypers(self):
+        return self.ar1.hypers()
+
+    def precision(self, values):
+        return SparseSym(self.ar1.precision(values).csc)
+
+    def default_mapper(self):
+        return self.ar1.default_mapper()
+
+
 def _public_route(a):
     """``a`` factored through the public ``spla.splu`` with chol's options,
     on a fresh plan of its pattern: (plan, SuperLU object, perm, pivots)."""
@@ -330,13 +361,19 @@ def _public_route(a):
     return plan, lu, perm, lu.U.diagonal()
 
 
-def _cancelled_qstar():
-    """A Q* whose (0, 1) entry cancels to an exact zero (see
-    ``test_qstar_with_a_cancelled_entry``)."""
-    q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
-    bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-    lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(1), block_slices=[])
-    return lin.qstar(q, np.array([-0.5]))
+def _cancelled_qstar(with_lin=False):
+    """A Q* whose (0, 1) entry cancels to a stored zero that its factor's
+    L leaves out (see ``test_qstar_with_a_cancelled_entry``); with
+    ``with_lin``, also its linearisation and scipy's expression for it."""
+    q = SparseSym.from_dense([[2.0, -0.5, 0.3, 0.0], [-0.5, 2.0, 0.3, 0.3],
+                              [0.3, 0.3, 2.0, 0.3], [0.0, 0.3, 0.3, 2.0]])
+    bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0]]))
+    h = np.array([-0.5])
+    lin = Linearisation(u0=np.zeros(4), B=bmat, delta=np.zeros(1), block_slices=[])
+    a = lin.qstar(q, h)
+    if not with_lin:
+        return a
+    return a, lin, SparseSym(q.csc - (bmat.T @ sp.diags(h) @ bmat).tocsc())
 
 
 class TestPrivateFactorisation:
@@ -542,18 +579,16 @@ class TestSelectedInverse:
         assert plan._schedule.fits(factors[1].L)
 
     def test_qstar_with_a_cancelled_entry(self):
-        # Q[0, 1] = -0.5 cancels against B^T diag(h) B: Q* loses (0, 1) and
-        # its plan, and elimination leaves (0, 1) out of L too, though
-        # latents 0 and 1 stay correlated through latent 2
-        q = SparseSym.from_dense([[2.0, -0.5, 0.3], [-0.5, 2.0, 0.3], [0.3, 0.3, 2.0]])
-        bmat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-        lin = Linearisation(u0=np.zeros(3), B=bmat, delta=np.zeros(1), block_slices=[])
-        a = lin.qstar(q, np.array([-0.5]))
-        assert a.plan is None and a.csc.nnz == 7
+        # Q[0, 1] = -0.5 cancels against B^T diag(h) B: Q* stores (0, 1) as
+        # a zero and keeps its plan, but elimination leaves (0, 1) out of L,
+        # though latents 0 and 1 stay correlated through latent 2
+        a, lin, want = _cancelled_qstar(with_lin=True)
+        assert a.plan is lin._qstar.plan and a.csc.nnz == 14 and a.to_dense()[0, 1] == 0.0
+        assert np.array_equal(a.to_dense(), want.to_dense())
         f = chol(a)
         at = np.argsort(f.perm)[:2]  # where latents 0 and 1 sit in L
         coo = f.L.tocoo()
         assert (at.max(), at.min()) not in set(zip(coo.row, coo.col))
-        rows, cols = np.nonzero(np.ones((3, 3)))
+        rows, cols = np.nonzero(np.ones((4, 4)))
         _check_selected(f, a, rows, cols)
         assert np.linalg.inv(a.to_dense())[0, 1] != 0.0
