@@ -57,6 +57,12 @@ class KlReport:
     g_matrix_norm: float
 
 
+def _latent(model, i):
+    """Latent ``i`` of the model, as ``name[k]`` within its component."""
+    name, (start, _) = next((n, o) for n, o in model.offsets.items() if i < o[1])
+    return f"{name}[{i - start}]"
+
+
 def _interaction_pairs(lin):
     """Latent index pairs (j <= k) the predictor can couple, one a row.
 
@@ -131,9 +137,8 @@ def correction_matrix(fit):
     vals = np.concatenate([diag_vals, off_vals, off_vals])
     bad = rows[~np.isfinite(vals)]
     if bad.size:
-        name, (start, _) = next((n, o) for n, o in model.offsets.items() if bad[0] < o[1])
         raise DiagnosticsError(
-            f"correction matrix is not finite at latent {name}[{bad[0] - start}]: "
+            f"correction matrix is not finite at latent {_latent(model, bad[0])}: "
             f"a second-difference step of {h:g} leaves the predictor's domain"
         )
     return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
@@ -164,8 +169,17 @@ def kl_divergences(fit):
     # Q-tilde = Q-bar - G as data on Q-bar's pattern, which holds G's
     g = gmat.tocoo()
     q_keys = np.repeat(np.arange(q_bar.n), np.diff(q_bar.indptr)) * q_bar.n + q_bar.indices
+    g_keys = g.col * q_bar.n + g.row
+    at = np.minimum(np.searchsorted(q_keys, g_keys), q_keys.size - 1)
+    off = np.flatnonzero(q_keys[at] != g_keys)
+    if off.size:
+        r, c = g.row[off[0]], g.col[off[0]]
+        raise DiagnosticsError(
+            f"correction matrix has an entry at latents {_latent(model, r)} and "
+            f"{_latent(model, c)}, outside the linearised precision's pattern"
+        )
     data = q_bar.data.copy()
-    data[np.searchsorted(q_keys, g.col * q_bar.n + g.row)] -= g.data
+    data[at] -= g.data
     q_tilde = SparseSym._on_pattern(data, q_bar.indptr, q_bar.indices, q_bar.plan)
 
     factor_bar = chol(q_bar)

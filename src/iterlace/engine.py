@@ -39,11 +39,12 @@ theta writes only Q's data and a Newton step only Q*'s, with the same
 floating-point operations as the scipy expressions they replace.
 Symmetry is validated when Q's pattern is built (and rebuilt, if a
 component's pattern changes); per-theta matrices are not re-validated.
-Each pattern owns the ``CholPlan`` (fill-reducing order and inverse
-schedule) of its matrices, so an ordering is computed once per pattern,
-not once per factorisation.  A Laplace evaluation's SuperLU object lives
-no longer than its evaluation: a grid point keeps its factor's ``L``,
-``perm`` and ``log_det`` only, which is all sampling needs.
+Each pattern owns the ``CholPlan`` of its matrices: the fill-reducing
+order, the symbolic factor, and the selected inverse's schedule laid out
+on it, each computed once per pattern, not once per factorisation.  A
+Laplace evaluation's SuperLU object lives no longer than its
+evaluation: a grid point keeps its factor's ``L``, ``perm`` and
+``log_det`` only, which is all sampling needs.
 
 A Laplace evaluation factorises once per Newton step and at no other
 time: the curvature at the mode is the last step's factor (that step
@@ -68,12 +69,12 @@ it raw until it is read), so an evaluation's only scipy matrix is
 Q(theta)'s.
 
 Marginal variances come from the factor alone, without a solve: a
-``GaussResult`` takes Q*^-1 once, on the pattern of L + L^T, from the
-Takahashi recursions (``CholFactor.selected_inverse``), and keeps it.
-``latent_var`` is its diagonal and ``pred_var`` is diag(B Q*^-1 B^T),
-summed over the pairs of latents that share a row of B -- the pairs
-Q*'s pattern was built from, so each lies in it -- both less the
-kriging drop.  Memory grows with nnz(L), not with n^2.
+``GaussResult`` takes Q*^-1 once, on the pattern of Q*'s symbolic
+factor, from the Takahashi recursions (``CholFactor.selected_inverse``),
+and keeps it.  ``latent_var`` is its diagonal and ``pred_var`` is
+diag(B Q*^-1 B^T), summed over the pairs of latents that share a row of
+B -- the pairs Q*'s pattern was built from, so each lies in it -- both
+less the kriging drop.  Memory grows with nnz(L), not with n^2.
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
@@ -593,7 +594,7 @@ class Model:
         lin = Linearisation(u0=u0.copy(), B=B, delta=delta, block_slices=slices)
         last, self._last_lin = self._last_lin, lin
         if last is not None and _same_pattern(B.indptr, B.indices, last.B.indptr, last.B.indices):
-            lin._qstar = last._qstar  # one Q* pattern, plan and schedule per fit
+            lin._qstar = last._qstar  # one Q* pattern per fit, so one plan and one schedule
         return lin
 
     def responses(self):

@@ -10,10 +10,11 @@ so the factor of a GMRF precision stays sparse too:
 ``perm``.
 
 A factorisation has a symbolic half that depends on the sparsity pattern
-alone -- the fill-reducing order, and where each stored entry lands in
-the permuted matrix -- and a numeric half.  A ``CholPlan`` holds the
-symbolic half of one pattern, computed once; ``chol`` gathers the
-matrix's data into the permuted pattern and factors it in natural order.
+alone -- the fill-reducing order, where each stored entry lands in the
+permuted matrix, and the pattern of the factor -- and a numeric half.  A
+``CholPlan`` holds the symbolic half of one pattern, computed once;
+``chol`` gathers the matrix's data into the permuted pattern and factors
+it in the plan's order, which SuperLU keeps as it is.
 The owner of a pattern that is refilled many times (the engine's Q(theta)
 and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
@@ -40,15 +41,17 @@ when something reads it; ``chol`` reads ``data`` and ``plan`` alone, so
 a Newton step's Q* is factorised without a scipy matrix of its own.  It
 keeps its exact zeros, so its pattern and plan do not follow the values.
 
-The entries of A^{-1} on the pattern of L + L^T -- its diagonal, and
-every entry that A's own pattern holds -- come from the Takahashi
-recursions (Takahashi, Fagan & Chin 1973; Rue & Martino 2007, section
-2), without a solve or an n x n array.  Column k of the inverse
+The entries of A^{-1} on the pattern of the symbolic factor -- its
+diagonal, and every entry that A's own pattern holds -- come from the
+Takahashi recursions (Takahashi, Fagan & Chin 1973; Rue & Martino 2007,
+section 2), without a solve or an n x n array.  Column k of the inverse
 below the diagonal needs only columns that are ancestors of k in the
 elimination tree, so all columns at one depth of the tree are computed
-together, root first.  That schedule depends on L's pattern alone; the
-plan computes it once and keeps it, and ``selected_inverse`` runs one
-vectorised sweep per depth level on each factor's values.
+together, root first.  That schedule depends on the plan's pattern
+alone: the plan lays it out once, on the symbolic factor, and
+``selected_inverse`` reads each factor's L into it (an entry that
+elimination cancelled out of L reads 0) and runs one vectorised sweep
+per depth level.
 
 Symmetry is validated where a matrix comes in from outside, by the
 public ``SparseSym(...)`` constructor, which ``sparse_from_triplets``
@@ -229,8 +232,8 @@ class CholFactor:
     """Lower-triangular Cholesky factor of a SparseSym in a fill-reducing order.
 
     The contract is ``L @ L.T == A[perm][:, perm]``: ``L`` (CSC) factors
-    the input with its rows and columns permuted by ``perm``, a
-    permutation of ``range(n)``.  ``solve`` and ``solve_lt`` undo the
+    the input with its rows and columns permuted by ``perm``, the order
+    of the factor's ``CholPlan``.  ``solve`` and ``solve_lt`` undo the
     permutation, so callers see only A: ``solve`` returns A^{-1} rhs and
     ``solve_lt`` returns vectors with covariance A^{-1}.  ``log_det`` is
     the log-determinant of A, which the permutation does not change.
@@ -249,16 +252,20 @@ class CholFactor:
     (a Newton step's) builds no scipy matrix at all.
     """
 
-    __slots__ = ("n", "perm", "log_det", "_L", "_pivots", "_splu", "_plan")
+    __slots__ = ("n", "log_det", "_L", "_pivots", "_splu", "_plan")
 
-    def __init__(self, n, L, perm, log_det, splu_obj, plan, pivots=None):
+    def __init__(self, n, L, log_det, splu_obj, plan, pivots=None):
         self.n = n
         self._L = L
         self._pivots = pivots
-        self.perm = perm
         self.log_det = log_det
         self._splu = splu_obj
         self._plan = plan
+
+    @property
+    def perm(self):
+        """The fill-reducing order: its plan's."""
+        return self._plan.perm
 
     @property
     def L(self):
@@ -284,7 +291,7 @@ class CholFactor:
         """This factor without its SuperLU object: ``solve_lt``,
         ``selected_inverse``, ``L``, ``perm`` and ``log_det`` still work,
         ``solve`` raises."""
-        return CholFactor(self.n, self.L, self.perm, self.log_det, None, self._plan)
+        return CholFactor(self.n, self.L, self.log_det, None, self._plan)
 
     def _solver(self):
         if self._splu is None:
@@ -317,23 +324,20 @@ class CholFactor:
         """Entries of A^{-1} from the Takahashi recursions on ``L``.
 
         Returns the diagonal of A^{-1}, and its entries at the index pairs
-        ``(rows[i], cols[i])``.  The recursions run on L's pattern, which
-        holds A's unless elimination cancelled an entry to an exact zero;
-        a pair it does not hold widens that pattern for this factor, at
-        the cost of a new schedule.  No solve is made and no n x n array
-        formed: Sigma takes one value per entry of L, and the kept
-        schedule one index triple per pair of entries below the diagonal
-        of a column of L.
+        ``(rows[i], cols[i])``, which must lie in the pattern of the plan's
+        symbolic factor; that pattern holds A's, and a pair outside it
+        raises ``ValueError``.  No solve is made and no n x n array
+        formed: Sigma takes one value per entry of the symbolic factor,
+        and the plan's schedule one index triple per pair of entries
+        below the diagonal of one of its columns.
         """
         n = self.n
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[self.perm] = np.arange(n)
-        r = inverse[np.asarray(rows, dtype=np.int64)]
-        c = inverse[np.asarray(cols, dtype=np.int64)]
+        r = self._plan.inverse[np.asarray(rows, dtype=np.int64)]
+        c = self._plan.inverse[np.asarray(cols, dtype=np.int64)]
+        schedule = self._plan.schedule
         # entry (max, min) of the lower triangle, keyed column-major
-        wanted = np.minimum(r, c) * n + np.maximum(r, c)
-        schedule, slots = self._plan.inverse_schedule(self.L, wanted)
-        sigma = schedule.sweep(self.L.data)
+        slots = schedule.find(np.minimum(r, c) * n + np.maximum(r, c))
+        sigma = schedule.sweep(self.L)
         d = np.empty(n)
         d[self.perm] = sigma[schedule.diagonal]
         return d, sigma[slots]
@@ -380,17 +384,19 @@ class CholPlan:
     what it factors).  All are computed on first use, until which
     ``perm`` is None.
 
-    The plan also keeps the symbolic half of the selected inverse of its
-    factors (``inverse_schedule``), built on the first factor's L and
-    rebuilt only when a factor's L has another pattern or an entry is
-    wanted that the kept one lacks.
+    The stand-in's factor, united with A's permuted lower triangle, is
+    the symbolic factor of every matrix on the pattern: each factor's L
+    holds at most its entries.  ``schedule``, the symbolic half of the
+    selected inverse (``_InverseSchedule``), is laid out on it once, on
+    first read, and serves every factor of the plan.
 
     The plan keeps the pattern's CSC ``indptr`` and ``indices`` arrays,
     which must not be changed afterwards.
     """
 
     __slots__ = (
-        "n", "indptr", "indices", "perm", "inverse", "_gather", "_permuted", "_schedule",
+        "n", "indptr", "indices", "perm", "inverse", "_gather", "_permuted", "_stand_in_l",
+        "_schedule",
     )
 
     def __init__(self, indptr, indices):
@@ -400,18 +406,23 @@ class CholPlan:
         self.perm = None
         self._schedule = None
 
-    def inverse_schedule(self, L, wanted):
-        """The ``_InverseSchedule`` of the factor ``L`` of a matrix with this
-        pattern, holding the lower-triangle keys ``wanted``, and the
-        storage slots of those keys.  The kept schedule is reused when L
-        has its pattern and it holds every wanted key."""
-        schedule = self._schedule
-        if schedule is not None and schedule.fits(L):
-            slots = schedule.find(wanted)
-            if slots.size == 0 or slots.min() >= 0:
-                return schedule, slots
-        schedule = self._schedule = _InverseSchedule(L, wanted)
-        return schedule, schedule.find(wanted)
+    @property
+    def schedule(self):
+        """The ``_InverseSchedule`` of every factor on this plan, laid out
+        on the symbolic factor's pattern when first read."""
+        if self._schedule is None:
+            if self.perm is None:
+                self._analyse()
+            # the lower triangles of the stand-in's L and of A[perm][:, perm]:
+            # A's entries, and the schedule's closure, restore any entry
+            # that cancelled in the stand-in
+            n, b = self.n, self._permuted
+            keys = np.concatenate([
+                np.repeat(np.arange(n), np.diff(indptr)) * n + indices[: indptr[-1]]
+                for indices, indptr in (self._stand_in_l, (b.indices, b.indptr))
+            ])
+            self._schedule = _InverseSchedule(n, np.unique(keys[keys % n >= keys // n]))
+        return self._schedule
 
     def permuted(self, data):
         """``A[perm][:, perm]`` for the matrix with this pattern and CSC
@@ -432,12 +443,16 @@ class CholPlan:
             )
         # off-diagonal entries 1, diagonal n: strictly diagonally dominant,
         # so positive definite whatever the pattern
-        stand_in = sp.csc_matrix(
-            (np.where(diagonal, float(n), 1.0), rows, self.indptr), shape=(n, n)
+        lu = _superlu.gstrf(
+            n, rows.size, np.where(diagonal, float(n), 1.0),
+            rows.astype(np.intc), self.indptr.astype(np.intc),
+            csc_construct_func=_raw_csc, ilu=False,
+            options=dict(_SUPERLU_OPTIONS, ColPerm="MMD_AT_PLUS_A"),
         )
-        perm = np.argsort(_splu(stand_in, "MMD_AT_PLUS_A").perm_c)
+        perm = np.argsort(lu.perm_c)
         inverse = np.argsort(perm)
         r, c = inverse[rows], inverse[cols]
+        self._stand_in_l = lu.L[0][1:]  # its indices and indptr, in the plan's order
         gather = np.lexsort((r, c))  # column-major, rows sorted
         indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
@@ -449,7 +464,8 @@ class CholPlan:
 
 
 class _InverseSchedule:
-    """The symbolic half of the selected inverse of a Cholesky factor L.
+    """The symbolic half of the selected inverse of the Cholesky factors
+    on one pattern.
 
     Sigma = (L L^T)^{-1} satisfies the Takahashi recursions: for column k,
     with S the rows below the diagonal of L[:, k] and l_i = L[i, k] / L[k, k],
@@ -463,17 +479,16 @@ class _InverseSchedule:
     root down computes a whole depth level at a time.
 
     The recursions need a closed pattern: entries below the diagonal of
-    one column in rows i and j need entry (max(i, j), min(i, j)).  A
-    symbolic factor's pattern is closed, but scipy's L omits entries that
-    cancelled to an exact zero, so the pattern here is L's with the
-    ``wanted`` entries added, grown by what it lacks until it is closed
-    (entries not in L hold 0).
+    one column in rows i and j need entry (max(i, j), min(i, j)).  The
+    symbolic factor's pattern is closed; the keys given are grown by
+    what they lack until they are, in case an entry cancelled in the
+    factor they were read from.  A factor's L holds at most the
+    pattern's entries, and one it lacks reads 0.
 
     Entries are keyed ``column * n + row`` on the lower triangle, in
     ``keys`` (sorted); ``slot`` takes a key's index to its storage slot,
-    ``src`` a slot to its value's place in ``L.data`` (one past the end
-    for an entry L lacks), ``diagonal`` a column to its diagonal's slot,
-    and ``diag_of`` a slot to the diagonal slot of its column.
+    ``diagonal`` a column to its diagonal's slot, and ``diag_of`` a slot
+    to the diagonal slot of its column.
     Storage puts each depth level together, root first: the level's
     entries below the diagonal, then its diagonal entries.  ``levels``
     holds, per level, the storage bounds ``(o0, o1, d1)`` of those two
@@ -485,35 +500,15 @@ class _InverseSchedule:
     """
 
     __slots__ = (
-        "n", "_l_indptr", "_l_indices", "keys", "slot", "src", "diagonal",
-        "diag_of", "col_local", "pair_sigma", "pair_l", "pair_out", "levels",
+        "n", "keys", "slot", "diagonal", "diag_of", "col_local", "pair_sigma",
+        "pair_l", "pair_out", "levels",
     )
 
-    def __init__(self, L, wanted):
-        n = L.shape[0]
+    def __init__(self, n, keys):
         self.n = n
-        self._l_indptr, self._l_indices = L.indptr, L.indices
-        if L.nnz == n and not (wanted % (n + 1)).any():
-            # a diagonal L, and only diagonal entries wanted: every column
-            # is a root, and Sigma[k, k] = 1 / L[k, k]^2 needs no pairs
-            self.keys = np.arange(n) * (n + 1)
-            self.slot = self.src = self.diagonal = self.diag_of = np.arange(n)
-            self.col_local = self.pair_sigma = self.pair_l = self.pair_out = self.slot[:0]
-            self.levels = [(0, 0, n, 0, 0)]
-            return
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(L.indptr))
-        l_keys = cols * n + L.indices
-        keys = np.unique(np.concatenate([l_keys, np.arange(n) * (n + 1), wanted]))
         while (missing := self._lay_out(keys)) is not None:
             keys = np.union1d(keys, missing)
         self.keys = keys
-        # where each slot's value sits in L.data; slots L lacks read the
-        # zero appended after it
-        order = np.argsort(l_keys)
-        at = np.minimum(np.searchsorted(l_keys, keys, sorter=order), l_keys.size - 1)
-        src = np.empty(keys.size, dtype=np.int64)
-        src[self.slot] = np.where(l_keys[order[at]] == keys, order[at], l_keys.size)
-        self.src = src
 
     def _lay_out(self, keys):
         """Lay the recursions out on the sorted lower-triangle ``keys``
@@ -572,22 +567,20 @@ class _InverseSchedule:
         ]
         return None
 
-    def fits(self, L):
-        """Whether the factor ``L`` has the pattern this was laid out for."""
-        return np.array_equal(L.indptr, self._l_indptr) and np.array_equal(
-            L.indices, self._l_indices
-        )
-
     def find(self, wanted):
-        """Storage slots of the lower-triangle keys ``wanted``, -1 for a
-        key the pattern lacks."""
+        """Storage slots of the lower-triangle keys ``wanted``; a key the
+        pattern lacks raises ``ValueError``."""
         at = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
-        return np.where(self.keys[at] == wanted, self.slot[at], -1)
+        if (self.keys[at] != wanted).any():
+            raise ValueError("an entry lies outside the selected inverse's pattern")
+        return self.slot[at]
 
-    def sweep(self, data):
-        """Sigma on the pattern, by storage slot, for a factor whose L has
-        CSC ``data`` on the pattern this was laid out for."""
-        lv = np.append(data, 0.0)[self.src]
+    def sweep(self, L):
+        """Sigma on the pattern, by storage slot, for the factor ``L`` (CSC)
+        of a matrix on the plan this was laid out for."""
+        cols = np.repeat(np.arange(self.n), np.diff(L.indptr))
+        lv = np.zeros(self.keys.size)  # an entry L lacks reads 0
+        lv[self.slot[np.searchsorted(self.keys, cols * self.n + L.indices)]] = L.data
         inv = 1.0 / lv[self.diag_of]  # 1 / L[k, k] at every slot of column k
         scaled = lv * inv  # L[i, k] / L[k, k]
         lp = scaled[self.pair_l]
@@ -616,9 +609,11 @@ def chol(a):
     so the factor keeps roughly the sparsity of A (Rue & Held 2005,
     *GMRFs*, section 2.4.1).  That order comes from the matrix's
     ``CholPlan`` (a fresh one when ``a.plan`` is None), and the matrix,
-    pre-permuted by it, is factorised in natural order; any column order
-    SuperLU still applies is composed into ``perm``.  The matrix is read
-    through ``a.data`` and its plan alone, so ``a.csc`` is not built.
+    pre-permuted by it, is factorised in natural order, which SuperLU
+    keeps: the plan's order is already post-ordered along the
+    elimination tree, so the factor's ``perm`` is the plan's.  The
+    matrix is read through ``a.data`` and its plan alone, so ``a.csc``
+    is not built.
     The LU factorisation is restricted to diagonal pivots with the same
     row and column order, so for a symmetric positive-definite input
     U = D L^T and the Cholesky factor of A[perm][:, perm] is L sqrt(D)
@@ -645,13 +640,12 @@ def chol(a):
         )
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise FactorizationError(f"factorisation failed: {err}") from err
-    perm_c = lu.perm_c
-    if not (lu.perm_r == perm_c).all():
-        # diagonal pivoting keeps rows and columns in one order; guard so
-        # that an off-diagonal pivot never leaks into a "Cholesky" factor
+    order = np.arange(a.n)
+    if not ((lu.perm_c == order).all() and (lu.perm_r == order).all()):
+        # diagonal pivoting keeps rows and columns in the plan's order;
+        # guard so that a reordering or an off-diagonal pivot never leaks
+        # into a "Cholesky" factor
         raise FactorizationError("factorisation produced an unexpected permutation")
-    perm = np.empty_like(plan.perm)
-    perm[perm_c] = plan.perm  # plan.perm[argsort(perm_c)]
     # the pivots: U is upper triangular, and SuperLU ends its column j
     # with the supernode rows up to j, so the diagonal entry comes last
     u_data, _, u_indptr = lu.U[0]
@@ -659,7 +653,7 @@ def chol(a):
     if not (d > 0.0).all():
         k = int(np.flatnonzero(~(d > 0.0))[0])
         raise FactorizationError(
-            f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}",
+            f"matrix is not positive definite: pivot {k} (row {plan.perm[k]}) is {d[k]:g}",
             pivot=k,
         )
-    return CholFactor(a.n, lu.L[0], perm, float(np.log(d).sum()), lu, plan, pivots=d)
+    return CholFactor(a.n, lu.L[0], float(np.log(d).sum()), lu, plan, pivots=d)

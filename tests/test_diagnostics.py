@@ -501,6 +501,25 @@ def test_product_b_pattern_is_the_same_where_b0_is_zero():
     assert off._qstar is lin._qstar
 
 
+def test_g_outside_q_bar_pattern_names_both_latents(monkeypatch):
+    # Q-bar of product_fit couples b0 with each v_j but no two v's, so a G
+    # entry at (v_0, v_1) has no place in Q-tilde's data
+    from iterlace import diagnostics
+
+    res = product_fit()
+    exact = diagnostics.correction_matrix
+
+    def off_pattern(fit_result):
+        g = exact(fit_result).tolil()
+        g[1, 2] = g[2, 1] = 1e-3
+        return g.tocsr()
+
+    monkeypatch.setattr(diagnostics, "correction_matrix", off_pattern)
+    with pytest.raises(DiagnosticsError,
+                       match=r"at latents v\[0\] and v\[1\], outside the linearised"):
+        kl_divergences(res)
+
+
 class TestKlAgainstDense:
     @pytest.mark.parametrize("make", [product_fit, product_fit_off_pattern])
     def test_matches_dense_inverse_and_log_determinants(self, make):

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy import optimize, stats
 from scipy.special import lambertw
 
-from iterlace import engine
+from iterlace import engine, sparse
 from iterlace.engine import (
     Component,
     EngineError,
@@ -554,7 +554,7 @@ class TestStructuralPatterns:
         assert (bs[2].data != 0.0).all()
 
     def test_a_joint_fit_builds_one_qstar_pattern(self, monkeypatch):
-        calls = {"pattern": 0, "order": 0}
+        calls = {"pattern": 0, "order": 0, "schedule": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -566,10 +566,15 @@ class TestStructuralPatterns:
                             counted("pattern", engine._QStarPattern.__init__))
         monkeypatch.setattr(engine.CholPlan, "_analyse",
                             counted("order", engine.CholPlan._analyse))
+        monkeypatch.setattr(sparse._InverseSchedule, "__init__",
+                            counted("schedule", sparse._InverseSchedule.__init__))
         res = fit(build_joint(0))
         assert len(res.records) == 5
         # one ordering for Q*'s pattern, one for the Besag field's R + c I
         assert calls["pattern"] == 1 and calls["order"] <= 2
+        # one selected-inverse schedule, on Q*'s symbolic factor, although
+        # the first two linearisations' L leave out entries that cancelled
+        assert calls["schedule"] == 1
 
 
 class TestModelPrecision:

@@ -1,5 +1,7 @@
 """Tests for the symmetric sparse matrix / Cholesky layer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._dsolve import _superlu
 
 from iterlace.engine import Component, Linearisation, Model, ObsBlock, theta_explore
+from iterlace import sparse
 from iterlace.exprs import parse_expr
 from iterlace.latents import Ar1Model, LatentModel, Rw1Model
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
@@ -387,6 +390,9 @@ class TestPrivateFactorisation:
         for a in cases:
             f = chol(a)
             plan, lu, perm, d = _public_route(a)
+            # SuperLU keeps the plan's order, which chol's guard rests on
+            np.testing.assert_array_equal(lu.perm_c, np.arange(a.n))
+            np.testing.assert_array_equal(lu.perm_r, np.arange(a.n))
             np.testing.assert_array_equal(f.perm, perm)
             assert f.log_det == float(np.log(d).sum())
             L = lu.L
@@ -414,6 +420,21 @@ class TestPrivateFactorisation:
             assert str(exc.value) == (
                 f"matrix is not positive definite: pivot {k} (row {perm[k]}) is {d[k]:g}"
             )
+
+    def test_a_reordering_by_superlu_raises(self, monkeypatch):
+        # a factor in an order other than the plan's would break perm
+        gstrf = _superlu.gstrf
+
+        def reordered(*args, **kwargs):
+            lu = gstrf(*args, **kwargs)
+            # rows and columns in one order, but not the plan's
+            return SimpleNamespace(L=lu.L, U=lu.U, perm_c=lu.perm_c[::-1],
+                                   perm_r=lu.perm_r[::-1])
+
+        a = random_spd(np.random.default_rng(19), 6)
+        monkeypatch.setattr(sparse, "_superlu", SimpleNamespace(gstrf=reordered))
+        with pytest.raises(FactorizationError, match="unexpected permutation"):
+            chol(a)
 
     def test_singular_raises(self):
         a = SparseSym.from_dense(np.ones((2, 2)))
@@ -536,9 +557,11 @@ class TestSelectedInverse:
         a = SparseSym(sp.diags(d, format="csc"))
         f = chol(a)
         np.testing.assert_allclose(f.diag_inverse(), 1.0 / d, rtol=1e-15)
-        # an off-diagonal entry of a diagonal matrix's inverse is zero
-        diag, vals = f.selected_inverse([0, 3], [2, 3])
-        np.testing.assert_allclose(vals, [0.0, 1.0 / 8.0], rtol=1e-15)
+        diag, vals = f.selected_inverse([3], [3])
+        np.testing.assert_allclose(vals, [1.0 / 8.0], rtol=1e-15)
+        # the plan's pattern is the diagonal, so (0, 2) lies outside it
+        with pytest.raises(ValueError, match="outside the selected inverse's pattern"):
+            f.selected_inverse([0], [2])
 
     def test_matrices_sharing_a_plan(self):
         a = intercept_bym_qstar(side=6)
@@ -561,22 +584,23 @@ class TestSelectedInverse:
 
     def test_a_factor_entry_that_cancels_to_zero(self):
         # in the plan's order the matrix is [[1, 1, 1], [1, 2, 1], [1, 1, 2]],
-        # whose L[2, 1] is 1 - 1 * 1 = 0: scipy's L omits it, so the second
-        # factor's pattern is not closed and not the first one's
+        # whose L[2, 1] is 1 - 1 * 1 = 0: scipy's L omits it, and the plan's
+        # one schedule, on the full pattern, reads 0 there
         full = sp.csc_matrix(np.ones((3, 3)))
         plan = CholPlan(full.indptr, full.indices)
         plan.permuted(full.data)  # computes the order
         inv = plan.inverse
         b = np.array([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]])[inv][:, inv]
-        factors = []
+        factors, schedules = [], []
         for dense in (np.eye(3) * 3.0 + 1.0, b):
             a = SparseSym._trusted(sp.csc_matrix(dense), plan)
             f = chol(a)
             _check_selected(f, a)  # L + L^T, which lacks the cancelled entry
             _check_selected(f, a, *np.nonzero(np.ones((3, 3))))
             factors.append(f)
+            schedules.append(plan.schedule)
         assert factors[0].L.nnz == 6 and factors[1].L.nnz == 5
-        assert plan._schedule.fits(factors[1].L)
+        assert schedules[0] is schedules[1] and schedules[0].keys.size == 6
 
     def test_qstar_with_a_cancelled_entry(self):
         # Q[0, 1] = -0.5 cancels against B^T diag(h) B: Q* stores (0, 1) as
@@ -589,6 +613,70 @@ class TestSelectedInverse:
         at = np.argsort(f.perm)[:2]  # where latents 0 and 1 sit in L
         coo = f.L.tocoo()
         assert (at.max(), at.min()) not in set(zip(coo.row, coo.col))
-        rows, cols = np.nonzero(np.ones((4, 4)))
+        rows, cols, _ = a.triplets()  # Q*'s stored pattern, (0, 1) included
+        assert (0, 1) in set(zip(rows, cols))
         _check_selected(f, a, rows, cols)
         assert np.linalg.inv(a.to_dense())[0, 1] != 0.0
+        with pytest.raises(ValueError, match="outside the selected inverse's pattern"):
+            f.selected_inverse([0], [3])
+
+
+def _dense_symbolic_keys(plan, rng):
+    """Lower-triangle keys (column * n + row) of the nonzeros of the dense
+    Cholesky factor of a random SPD matrix on the plan's pattern, in the
+    plan's order: with generic values nothing cancels, so they are the
+    symbolic factor's."""
+    n = plan.n
+    rows = plan.indices
+    cols = np.repeat(np.arange(n), np.diff(plan.indptr))
+    vals = rng.uniform(-1.0, 1.0, rows.size)
+    dense = np.zeros((n, n))
+    dense[rows, cols] = vals
+    dense = dense + dense.T + 2.0 * n * np.eye(n)  # symmetric, diagonally dominant
+    p = plan.perm
+    r, c = np.nonzero(np.linalg.cholesky(dense[p][:, p]))
+    return np.sort(c * n + r)
+
+
+class TestSymbolicFactor:
+    """A plan's schedule is laid out on its pattern's symbolic factor,
+    before any matrix on it is factorised."""
+
+    def _check(self, plan, rng):
+        assert plan.perm is None  # no matrix on the plan is factorised yet
+        keys = plan.schedule.keys
+        np.testing.assert_array_equal(keys, _dense_symbolic_keys(plan, rng))
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(51)
+        for n in (1, 2, 9, 40, 80):
+            for density in (0.05, 0.2):
+                a = random_spd(rng, n, density)
+                self._check(CholPlan(a.indptr, a.indices), rng)
+
+    def test_intercept_first_lattice(self):
+        a = intercept_bym_qstar(side=12)
+        self._check(CholPlan(a.indptr, a.indices), np.random.default_rng(52))
+
+    def test_qstar_with_a_cancelled_entry(self):
+        # Q*'s stored zero at (0, 1) is part of its pattern, and so of the
+        # symbolic factor, though a factor's L leaves it out
+        a = _cancelled_qstar()
+        self._check(a.plan, np.random.default_rng(53))
+        r, c = a.plan.inverse[[0, 1]]
+        a.plan.schedule.find(np.array([min(r, c) * a.n + max(r, c)]))  # does not raise
+
+    def test_closure_grows_a_pattern_to_the_symbolic_factor(self):
+        # laid out on A's lower triangle alone, which is not closed, the
+        # schedule grows it by the fill it lacks
+        rng = np.random.default_rng(54)
+        for a in (intercept_bym_qstar(side=6), random_spd(rng, 40, 0.05)):
+            plan = CholPlan(a.indptr, a.indices)
+            symbolic = plan.schedule.keys
+            cols = np.repeat(np.arange(a.n), np.diff(a.indptr))
+            r, c = plan.inverse[a.indices], plan.inverse[cols]
+            lower = r >= c
+            a_keys = np.unique(c[lower] * a.n + r[lower])
+            assert a_keys.size < symbolic.size
+            grown = sparse._InverseSchedule(a.n, a_keys)
+            np.testing.assert_array_equal(grown.keys, symbolic)
