@@ -26,10 +26,11 @@ is fitted by a Laplace/grid scheme:
 
 Sum-to-zero constraints on intrinsic components are imposed by
 conditioning-by-kriging (Rue & Held 2005, section 2.3.3), written once:
-``_kriging`` builds the pair W = A^-1 C^T, S = C W and ``_project``
-applies u - W S^-1 C u.  Every Newton step, mode, sample, and marginal
-variance goes through them, and the Laplace ratio gets matching
-correction terms so the hyperparameter posterior stays consistent.
+``_Kriging`` keeps C, W = A^-1 C^T, S = C W and K = W S^-1, S inverted
+once per factor; ``project`` (u - K C u, for one state or a block) and
+``var_drop`` are then products.  Every Newton step, feasible start,
+mode, sample and marginal variance goes through one, and the Laplace
+ratio reads its S, so the hyperparameter posterior stays consistent.
 
 Precisions are assembled on fixed sparsity patterns, which keep exact
 zeros.  The pattern of Q(theta) is fixed per model (``Model.precision``)
@@ -80,10 +81,10 @@ Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
 are batched per grid point: the grid indices and normals are taken in
 per-draw stream order, then each grid point's draws come from one
-triangular solve with a matrix right-hand side (``_draw_block``), and
-the call returns the (n_draws, n_latent) matrix of draws, one per row.
-``generate``, the linearisation diagnostic and SBC all draw through it
-(SBC's prior draw through the same ``_draw_block``, with one column).
+triangular solve and one kriging projection of the whole block
+(``_draw_block``); the call returns the (n_draws, n_latent) matrix of
+draws, one per row.  ``generate``, the linearisation diagnostic and SBC
+all draw through it (SBC's prior draw with one column).
 
 The predictor (``Model.eta``, ``Model.eta_block``, ``Linearisation.eval``)
 and prediction expressions (``expr_env``) take a state matrix of shape
@@ -106,7 +107,7 @@ import scipy.sparse as sp
 from scipy import linalg, optimize
 
 from .exprs import AdditiveAll, expr_jacobian, detect_additive
-from .sparse import CholFactor, CholPlan, SparseSym, chol
+from .sparse import CholFactor, CholPlan, SparseSym, _same_pattern, _unique_keys, chol
 
 __all__ = [
     "EngineError",
@@ -207,14 +208,6 @@ class Linearisation:
         return pattern.assemble(q, h, *self.b_pairs)
 
 
-def _same_pattern(indptr, indices, ref_indptr, ref_indices):
-    """Whether CSC index arrays hold the reference pattern; arrays that are
-    the reference's own are not compared entry by entry."""
-    return (indptr is ref_indptr or np.array_equal(indptr, ref_indptr)) and (
-        indices is ref_indices or np.array_equal(indices, ref_indices)
-    )
-
-
 def _structural_product(a, b):
     """The sparse product a @ b on the product of the stored patterns: a
     sum that cancels to 0, which scipy's product drops, stays stored as a
@@ -252,7 +245,7 @@ class _QStarPattern:
         pair_keys = B.indices[b].astype(np.int64) * d + B.indices[a]  # c * d + r
         q_cols = np.repeat(np.arange(d, dtype=np.int64), np.diff(q.indptr))
         q_keys = q_cols * d + q.indices
-        keys = np.unique(np.concatenate([q_keys, pair_keys]))  # column-major
+        keys = _unique_keys(np.concatenate([q_keys, pair_keys]))  # column-major
         self.rows, self.cols = rows, cols = keys % d, keys // d
         self.indices = rows.astype(q.indices.dtype)
         self.indptr = np.searchsorted(keys, np.arange(d + 1) * d).astype(q.indptr.dtype)
@@ -292,7 +285,7 @@ class ThetaPoint:
     latent_var: np.ndarray
     pred_mean: np.ndarray
     pred_var: np.ndarray
-    constraint_proj: tuple = None  # (W, S) for sampling projection
+    kriging: _Kriging = None  # conditions the point's draws on C u = 0
 
 
 @dataclass
@@ -391,13 +384,25 @@ class Model:
         return slice(start, end)
 
     def _build_constraints(self):
+        """The model's constraint rows, each component's on its own
+        columns, so that C has full row rank when each component's rows
+        do; linearly dependent rows would make every S = C W singular."""
         rows = []
         for c in self.components:
             cons = c.model.constraints()
             if cons is None:
                 continue
+            cons = np.atleast_2d(cons)
+            # rows on disjoint, non-empty supports (every built-in
+            # component's) are independent without a rank computation
+            support = cons != 0
+            disjoint = support.any(axis=1).all() and (support.sum(axis=0) <= 1).all()
+            if not disjoint and np.linalg.matrix_rank(cons) < len(cons):
+                raise EngineError(
+                    f"constraints of component {c.name!r} have linearly dependent rows"
+                )
             start, end = self.offsets[c.name]
-            for r in np.atleast_2d(cons):
+            for r in cons:
                 full = np.zeros(self.n_latent)
                 full[start:end] = r
                 rows.append(full)
@@ -488,11 +493,11 @@ class Model:
         return None if self._constraints is None else self._constraints @ self._mu
 
     @cached_property
-    def _feasible_proj(self):
-        """(C^T, C C^T): the least-squares projection onto C u = 0 that
-        gives each Newton iteration a feasible start."""
+    def _feasible(self):
+        """The least-squares projection onto C u = 0, kriging under the
+        identity, that gives each Newton iteration a feasible start."""
         C = self._constraints
-        return None if C is None else (C.T, C @ C.T)
+        return None if C is None else _Kriging(C, C.T)
 
     def prior_mean(self):
         return self._mu.copy()
@@ -603,41 +608,41 @@ class Model:
 
 # --- Gaussian approximation ------------------------------------------------
 
-def _kriging(factor, C):
-    """Kriging pair (W, S) = (A^-1 C^T, C W) for the constraint C u = 0
-    under the factored precision A; None when there are no constraints."""
-    if C is None:
-        return None
-    W = factor.solve(C.T)
-    return W, C @ W
+class _Kriging:
+    """Conditioning on C u = 0 by kriging (Rue & Held 2005, section 2.3.3)
+    under a precision A, given C and W = A^-1 C^T: S = C W and
+    K = W S^-1, with S inverted once, here."""
+
+    def __init__(self, C, W):
+        self.C, self.W = C, W
+        self.S = C @ W
+        self.S_inv = np.linalg.inv(self.S)
+        self.K = W @ self.S_inv
+
+    @classmethod
+    def of(cls, factor, C):
+        """The kriging under the factored A; None without constraints."""
+        return None if C is None else cls(C, factor.solve(C.T))
+
+    def project(self, u):
+        """u - K C u, for a state vector or each row of a matrix of states.
+        Each row is reduced alone, so it rounds as the vector alone would;
+        a BLAS product may round the rows of a matrix differently."""
+        cu = np.sum(u[..., None, :] * self.C, -1)
+        return u - np.sum(cu[..., :, None] * self.K.T, -2)
+
+    def var_drop(self, X):
+        """diag(X S^-1 X^T): the variance the constraints take away."""
+        return np.sum((X @ self.S_inv) * X, axis=1)
 
 
-def _project(u, C, proj):
-    """Condition u on C u = 0 by kriging: u - W S^-1 C u."""
-    if C is None:
-        return u
-    W, S = proj
-    return u - W @ np.linalg.solve(S, C @ u)
-
-
-def _kriging_var_drop(X, S):
-    """diag(X S^-1 X^T): the variance the constraints take away."""
-    return np.sum((X @ np.linalg.inv(S)) * X, axis=1)
-
-
-def _draw_block(mean, factor, C, proj, Z):
-    """Draws from N(mean, A^-1) conditioned on C u = 0, one per column of
-    the standard-normal matrix Z, returned one per row.
-
-    One triangular solve covers every column; the kriging projection is
-    applied row by row, which keeps each draw bit-identical to drawing it
-    alone.
-    """
+def _draw_block(mean, factor, kriging, Z):
+    """Draws from N(mean, A^-1) conditioned on C u = 0 (``kriging``, None
+    without constraints), one per column of the standard-normal matrix Z,
+    returned one per row.  One triangular solve and one projection cover
+    every column, and each draw is bit-identical to drawing it alone."""
     U = np.ascontiguousarray((mean[:, None] + factor.solve_lt(Z)).T)
-    if C is not None:
-        for s in range(U.shape[0]):
-            U[s] = _project(U[s], C, proj)
-    return U
+    return U if kriging is None else kriging.project(U)
 
 
 @dataclass
@@ -648,7 +653,7 @@ class GaussResult:
     lin: Linearisation
     pattern: _QStarPattern  # the pattern Q* was assembled on
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
-    constraint_proj: tuple = None  # (W, S) with W = Q*^{-1} C^T, S = C W
+    kriging: _Kriging = None  # on C u = 0 under Q*; None without constraints
     loglik: float = None  # log p(y | mode)
     prior_quad: float = None  # d^T Q d for d = mode - mu
 
@@ -660,9 +665,8 @@ class GaussResult:
 
     def latent_var(self):
         var = self._sigma[0]
-        if self.constraint_proj is not None:
-            W, S = self.constraint_proj
-            var = var - _kriging_var_drop(W, S)
+        if self.kriging is not None:
+            var = var - self.kriging.var_drop(self.kriging.W)
         return var
 
     def pred_var(self):
@@ -673,9 +677,8 @@ class GaussResult:
         var = np.bincount(
             p.obs, weights=b_r * b_c * self._sigma[1][p.slot], minlength=B.shape[0]
         )
-        if self.constraint_proj is not None:
-            W, S = self.constraint_proj
-            var = var - _kriging_var_drop(B @ W, S)
+        if self.kriging is not None:
+            var = var - self.kriging.var_drop(B @ self.kriging.W)
         return var
 
 
@@ -725,7 +728,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     u = np.array(mu_prior if u_init is None else u_init, dtype=float)
     if C is not None:
         # feasible start: plain least-squares projection is good enough here
-        u = _project(u, C, model._feasible_proj)
+        u = model._feasible.project(u)
 
     Q = prior_q.csc
     BT = lin.BT
@@ -746,9 +749,9 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         g, h = _obs_grad_hess(model, lin, u, obs_vals, at.eta)
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
-        proj = _kriging(factor, C)
+        kriging = _Kriging.of(factor, C)
         step = factor.solve(BT @ g - at.qd)
-        move = _project(u + step, C, proj) - u
+        move = (u + step if kriging is None else kriging.project(u + step)) - u
         # step-halving if the objective got worse or went non-finite
         t = 1.0
         nxt = objective(u + move)
@@ -777,7 +780,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         lin=lin,
         pattern=lin._qstar,
         grad_at_mode=BT @ g - at.qd,
-        constraint_proj=proj,
+        kriging=kriging,
         loglik=at.loglik,
         prior_quad=at.prior_quad,
     )
@@ -819,12 +822,11 @@ def log_posterior_theta(model, lin, theta, u_init=None):
 
     lp = model.log_prior_theta(theta) + log_prior_u + ga.loglik - log_approx_at_mode
 
-    C = model.constraints
-    if C is not None:
+    if ga.kriging is not None:
         # conditioning both densities on Cu = 0
         lp -= _log_gaussian_k(model._c_mu, cov_prior)
         m_unc = u_star + shift
-        lp += _log_gaussian_k(C @ m_unc, ga.constraint_proj[1])
+        lp += _log_gaussian_k(ga.kriging.C @ m_unc, ga.kriging.S)
     return lp, ga
 
 
@@ -1107,7 +1109,7 @@ def _make_point(theta, lp, ga, lin):
         latent_var=ga.latent_var(),
         pred_mean=lin.eval(ga.mode),
         pred_var=ga.pred_var(),
-        constraint_proj=ga.constraint_proj,
+        kriging=ga.kriging,
     )
 
 
@@ -1478,12 +1480,11 @@ def _posterior_draws(result, n, rng):
     for s in range(n):
         idx[s] = cdf.searchsorted(rng.random(), "right")
         Z[:, s] = rng.standard_normal(d)
-    C = result.model.constraints
     draws = np.empty((n, d))
     for g in np.unique(idx):
         cols = np.flatnonzero(idx == g)
         point = grid[g]
-        draws[cols] = _draw_block(point.mode, point.factor, C, point.constraint_proj, Z[:, cols])
+        draws[cols] = _draw_block(point.mode, point.factor, point.kriging, Z[:, cols])
     return draws
 
 

@@ -27,7 +27,8 @@ are tau (R + c I) for a fixed structure R, because the ridge is
 proportional to tau; their terms follow from one factorisation of
 R + c I, made on first use, and their per-theta precision is tau times
 its data.  ``LatentModel.prior_terms`` falls back to factorising
-``precision``, so a user-defined component needs nothing more.
+``precision`` with a plan kept per component, so a user-defined
+component needs nothing more.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 from scipy import special
 
 from .mappers import ConstMapper, FactorMapper, IndexMapper, LinearMapper, Mapper, MapperError
-from .sparse import SparseSym, chol
+from .sparse import CholPlan, SparseSym, _same_pattern, chol
 
 __all__ = [
     "Graph",
@@ -321,10 +322,17 @@ class LatentModel:
     def prior_terms(self, values):
         """(log|Q|, C Q^-1 C^T) of ``precision(values)`` and the
         constraints, the second None without constraints.  This default
-        factorises the precision; built-in components override it."""
+        factorises the precision, through one ``CholPlan`` kept while the
+        precision's pattern stays the same; built-in components override
+        it."""
+        q = self.precision(values)
+        plan = getattr(self, "_prior_plan", None)
+        if plan is None or not _same_pattern(q.indptr, q.indices, plan.indptr, plan.indices):
+            plan = self._prior_plan = CholPlan(q.indptr.copy(), q.indices.copy())
         cons = self.constraints()
         return _factored_terms(
-            self.precision(values), None if cons is None else np.atleast_2d(cons)
+            SparseSym._on_pattern(q.data, plan.indptr, plan.indices, plan),
+            None if cons is None else np.atleast_2d(cons),
         )
 
     def constraints(self):

@@ -369,6 +369,25 @@ def _raw_csc(arrays, shape):
     return arrays, shape
 
 
+def _same_pattern(indptr, indices, ref_indptr, ref_indices):
+    """Whether CSC index arrays hold the reference pattern; arrays that are
+    the reference's own are not compared entry by entry."""
+    return (indptr is ref_indptr or np.array_equal(indptr, ref_indptr)) and (
+        indices is ref_indices or np.array_equal(indices, ref_indices)
+    )
+
+
+def _unique_keys(keys):
+    """``np.unique`` of an integer array, by a sort and a neighbour compare:
+    the same sorted array, without numpy's hash table for integers, which
+    is many times slower on the keys of a pattern."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 class CholPlan:
     """The symbolic half of ``chol`` for every matrix on one sparsity pattern.
 
@@ -421,7 +440,7 @@ class CholPlan:
                 np.repeat(np.arange(n), np.diff(indptr)) * n + indices[: indptr[-1]]
                 for indices, indptr in (self._stand_in_l, (b.indices, b.indptr))
             ])
-            self._schedule = _InverseSchedule(n, np.unique(keys[keys % n >= keys // n]))
+            self._schedule = _InverseSchedule(n, _unique_keys(keys[keys % n >= keys // n]))
         return self._schedule
 
     def permuted(self, data):
@@ -507,7 +526,7 @@ class _InverseSchedule:
     def __init__(self, n, keys):
         self.n = n
         while (missing := self._lay_out(keys)) is not None:
-            keys = np.union1d(keys, missing)
+            keys = _unique_keys(np.concatenate([keys, missing]))
         self.keys = keys
 
     def _lay_out(self, keys):

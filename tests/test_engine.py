@@ -184,6 +184,22 @@ class TestModelValidation:
         assert '"hyper": {"<name>": {"fixed": true, "initial": <value>}}' in msg
         assert "fixed=True on its HyperParam" in msg
 
+    @pytest.mark.parametrize("rows", [np.ones((2, 3)), np.array([[1.0, 0, 0], [0, 0, 0]])])
+    def test_dependent_constraint_rows_named_at_build(self, rows):
+        class Dependent(IidModel):
+            def constraints(self):
+                return rows
+
+        block = ObsBlock(
+            GaussianFamily(fixed_prec=1.0),
+            np.zeros(3),
+            parse_expr("b + u"),
+            {"b": np.ones(3), "u": np.arange(1, 4)},
+        )
+        comps = [Component("b", FixedEffectsModel.constant()), Component("u", Dependent(3))]
+        with pytest.raises(EngineError, match="component 'u' have linearly dependent rows"):
+            Model(comps, [block])
+
     def test_is_linear_detection(self):
         gls, _, _ = make_gls()
         assert gls.is_linear
@@ -355,7 +371,7 @@ class TestPosteriorVariances:
     def test_match_dense_conditioning(self, build):
         model = build()
         ga, lin = self._approx(model)
-        assert (ga.constraint_proj is not None) == (model.constraints is not None)
+        assert (ga.kriging is not None) == (model.constraints is not None)
         cov = self._dense_cov(ga, model)
         bmat = lin.B.toarray()
         np.testing.assert_allclose(ga.latent_var(), np.diag(cov), rtol=1e-9)
@@ -400,6 +416,54 @@ class TestPosteriorVariances:
         ga.latent_var()
         ga.pred_var()
         assert calls == []
+
+
+def _kriging_case(k, n=150):
+    """A precision A = Q + diag(h), Q intrinsic as in Q*, and k constraint
+    rows: RW1 for k = 1, Besag on a graph of two paths for k = 2."""
+    if k == 1:
+        latent = Rw1Model(n)
+    else:
+        half = n // 2
+        edges = [(i, i + 1) for i in range(n - 1) if i != half - 1]
+        latent = BesagModel(Graph(n, tuple(edges)))
+    cmat = np.atleast_2d(latent.constraints())
+    assert cmat.shape == (k, n)
+    rng = np.random.default_rng(k)
+    q = latent.precision({"prec": 1.3}).csc + sp.diags(rng.uniform(0.5, 2.0, n))
+    return SparseSym(q), cmat, rng
+
+
+class TestKriging:
+    """``_Kriging`` against dense conditioning on C u = 0, and its block
+    projection against projecting each row alone."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_match_dense_conditioning(self, k):
+        a, cmat, rng = _kriging_case(k)
+        n = a.n
+        kriging = engine._Kriging.of(chol(a), cmat)
+        cov = np.linalg.inv(a.to_dense())
+        u = rng.normal(size=n)
+        mean_c, cov_c = condition_on_zero(u, cov, cmat)
+        np.testing.assert_allclose(kriging.project(u), mean_c, rtol=1e-12)
+        np.testing.assert_allclose(cmat @ kriging.project(u), 0.0, atol=1e-12)
+        drop = cov - cov_c
+        np.testing.assert_allclose(kriging.var_drop(kriging.W), np.diag(drop), rtol=1e-12)
+        bmat = rng.normal(size=(5, n))
+        np.testing.assert_allclose(
+            kriging.var_drop(bmat @ kriging.W), np.diag(bmat @ drop @ bmat.T), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_block_projection_is_row_by_row(self, k, m):
+        a, cmat, rng = _kriging_case(k)
+        kriging = engine._Kriging.of(chol(a), cmat)
+        states = rng.normal(size=(m, a.n))
+        got = kriging.project(states)
+        want = np.stack([kriging.project(states[s].copy()) for s in range(m)])
+        assert got.shape == (m, a.n) and np.array_equal(got, want)
 
 
 def _same_matrix(got, want):
@@ -1374,7 +1438,6 @@ class TestGenerate:
         model = Model([comp], [block])
         res = fit(model)
         assert res.converged and len(res.grid) > 1
-        C = model.constraints
         weights = np.array([p.weight for p in res.grid])
 
         def reference_draws(n, seed):
@@ -1383,8 +1446,7 @@ class TestGenerate:
             for _ in range(n):
                 point = res.grid[int(gen.choice(len(res.grid), p=weights))]
                 u = point.mode + point.factor.solve_lt(gen.standard_normal(10))
-                W, S = point.constraint_proj
-                out.append(u - W @ np.linalg.solve(S, C @ u))
+                out.append(point.kriging.project(u))
             return out
 
         draws = generate(res, parse_expr("f_latent"), 40, rng=9)
@@ -1401,13 +1463,14 @@ class TestGenerate:
         assert np.array_equal(got, want)
 
     def test_single_draw_is_prefix_of_longer_run(self):
-        # batching per grid point must not let later draws change earlier ones
-        res = _fit_rw1_free_precision()
+        # batching per grid point must not let later draws change earlier
+        # ones, with one constraint (RW1) and with two (Besag, two islands)
         expr = parse_expr("f_latent")
-        for seed in (0, 9, 31):
-            one = generate(res, expr, 1, rng=seed)
-            many = generate(res, expr, 40, rng=seed)
-            assert np.array_equal(one[0], many[0])
+        for res in (_fit_rw1_free_precision(), _fit_besag_two_islands()):
+            for seed in (0, 9, 31):
+                one = generate(res, expr, 1, rng=seed)
+                many = generate(res, expr, 40, rng=seed)
+                assert np.array_equal(one[0], many[0])
 
     @pytest.mark.parametrize("weights", [
         [0.25, 0.0, 0.5, 0.25, 0.0],          # exact zeros, inside and last
@@ -1449,6 +1512,25 @@ def _fit_rw1_free_precision():
         GaussianFamily(fixed_prec=25.0), y, parse_expr("exp(f)"), {"f": np.arange(1, 11)},
     )
     res = fit(Model([comp], [block]))
+    assert res.converged and len(res.grid) > 1
+    return res
+
+
+def _fit_besag_two_islands():
+    """Besag with a free precision on a graph of two paths: two sum-to-zero
+    constraints and a multi-point grid."""
+    rng = np.random.default_rng(6)
+    graph = Graph(n=10, edges=tuple((i, i + 1) for i in range(9) if i != 4))
+    y = np.sin(np.arange(10.0)) + 0.3 * rng.normal(size=10)
+    comp = Component(
+        "f", BesagModel(graph, _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0)))
+    )
+    block = ObsBlock(
+        GaussianFamily(fixed_prec=25.0), y, parse_expr("f"), {"f": np.arange(1, 11)},
+    )
+    model = Model([comp], [block])
+    assert model.constraints.shape == (2, 10)
+    res = fit(model)
     assert res.converged and len(res.grid) > 1
     return res
 

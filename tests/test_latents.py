@@ -24,6 +24,7 @@ from iterlace.latents import (
     read_graph,
 )
 from iterlace.mappers import IndexMapper
+from iterlace import sparse
 from iterlace.sparse import SparseSym, chol
 
 
@@ -368,3 +369,27 @@ class TestPriorTerms:
         ld3, cov3 = m.prior_terms({"prec": 3.0})
         assert ld3 - ld1 == pytest.approx(6 * np.log(3.0), rel=1e-12)
         assert_allclose(cov3, cov1 / 3.0, rtol=1e-12)
+
+    def test_fallback_keeps_one_plan(self, monkeypatch):
+        # a user-defined component's pattern stays the same across theta,
+        # so one fill-reducing order serves every factorisation, and the
+        # terms are those of a factorisation with a plan of its own
+        model = _Tridiagonal()
+        c = np.atleast_2d(model.constraints())
+        values = [{"t": t} for t in (0.3, 1.0, 1.9, 4.0, 11.0)]
+        want = []
+        for v in values:
+            factor = chol(model.precision(v))
+            want.append((factor.log_det, c @ factor.solve(c.T)))
+        orderings = []
+        real = sparse._superlu.gstrf
+
+        def counting(*args, **kwargs):
+            orderings.append(kwargs["options"]["ColPerm"] == "MMD_AT_PLUS_A")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sparse._superlu, "gstrf", counting)
+        got = [model.prior_terms(v) for v in values]
+        assert sum(orderings) == 1 and len(orderings) == 6
+        for (log_det, cov), (want_log_det, want_cov) in zip(got, want):
+            assert log_det == want_log_det and np.array_equal(cov, want_cov)

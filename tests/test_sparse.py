@@ -680,3 +680,19 @@ class TestSymbolicFactor:
             assert a_keys.size < symbolic.size
             grown = sparse._InverseSchedule(a.n, a_keys)
             np.testing.assert_array_equal(grown.keys, symbolic)
+
+
+class TestUniqueKeys:
+    """``_unique_keys`` is ``np.unique`` by a sort: the same sorted array."""
+
+    @pytest.mark.parametrize("keys", [
+        np.random.default_rng(0).integers(0, 1801**2, 20000),
+        np.random.default_rng(1).integers(0, 50, 400),
+        np.array([], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.array([3, 3, 3], dtype=np.int32),
+    ])
+    def test_matches_np_unique(self, keys):
+        got = sparse._unique_keys(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
