@@ -28,15 +28,22 @@ class CalibrationError(RuntimeError):
     pass
 
 
+#: what a replicate's response draw or fit may raise; the replicate is
+#: then dropped with its reason
+_REPLICATE_ERRORS = (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
 @dataclass
 class SbcResult:
     """Per-replicate posterior CDF positions and their uniformity test.
 
     ``w_values`` holds one value strictly inside (0, 1) per kept
     replicate; ``ranks`` the matching below-truth counts in 0..J;
-    ``failures`` how many replicates were dropped because their fit
-    failed, and ``failure_reasons`` why: one ``(k, error type, message)``
-    per dropped replicate k, in k-order.
+    ``failures`` how many replicates were dropped because their response
+    draw or their fit failed, and ``failure_reasons`` why: one
+    ``(k, error type, message)`` per dropped replicate k, in k-order; a
+    failed response draw's message starts "prior-predictive response
+    draw: ".
     """
 
     w_values: np.ndarray
@@ -124,10 +131,12 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     template's total response rows — the template fixes the design.
     Replicate k draws from an independent counter-based substream of
     ``seed``, so runs are reproducible and replicates shareable across
-    workers; results are reduced in k-order.  Fits that raise or fail
-    to converge are excluded, each with its reason ("fit did not
-    converge" for the latter); more than 10% of them aborts the run, and
-    the error names every reason.  ``posterior_sampler(rng, model_k, J)
+    workers; results are reduced in k-order.  Replicates whose response
+    draw raises (numpy refuses a Poisson rate above about 1e19, which a
+    wide prior can give), or whose fit raises or fails to converge, are
+    excluded, each with its reason ("fit did not converge" for the
+    last); more than 10% of them aborts the run, and the error names
+    every reason.  ``posterior_sampler(rng, model_k, J)
     -> J values`` replaces the fit-and-sample step, for pipelines with a
     known exact posterior.
     """
@@ -157,6 +166,16 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     C = model.constraints
     mu = model.prior_mean()
     w_values, ranks, failed = [], [], []
+
+    def drop(k, err, stage=""):
+        failed.append((k, type(err).__name__, stage + str(err)))
+        if len(failed) > 0.1 * K:
+            reasons = "; ".join(f"replicate {i}: {name}: {msg}" for i, name, msg in failed)
+            raise CalibrationError(
+                f"aborting: {len(failed)} of {K} replicate fits failed "
+                f"(more than 10%): {reasons}"
+            )
+
     for k in range(K):
         rng = _substream(seed, k)
         theta = np.array([hp.prior.sample(rng) for _, _, hp in model.theta_entries])
@@ -164,10 +183,14 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
         prior_factor = chol(model.precision(comp_vals))
         z = rng.standard_normal((mu.size, 1))
         u = _draw_block(mu, prior_factor, _Kriging.of(prior_factor, C), z)[0]
-        ys = [
-            b.family.sample(rng, model.eta_block(b, u), obs_vals[i])
-            for i, b in enumerate(model.obs)
-        ]
+        try:
+            ys = [
+                b.family.sample(rng, model.eta_block(b, u), obs_vals[i])
+                for i, b in enumerate(model.obs)
+            ]
+        except _REPLICATE_ERRORS as err:  # e.g. numpy refusing a huge Poisson rate
+            drop(k, err, "prior-predictive response draw: ")
+            continue
         model_k = _replace_responses(model, ys)
         h_true = float(
             np.atleast_1d(h_expr.eval(expr_env(model_k, h_expr, u, h_inputs)))[0]
@@ -183,18 +206,8 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
                 if not res.converged:
                     raise EngineError("fit did not converge")
                 h_draws = generate(res, h_expr, J, rng, inputs=h_inputs)[:, 0]
-            except (
-                RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError
-            ) as err:
-                failed.append((k, type(err).__name__, str(err)))
-                if len(failed) > 0.1 * K:
-                    reasons = "; ".join(
-                        f"replicate {i}: {name}: {msg}" for i, name, msg in failed
-                    )
-                    raise CalibrationError(
-                        f"aborting: {len(failed)} of {K} replicate fits failed "
-                        f"(more than 10%): {reasons}"
-                    )
+            except _REPLICATE_ERRORS as err:
+                drop(k, err)
                 continue
 
         m = int(np.sum(h_draws < h_true))

@@ -20,18 +20,29 @@ and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
 factorisation runs the same numeric code.
 
-``chol`` calls SuperLU through ``_superlu.gstrf``, the private entry
-point behind ``spla.splu``, because only there can it ask for L and U as
-raw CSC arrays: ``splu`` hands both out as ``csc_array``s, whose
-construction cost about a third of a small factorisation.  ``chol``
-reads the pivots off U's raw arrays and checks them; L stays raw, and
-the factor builds and scales its CSC matrix on the first read of ``L``,
-so a factor that is only solved with (a Newton step's) builds none.
-Grid points, sampling, the selected inverse and the diagnostics read
-``L``; so does a bench run with ``--trace 1``, whose per-call nnz(L)
-count therefore builds L at every ``chol``.
-``TestPrivateFactorisation`` in ``tests/test_sparse.py`` pins the
-private call to the public route bit for bit.
+SuperLU is called through two private entry points of scipy's
+``_superlu`` module, each pinned bit for bit to its public route by a
+parity test in ``tests/test_sparse.py``:
+
+- ``chol`` calls ``gstrf``, the entry point behind ``spla.splu``,
+  because only there can it ask for L and U as raw CSC arrays: ``splu``
+  hands both out as ``csc_array``s, whose construction cost about a
+  third of a small factorisation.  ``chol`` reads the pivots off U's raw
+  arrays and checks them; L stays raw, and the factor builds and scales
+  its CSC matrix on the first read of ``L``, so a factor that is only
+  solved with (a Newton step's) builds none.
+  (``TestPrivateFactorisation``.)
+- ``solve_lt`` calls ``gstrs``, the entry point behind scipy's
+  ``spsolve_triangular``, on arrays its factor prepares from ``L`` on
+  its first ``solve_lt`` and keeps.  The public route rebuilds those
+  arrays, through scipy matrices and their validation, at every call:
+  on the 12 x 12 BYM factor that was about nine tenths of a 7-column
+  solve.  (``TestPrivateTriangularSolve``.)
+
+The selected inverse (grid points' variances, the KL diagnostic) and a
+factor's first ``solve_lt`` read ``L``; so does a bench run with
+``--trace 1``, whose per-call nnz(L) count therefore builds L at every
+``chol``.
 
 A SparseSym is its CSC arrays: ``data``, ``indptr`` and ``indices``.
 One built on a pattern its owner keeps (``SparseSym._on_pattern``: the
@@ -250,9 +261,15 @@ class CholFactor:
     matrix and scales column j by sqrt(pivots[j]) in place, and later
     reads return that same matrix, so a factor that is only solved with
     (a Newton step's) builds no scipy matrix at all.
+
+    ``solve_lt`` hands SuperLU's ``gstrs`` arrays that its first call
+    prepares from ``L`` (``_prepare_lt``) and keeps, about one float per
+    entry of L, so that later calls build nothing.  Preparing
+    sorts L's rows within each column in place, which changes no entry;
+    a factor that is never sampled from prepares nothing.
     """
 
-    __slots__ = ("n", "log_det", "_L", "_pivots", "_splu", "_plan")
+    __slots__ = ("n", "log_det", "_L", "_pivots", "_splu", "_plan", "_lt")
 
     def __init__(self, n, L, log_det, splu_obj, plan, pivots=None):
         self.n = n
@@ -261,6 +278,7 @@ class CholFactor:
         self.log_det = log_det
         self._splu = splu_obj
         self._plan = plan
+        self._lt = None
 
     @property
     def perm(self):
@@ -290,8 +308,11 @@ class CholFactor:
     def without_solver(self):
         """This factor without its SuperLU object: ``solve_lt``,
         ``selected_inverse``, ``L``, ``perm`` and ``log_det`` still work,
-        ``solve`` raises."""
-        return CholFactor(self.n, self.L, self.log_det, None, self._plan)
+        ``solve`` raises.  The two share ``L`` and, once either has been
+        sampled from, the arrays ``solve_lt`` prepares on it."""
+        lean = CholFactor(self.n, self.L, self.log_det, None, self._plan)
+        lean._lt = self._lt
+        return lean
 
     def _solver(self):
         if self._splu is None:
@@ -315,10 +336,33 @@ class CholFactor:
         sampling needs.
         """
         b, vec = self._columns(rhs)
-        y = spla.spsolve_triangular(self.L.T, b, lower=False)
+        data, indices, indptr, invdiag, empty_u = self._lt or self._prepare_lt()
+        n = self.n
+        y, info = _superlu.gstrs("T", n, data.size, data, indices, indptr, n, 0, *empty_u, b)
+        if info:
+            raise FactorizationError(f"triangular solve failed: SuperLU info {info}")
+        y *= invdiag[:, None]
         x = np.empty_like(y)
         x[self.perm] = y
         return x[:, 0] if vec else x
+
+    def _prepare_lt(self):
+        """The arrays ``solve_lt`` hands SuperLU's ``gstrs``, made once:
+        the ones scipy's ``spsolve_triangular(L.T, b, lower=False)`` builds
+        at every call.  They are L with row i scaled by
+        ``invdiag[i] = 1 / L[i, i]`` (unit diagonal, up to rounding), its
+        rows sorted within each column, and an empty U; ``gstrs`` solves
+        with the transpose of L U, and the result is scaled by
+        ``invdiag``.  L's own indices are sorted in place and shared,
+        which changes no entry of L."""
+        L = self.L
+        L.sort_indices()
+        indices = L.indices.astype(np.intc, copy=False)
+        indptr = L.indptr.astype(np.intc, copy=False)
+        invdiag = 1.0 / L.data[indptr[:-1]]  # sorted, a column starts at its diagonal
+        empty_u = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(self.n + 1, dtype=np.intc))
+        self._lt = (L.data * invdiag[indices], indices, indptr, invdiag, empty_u)
+        return self._lt
 
     def selected_inverse(self, rows=(), cols=()):
         """Entries of A^{-1} from the Takahashi recursions on ``L``.

@@ -282,6 +282,30 @@ class TestSbcRun:
         assert "replicate 0: ValueError: simulated failure" in msg
         assert "replicate 1: EngineError: fit did not converge" in msg
 
+    def test_failed_response_draw_names_its_replicate(self):
+        # an intercept under the default wide prior (precision 0.001): a
+        # prior draw near +44 gives a Poisson rate that numpy refuses, at
+        # replicates 2, 11 and 14 of seed 0; the failure is a dropped
+        # replicate with its reason, not a bare ValueError
+        comp = Component("b0", FixedEffectsModel.constant())
+        block = ObsBlock(PoissonFamily(), np.zeros(5), parse_expr("b0"),
+                         {"b0": np.ones(5)})
+        model = Model([comp], [block])
+
+        def sampler(rng, model_k, J):
+            return rng.standard_normal(J)
+
+        reason = "prior-predictive response draw: lam value too large"
+        res = sbc_run(model, K=10, J=10, seed=0, posterior_sampler=sampler)
+        assert res.failure_reasons == [(2, "ValueError", reason)]
+        assert res.failures == 1 and res.w_values.size == res.ranks.size == 9
+        with pytest.raises(CalibrationError) as info:
+            sbc_run(model, K=20, J=10, seed=0, posterior_sampler=sampler)
+        msg = str(info.value)
+        assert "3 of 20 replicate fits failed" in msg
+        for k in (2, 11, 14):
+            assert f"replicate {k}: ValueError: {reason}" in msg
+
     def test_successful_run_records_no_reasons(self):
         res = sbc_run(conjugate_model(), K=5, J=10, seed=2)
         assert res.failures == 0 and res.failure_reasons == []

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy import optimize, stats
 from scipy.special import lambertw
 
@@ -50,6 +51,7 @@ from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
 from iterlace.sparse import CholFactor, SparseSym, chol
 from test_acceptance import build_joint  # c5's joint non-linear model
+from test_sparse import _public_solve_lt
 
 
 # --- dense oracles -----------------------------------------------------
@@ -1461,6 +1463,31 @@ class TestGenerate:
         got = linearisation_deviation(res, 30, seed=2)
         assert want > 0.0
         assert np.array_equal(got, want)
+
+    def test_draws_match_the_public_triangular_solve(self, monkeypatch):
+        # c5 seed 0: generate samples through SuperLU's gstrs alone, and
+        # its draws are the bytes that scipy's spsolve_triangular gives
+        res = fit(build_joint(0))
+        expr = parse_expr("xi_latent")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("spsolve_triangular called")
+
+        with monkeypatch.context() as m:
+            m.setattr(spla, "spsolve_triangular", refused)
+            got = generate(res, expr, 500, rng=0)
+
+        blocks = []
+
+        def public(factor, rhs):
+            blocks.append(rhs.shape)
+            return _public_solve_lt(factor, rhs)
+
+        monkeypatch.setattr(CholFactor, "solve_lt", public)
+        want = generate(res, expr, 500, rng=0)
+        assert blocks  # the draws above did go through the public route
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_single_draw_is_prefix_of_longer_run(self):
         # batching per grid point must not let later draws change earlier

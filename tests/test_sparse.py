@@ -446,6 +446,81 @@ class TestPrivateFactorisation:
         assert exc.value.pivot is None
 
 
+def _public_solve_lt(f, rhs):
+    """``f.solve_lt(rhs)`` by the public route: scipy's
+    ``spsolve_triangular`` with L^T, then un-permuted."""
+    b = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
+    y = spla.spsolve_triangular(f.L.T, b, lower=False)
+    x = np.empty_like(y)
+    x[f.perm] = y
+    return x[:, 0] if rhs.ndim == 1 else x
+
+
+class TestPrivateTriangularSolve:
+    """``solve_lt`` calls SuperLU's ``gstrs`` directly on arrays its factor
+    prepares once; every solve must equal, bit for bit, the public
+    ``spla.spsolve_triangular`` route."""
+
+    def _rhs(self, rng, n):
+        z = rng.standard_normal((n, 7))
+        return {
+            "vector": z[:, 0].copy(),
+            "C-ordered": z,
+            "F-ordered": np.asfortranarray(z),
+            "fancy-indexed": z[:, [4, 0, 6, 0]],
+            "strided": z[:, ::3],
+        }
+
+    def test_matches_the_public_route(self, monkeypatch):
+        prepared = []
+        prepare = CholFactor._prepare_lt
+
+        def counting(f):
+            prepared.append(f)
+            return prepare(f)
+
+        monkeypatch.setattr(CholFactor, "_prepare_lt", counting)
+        rng = np.random.default_rng(61)
+        cases = [random_spd(rng, n) for n in (1, 4, 30, 80)]
+        cases += [intercept_bym_qstar(), _cancelled_qstar()]
+        for a in cases:
+            f = chol(a)
+            lean = f.without_solver()  # before f is sampled from: prepares its own
+            rhs = self._rhs(rng, a.n)
+            # the public route first, on L as SuperLU hands it out, unsorted
+            want = {name: _public_solve_lt(f, b) for name, b in rhs.items()}
+            kept = {name: b.copy() for name, b in rhs.items()}
+            for factor in (f, lean, "after"):
+                if factor == "after":  # made once f is prepared: shares its arrays
+                    factor = f.without_solver()
+                    assert factor._lt is f._lt
+                for name, b in rhs.items():
+                    got = factor.solve_lt(b)
+                    assert got.shape == want[name].shape
+                    assert np.array_equal(got, want[name]), (a.n, name)
+                    assert np.array_equal(b, kept[name]), (a.n, name)  # rhs untouched
+            # one preparation per factor sampled from, on its first solve
+            assert prepared[-2:] == [f, lean]
+        assert len(prepared) == 2 * len(cases)
+
+    def test_sorting_l_in_place_changes_no_result(self):
+        # the prepared arrays share L's indices, sorted in place: L and the
+        # selected inverse, which reads L by key, stay as they were
+        a = intercept_bym_qstar()
+        f = chol(a)
+        dense = f.L.toarray()
+        rows, cols = _factor_pattern(f)
+        before = f.selected_inverse(rows, cols)
+        f.solve_lt(np.ones(a.n))
+        assert f.L.has_sorted_indices
+        np.testing.assert_array_equal(f.L.toarray(), dense)
+        data, indices, indptr, _, _ = f._lt
+        assert indices is f.L.indices and indptr is f.L.indptr
+        assert data.size == f.L.nnz
+        for got, want in zip(f.selected_inverse(rows, cols), before):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSolve:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(21)
