@@ -11,14 +11,19 @@ is fitted by a Laplace/grid scheme:
 * ``log_posterior_theta``  -- Laplace approximation of p(theta | y),
 * ``theta_explore``        -- the theta mode plus an axis grid in
                               standardised coordinates.  A search with
-                              no start runs Nelder-Mead; a search from
-                              a start (the previous outer iteration's
+                              no start runs Nelder-Mead from a simplex
+                              of edge ``SEARCH_STEP``; a search from a
+                              start (the previous outer iteration's
                               mode) refines it by Newton steps on the
                               central-difference stencil that also
                               gives the grid its curvature.  Both stop
                               at ``SEARCH_XATOL`` and ``SEARCH_FATOL``,
                               since below that they follow the jitter
-                              of warm-started Laplace evaluations,
+                              of warm-started Laplace evaluations.
+                              Each search's first Newton iteration
+                              starts at the linearisation point, and
+                              each later one at a chord step from the
+                              previous evaluation's mode,
 * ``line_search``          -- the predictor-space step-size control,
 * ``fit``                  -- the outer loop choosing successive
                               linearisation points until they stop
@@ -43,16 +48,18 @@ component's pattern changes); per-theta matrices are not re-validated.
 Each pattern owns the ``CholPlan`` of its matrices: the fill-reducing
 order, the symbolic factor, and the selected inverse's schedule laid out
 on it, each computed once per pattern, not once per factorisation.  A
-Laplace evaluation's SuperLU object lives no longer than its
-evaluation: a grid point keeps its factor's ``L``, ``perm`` and
-``log_det`` only, which is all sampling needs.
+Laplace evaluation's SuperLU object lives no longer than the next
+evaluation, whose chord step solves with it: a grid point keeps its
+factor's ``L``, ``perm`` and ``log_det`` only, which is all sampling
+needs.
 
 A Laplace evaluation factorises once per Newton step and at no other
 time: the curvature at the mode is the last step's factor (that step
-moved the state by less than ``tol``), and the prior's log-determinant
-and constraint covariance come from the components' closed forms
-(``Model.prior_terms``), not from factorising Q(theta).  A step builds
-no scipy matrix: Q* is its data on the pattern's arrays
+moved the state by less than ``tol``), the chord step that starts it
+solves with the previous evaluation's factor, and the prior's
+log-determinant and constraint covariance come from the components'
+closed forms (``Model.prior_terms``), not from factorising Q(theta).  A
+step builds no scipy matrix: Q* is its data on the pattern's arrays
 (``SparseSym._on_pattern``), ``chol`` factors it from that data and the
 pattern's plan, and B^T g reads the B^T the linearisation keeps.  Per
 theta, Q(theta) is the components' data concatenated on the model's
@@ -79,7 +86,7 @@ less the kriging drop.  Memory grows with nnz(L), not with n^2.
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
-are batched per grid point: the grid indices and normals are taken in
+are batched per grid point: the uniforms and normals are taken in
 per-draw stream order, then each grid point's draws come from one
 triangular solve and one kriging projection of the whole block
 (``_draw_block``); the call returns the (n_draws, n_latent) matrix of
@@ -707,7 +714,12 @@ def _obs_grad_hess(model, lin, u, obs_vals, eta=None):
     return g, h
 
 
-def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
+def _worse(nxt, at):
+    """Whether the objective at ``nxt`` is non-finite or lower than at ``at``."""
+    return not np.isfinite(nxt.f) or nxt.f < at.f - 1e-12
+
+
+def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
                     tol=1e-8, max_iter=50):
     """Newton iteration for the mode and curvature of p(u | theta, y).
 
@@ -718,6 +730,15 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     the mode is the last step's Q*, taken less than ``tol`` from the mode
     (exactly at it when h does not depend on u, as for Gaussian data).
 
+    Without ``warm`` the iteration starts at the linearisation point
+    ``lin.u0``.  ``warm``, the GaussResult of a previous theta on the same
+    linearisation, starts it at that mode moved by one chord step through
+    the previous factor: u + Q*_warm^-1 (B^T g - Q d), g, Q and d at this
+    theta, projected by ``warm.kriging``.  That is the first-order
+    predictor of how the mode moves with theta, for any hyperparameter
+    and family, at the cost of one solve; the step is kept only where the
+    objective is finite and not lower than at the previous mode.
+
     The objective is evaluated at exactly the point that becomes the next
     state, and hands on what it computed there (``_Objective``): the next
     step's predictor and right-hand side B^T g - Q d, which equals
@@ -725,11 +746,6 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
     result's ``loglik`` and ``prior_quad``.
     """
     C = model.constraints
-    u = np.array(mu_prior if u_init is None else u_init, dtype=float)
-    if C is not None:
-        # feasible start: plain least-squares projection is good enough here
-        u = model._feasible.project(u)
-
     Q = prior_q.csc
     BT = lin.BT
 
@@ -743,7 +759,23 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         quad = float(d @ qd)
         return _Objective(u_val, ll - 0.5 * quad, eta, qd, ll, quad)
 
-    at = objective(u)
+    if warm is None:
+        u = np.array(lin.u0, dtype=float)
+        if C is not None:
+            # feasible start: plain least-squares projection is good enough here
+            u = model._feasible.project(u)
+        at = objective(u)
+    else:
+        at = objective(warm.mode)
+        g, _ = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
+        u = at.u + warm.factor.solve(BT @ g - at.qd)
+        if warm.kriging is not None:
+            u = warm.kriging.project(u)
+        with np.errstate(over="ignore", invalid="ignore"):  # a long chord may overflow
+            chord = objective(u)
+        if not _worse(chord, at):
+            at = chord
+
     for _ in range(max_iter):
         u = at.u
         g, h = _obs_grad_hess(model, lin, u, obs_vals, at.eta)
@@ -756,7 +788,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, u_init=None,
         t = 1.0
         nxt = objective(u + move)
         halvings = 0
-        while (not np.isfinite(nxt.f)) or nxt.f < at.f - 1e-12:
+        while _worse(nxt, at):
             t *= 0.5
             halvings += 1
             if halvings > 30:
@@ -795,8 +827,10 @@ def _log_gaussian_k(dev, cov):
     return -0.5 * (k * LOG_2PI + logdet + float(dev @ np.linalg.solve(cov, dev)))
 
 
-def log_posterior_theta(model, lin, theta, u_init=None):
-    """Laplace approximation of log p(theta | y) up to a constant.
+def log_posterior_theta(model, lin, theta, warm=None):
+    """Laplace approximation of log p(theta | y) up to a constant, and the
+    GaussResult at theta; ``warm`` starts its Newton iteration as in
+    ``gaussian_approx``.
 
     The prior's log-determinant and constraint covariance come from
     ``Model.prior_terms``, so the only factorisations are the Newton
@@ -807,7 +841,7 @@ def log_posterior_theta(model, lin, theta, u_init=None):
     log_det_q, cov_prior = model.prior_terms(comp_vals)
     prior_q = model.precision(comp_vals)
     mu = model._mu
-    ga = gaussian_approx(model, lin, prior_q, mu, obs_vals, u_init=u_init)
+    ga = gaussian_approx(model, lin, prior_q, mu, obs_vals, warm=warm)
     u_star = ga.mode
     d = model.n_latent
     log_prior_u = -0.5 * d * LOG_2PI + 0.5 * log_det_q - 0.5 * ga.prior_quad
@@ -835,18 +869,26 @@ def log_posterior_theta(model, lin, theta, u_init=None):
 GRID_SPACING = 0.75
 GRID_DROP = 5.0
 MAX_THETA_DIM = 3
-# Mode searches.  A cold search (no start) runs Nelder-Mead, which stops
+# Mode searches.  A cold search (no start) runs Nelder-Mead from the
+# start and one vertex SEARCH_STEP further along each axis, and stops
 # once the simplex's log-posteriors agree within SEARCH_FATOL and its
-# vertices within SEARCH_XATOL (internal scale).  A warm search refines
+# vertices within SEARCH_XATOL (internal scale).  SEARCH_STEP is about
+# the edge scipy's default simplex (5 % of each coordinate) has at a
+# start of 2 on the log scale; at a coordinate of 0, where every
+# precision with initial value 1 starts, that default is 0.00025, and
+# the search first spends tens of evaluations growing it.  (On the
+# 12 x 12 BYM lattice an edge of 0.5 or more leads the search to the
+# higher of two modes, 0.25 or less to the lower.)  A warm search refines
 # its start by Newton steps on the stencil's curvature, and stops once a
 # step is shorter than SEARCH_XATOL, or once the ascent it predicts is
 # below SEARCH_FATOL, or once halving a step below SEARCH_XATOL still
-# finds no ascent.  Each Laplace evaluation is warm-started and keeps
-# its last Newton factor, so log p(theta | y) carries about 1e-9 of
-# jitter; SEARCH_FATOL sits just above it, and below it either search
-# follows the jitter, not the mode.  SEARCH_XATOL is a 0.01 % change in
-# a precision, against grid steps of GRID_SPACING posterior sds.  Each
-# search may make SEARCH_MAXFEV Laplace evaluations.
+# finds no ascent.  Each Laplace evaluation starts from the previous one
+# by a chord step and keeps its last Newton factor, so log p(theta | y)
+# carries about 1e-9 of jitter; SEARCH_FATOL sits just above it, and
+# below it either search follows the jitter, not the mode.  SEARCH_XATOL
+# is a 0.01 % change in a precision, against grid steps of GRID_SPACING
+# posterior sds.  Each search may make SEARCH_MAXFEV Laplace evaluations.
+SEARCH_STEP = 0.1
 SEARCH_FATOL = 1e-8
 SEARCH_XATOL = 1e-4
 SEARCH_MAXFEV = 500
@@ -855,7 +897,11 @@ SEARCH_MAXFEV = 500
 class _ThetaCache:
     """Deterministic memo of log-posterior evaluations, with warm starts.
 
-    ``cache`` holds one ``(lp, kept)`` entry per evaluated theta.
+    ``cache`` holds one ``(lp, kept)`` entry per evaluated theta, and
+    ``last`` the GaussResult of the last evaluation, from whose mode and
+    factor the next one starts (``gaussian_approx``'s ``warm``); the
+    first starts at the linearisation point.  That keeps at most one
+    SuperLU object alive beyond what the entries keep.
 
     * A call without ``lp_floor`` keeps the GaussResult.  While
       ``searching`` is set (Nelder-Mead's evaluations, and the start and
@@ -865,10 +911,10 @@ class _ThetaCache:
       a few factors instead of one per evaluation.
     * A call with ``lp_floor`` keeps the finished grid point
       (``_make_point``) when lp >= lp_floor and nothing otherwise, so no
-      SuperLU object outlives its evaluation; ``lp_floor=inf`` keeps only
-      lp (the stencil's points, for a search's gradient or the grid's
-      curvature).  A GaussResult the entry already holds is finished
-      without evaluating again.
+      SuperLU object outlives the next evaluation; ``lp_floor=inf``
+      keeps only lp (the stencil's points, for a search's gradient or
+      the grid's curvature).  A GaussResult the entry already holds is
+      finished without evaluating again.
 
     A lookup outside the search that finds less than it would keep
     re-evaluates.
@@ -878,7 +924,7 @@ class _ThetaCache:
         self.model = model
         self.lin = lin
         self.cache = {}
-        self.last_mode = None
+        self.last = None
         self.searching = False
         self._best = []  # keys that keep their GaussResult during the search
         self._best_lp = -np.inf
@@ -892,8 +938,8 @@ class _ThetaCache:
         if hit is not None and isinstance(hit[1], GaussResult):
             lp, ga = hit
         else:
-            lp, ga = log_posterior_theta(self.model, self.lin, theta, u_init=self.last_mode)
-            self.last_mode = ga.mode
+            lp, ga = log_posterior_theta(self.model, self.lin, theta, warm=self.last)
+            self.last = ga
         if lp_floor is not None:
             kept = _make_point(theta, lp, ga, self.lin) if lp >= lp_floor else None
         elif self.searching:
@@ -936,8 +982,9 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     """Find the theta mode and build the integration grid.
 
     Without ``theta_start`` the mode is searched by Nelder-Mead from the
-    hyperparameters' initial values; with it, the start is refined by
-    Newton steps (``_refine_mode``), which suits a start near the mode.
+    hyperparameters' initial values (``_nelder_mead``); with it, the
+    start is refined by Newton steps (``_refine_mode``), which suits a
+    start near the mode.
     ``mode_only`` returns a single-point grid at the mode (used inside
     the outer iterations); ``known_mode`` skips the optimisation
     entirely (the final integration pass of an iterative fit).
@@ -1012,14 +1059,16 @@ def _search_failed(evals, search, start):
 
 
 def _nelder_mead(evals, start):
-    """The mode by Nelder-Mead from ``start``."""
+    """The mode by Nelder-Mead from the simplex of ``start`` and
+    start + SEARCH_STEP e_i, one vertex per axis."""
     evals.searching = True
+    simplex = start + SEARCH_STEP * np.eye(start.size + 1, start.size, k=-1)
     res = optimize.minimize(
         lambda t: -evals(t)[0],
         start,
         method="Nelder-Mead",
         # an iteration evaluates at least once, so maxfev binds first
-        options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL,
+        options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL, "initial_simplex": simplex,
                  "maxfev": SEARCH_MAXFEV, "maxiter": 2 * SEARCH_MAXFEV},
     )
     evals.searching = False
@@ -1468,23 +1517,26 @@ def _posterior_draws(result, n, rng):
 
     Per draw the stream is one uniform for the grid point (exactly what
     ``rng.choice(k, p=weights)`` consumes) and then one standard-normal
-    vector.  All n are taken first; each grid point then gets one batched
-    ``_draw_block``, so memory is O(n * n_latent) per call.
+    vector, written into row s of an (n, n_latent) array.  All n are taken
+    first, and the grid points are read off the uniforms by one search;
+    each grid point then gets one batched ``_draw_block``, so memory is
+    O(n * n_latent) per call.
     """
     grid = result.grid
     cdf = np.array([p.weight for p in grid]).cumsum()
     cdf /= cdf[-1]
     d = result.model.n_latent
-    idx = np.empty(n, dtype=int)
-    Z = np.empty((d, n))
+    uniform = np.empty(n)
+    Zt = np.empty((n, d))
     for s in range(n):
-        idx[s] = cdf.searchsorted(rng.random(), "right")
-        Z[:, s] = rng.standard_normal(d)
+        uniform[s] = rng.random()
+        rng.standard_normal(out=Zt[s])
+    idx = cdf.searchsorted(uniform, "right")
     draws = np.empty((n, d))
     for g in np.unique(idx):
-        cols = np.flatnonzero(idx == g)
+        rows = np.flatnonzero(idx == g)
         point = grid[g]
-        draws[cols] = _draw_block(point.mode, point.factor, point.kriging, Z[:, cols])
+        draws[rows] = _draw_block(point.mode, point.factor, point.kriging, Zt[rows].T)
     return draws
 
 

@@ -5,6 +5,7 @@ conjugate posteriors, scipy special functions and brute-force searches,
 never from the engine itself.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,7 +51,7 @@ from iterlace.latents import (
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
 from iterlace.sparse import CholFactor, SparseSym, chol
-from test_acceptance import build_joint  # c5's joint non-linear model
+from test_acceptance import build_joint, toy_model  # c5's joint model, c2's toy
 from test_sparse import _public_solve_lt
 
 
@@ -346,6 +347,81 @@ def _ar1_poisson_model():
     y = np.array([2.0, 0.0, 5.0, 1.0, 3.0, 4.0])
     block = ObsBlock(PoissonFamily(), y, parse_expr("a"), {"a": cells})
     return Model([Component("a", Ar1Model(8))], [block])
+
+
+def _besag_free_precision_model():
+    """``_besag_poisson_model`` with the field's precision free: p = 1."""
+    model = _besag_poisson_model()
+    b0, s = model.components
+    field = Component("s", BesagModel(s.model.graph, _precision_hyper(initial=1.5)))
+    return Model([b0, field], model.obs)
+
+
+def _gauss_at(model, lin, theta, warm=None):
+    comp_vals, obs_vals = model.natural_values(np.asarray(theta, dtype=float))
+    return gaussian_approx(model, lin, model.precision(comp_vals), model.prior_mean(),
+                           obs_vals, warm=warm)
+
+
+def _newton_states(monkeypatch):
+    """The state of every ``_obs_grad_hess`` call: from a warm start the
+    first is the previous mode (the chord's gradient) and the second is
+    where Newton starts."""
+    states = []
+    real = engine._obs_grad_hess
+    monkeypatch.setattr(
+        engine, "_obs_grad_hess",
+        lambda model, lin, u, *args: states.append(u) or real(model, lin, u, *args),
+    )
+    return states
+
+
+class TestChordStart:
+    @pytest.mark.parametrize("build, thetas", [
+        (_besag_free_precision_model, ([0.0], [0.3], [0.1], [-0.4])),
+        (_ar1_poisson_model, ([0.0, 0.0], [0.2, 0.3], [0.0, 0.1], [-0.3, 0.2])),
+    ])
+    def test_chord_started_mode_matches_a_fresh_newton_run(self, monkeypatch, build, thetas):
+        model = build()
+        lin = model.linearise(model.prior_mean())  # a fresh run starts at mu
+        states = _newton_states(monkeypatch)
+        warm, kept = _gauss_at(model, lin, thetas[0]), 0
+        for theta in thetas[1:]:
+            states.clear()
+            ga = _gauss_at(model, lin, theta, warm=warm)
+            kept += states[1] is not warm.mode
+            fresh = _gauss_at(model, lin, theta)
+            assert np.max(np.abs(ga.mode - fresh.mode)) < 1e-7
+            if model.constraints is not None:
+                assert np.max(np.abs(model.constraints @ ga.mode)) < 1e-10
+            warm = ga
+        assert kept == len(thetas) - 1  # every chord step was a start
+
+    def test_overflowing_or_lower_chord_is_dropped_without_warning(self, monkeypatch):
+        # Poisson counts, mostly zero, and a jump of 16 or 6 in log
+        # precision: from the low-precision mode the chord step overshoots,
+        # to exp overflow or to a far lower objective
+        y = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 12.0, 30.0, 0.0])
+        block = ObsBlock(PoissonFamily(), y, parse_expr("f"), {"f": np.arange(1, 9)})
+        model = Model([Component("f", IidModel(8))], [block])
+        lin = model.linearise(np.zeros(8))
+        states = _newton_states(monkeypatch)
+        logliks = []
+        real = PoissonFamily.loglik
+        monkeypatch.setattr(PoissonFamily, "loglik",
+                            lambda self, *a: logliks.append(real(self, *a)) or logliks[-1])
+        for start, theta, finite in ((-8.0, 8.0, False), (-3.0, 3.0, True)):
+            warm = _gauss_at(model, lin, [start])
+            states.clear()
+            logliks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ga = _gauss_at(model, lin, [theta], warm=warm)
+            # the log-likelihood at the previous mode, then at the chord's end
+            assert np.isfinite(logliks[1]) == finite
+            assert states[1] is warm.mode  # Newton starts at the previous mode
+            fresh = _gauss_at(model, lin, [theta])
+            assert np.max(np.abs(ga.mode - fresh.mode)) < 1e-7
 
 
 class TestPosteriorVariances:
@@ -802,10 +878,10 @@ class TestLogPosteriorTheta:
         )
         budget = 1  # Q(theta)'s CSC
         steps = []
-        for theta, start in ((-0.7, None), (1.2, None), (0.4, warm.mode)):
+        for theta, start in ((-0.7, None), (1.2, None), (0.4, warm)):
             built.clear()
             gradients.clear()
-            log_posterior_theta(model, lin, np.array([theta]), u_init=start)
+            log_posterior_theta(model, lin, np.array([theta]), warm=start)
             steps.append(len(gradients) - 1)
             assert len(built) <= budget
         assert max(steps) >= 3 and min(steps) < max(steps)
@@ -894,15 +970,15 @@ def _tight_search(monkeypatch):
 
 
 def _count_laplace(monkeypatch):
-    """Count log_posterior_theta calls in calls[0]."""
-    calls = [0]
-    original = engine.log_posterior_theta
+    """Count log_posterior_theta calls in calls["laplace"] and the
+    factorisations the engine makes in calls["chol"]."""
+    calls = {"laplace": 0, "chol": 0}
+    for name, key in (("log_posterior_theta", "laplace"), ("chol", "chol")):
+        def counted(*args, _key=key, _original=getattr(engine, name), **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "log_posterior_theta", counted)
+        monkeypatch.setattr(engine, name, counted)
     return calls
 
 
@@ -978,12 +1054,12 @@ class TestThetaExplore:
         exact = _exact_scalar_mode(log_post)
         calls = _count_laplace(monkeypatch)
         theta_explore(model, lin, mode_only=True)
-        n_cold, calls[0] = calls[0], 0
+        n_cold, calls["laplace"] = calls["laplace"], 0
         for start in (exact + 0.3, exact - 0.3):
             theta_hat, _, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
             assert abs(theta_hat[0] - exact) < 1e-4
-            assert calls[0] < n_cold
-            calls[0] = 0
+            assert calls["laplace"] < n_cold
+            calls["laplace"] = 0
 
     def test_convex_start_falls_back_to_nelder_mead(self, monkeypatch):
         # the Laplace log p(theta | y) of this model is convex at theta = 5
@@ -1020,15 +1096,31 @@ class TestThetaExplore:
 
     def test_joint_fit_evaluation_budget(self, monkeypatch):
         # c5's seed-0 data: the warm searches of outer iterations 2-5
-        # refine the previous mode instead of restarting Nelder-Mead
+        # refine the previous mode instead of restarting Nelder-Mead, the
+        # cold search starts from a sized simplex, and each evaluation
+        # starts at the previous one's chord step
         model = build_joint(0)
         calls = _count_laplace(monkeypatch)
         res = fit(model)
-        assert calls[0] <= 300
+        assert calls["laplace"] <= 240
+        assert calls["chol"] <= 560
         assert res.converged and len(res.records) == 5
         theta_hat = engine._mode_point(res.grid).theta
         _tight_search(monkeypatch)
         tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
+        assert np.max(np.abs(theta_hat - tight)) < 1e-3
+
+    def test_cold_search_from_zero_on_three_hyperparameters(self, monkeypatch):
+        # every precision at initial value 1 starts at 0 on the log scale,
+        # where scipy's default simplex has an edge of 0.00025; the sized
+        # simplex reaches the mode in 174 evaluations, against 441
+        model = _rw1_iid_noise_model()
+        lin = model.linearise(np.zeros(model.n_latent))
+        calls = _count_laplace(monkeypatch)
+        theta_hat = engine._nelder_mead(_ThetaCache(model, lin), np.zeros(3))
+        assert calls["laplace"] <= 250
+        _tight_search(monkeypatch)
+        tight = engine._nelder_mead(_ThetaCache(model, lin), model.theta_internal0())
         assert np.max(np.abs(theta_hat - tight)) < 1e-3
 
     def test_exhausted_search_names_itself_and_its_start(self, monkeypatch):
@@ -1047,10 +1139,10 @@ class TestThetaExplore:
     def test_search_saves_evaluations(self, monkeypatch):
         calls = _count_laplace(monkeypatch)
         default = _fit_rw1_free_precision()
-        n_default, calls[0] = calls[0], 0
+        n_default, calls["laplace"] = calls["laplace"], 0
         _tight_search(monkeypatch)
         tight = _fit_rw1_free_precision()
-        assert n_default <= 0.8 * calls[0]
+        assert n_default <= 0.8 * calls["laplace"]
         shift = np.abs(default.latent_mean - tight.latent_mean) / tight.latent_sd
         assert shift.max() < 1e-5
 
@@ -1646,7 +1738,38 @@ def _reference_generate(res, expr, n, seed, inputs=None):
     ])
 
 
+def _per_draw_generate(res, expr, n, seed, inputs=None):
+    """generate's values from the per-draw stream, one draw at a time: a
+    uniform for the grid point, a standard-normal vector, that draw
+    alone, and its expression evaluation."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum([p.weight for p in res.grid])
+    cdf /= cdf[-1]
+    rows = []
+    for _ in range(n):
+        point = res.grid[cdf.searchsorted(rng.random(), "right")]
+        z = rng.standard_normal(res.model.n_latent)
+        u = engine._draw_block(point.mode, point.factor, point.kriging, z[:, None])[0]
+        val = expr.eval(engine.expr_env(res.model, expr, u, inputs))
+        rows.append(np.atleast_1d(np.asarray(val, dtype=float)))
+    return np.stack(rows)
+
+
 class TestStateMatrices:
+    def test_generate_keeps_the_per_draw_stream(self):
+        # c5's seed-0 fit (58 grid points, a constraint) and c2's toy
+        rng = np.random.default_rng(20240819)
+        y = rng.poisson(rng.exponential(2.0), size=100).astype(float)
+        cases = [
+            (fit(build_joint(0)), "beta1_latent + exp(alpha0 + xi)", None),
+            (fit(toy_model(y)), "lam", {"lam": np.ones(1, dtype=int)}),
+        ]
+        for res, text, inputs in cases:
+            expr = parse_expr(text)
+            got = generate(res, expr, 300, rng=3, inputs=inputs)
+            want = _per_draw_generate(res, expr, 300, 3, inputs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_posterior_draws_are_a_matrix(self):
         res = _fit_rw1_free_precision()
         draws = _posterior_draws(res, 7, np.random.default_rng(0))
