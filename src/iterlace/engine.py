@@ -14,10 +14,10 @@ is fitted by a Laplace/grid scheme:
                               no start runs Nelder-Mead from a simplex
                               of edge ``SEARCH_STEP``; a search from a
                               start (the previous outer iteration's
-                              mode) refines it by Newton steps on the
-                              central-difference stencil that also
-                              gives the grid its curvature.  Both stop
-                              at ``SEARCH_XATOL`` and ``SEARCH_FATOL``,
+                              mode) refines it by quasi-Newton steps
+                              from the stencil curvature the grid also
+                              uses, updated by BFGS.  Both stop at
+                              ``SEARCH_XATOL`` and ``SEARCH_FATOL``,
                               since below that they follow the jitter
                               of warm-started Laplace evaluations.
                               Each search's first Newton iteration
@@ -743,7 +743,8 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
     state, and hands on what it computed there (``_Objective``): the next
     step's predictor and right-hand side B^T g - Q d, which equals
     B^T g + Q (mu - u) bit for bit, and at the mode the gradient and the
-    result's ``loglik`` and ``prior_quad``.
+    result's ``loglik`` and ``prior_quad``.  g and h are computed once per
+    state: a dropped chord's, at the previous mode, serve the first step.
     """
     C = model.constraints
     Q = prior_q.csc
@@ -767,7 +768,8 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
         at = objective(u)
     else:
         at = objective(warm.mode)
-        g, _ = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
+    g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
+    if warm is not None:
         u = at.u + warm.factor.solve(BT @ g - at.qd)
         if warm.kriging is not None:
             u = warm.kriging.project(u)
@@ -775,10 +777,10 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
             chord = objective(u)
         if not _worse(chord, at):
             at = chord
+            g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
 
     for _ in range(max_iter):
         u = at.u
-        g, h = _obs_grad_hess(model, lin, u, obs_vals, at.eta)
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
         kriging = _Kriging.of(factor, C)
@@ -797,6 +799,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
                 )
             nxt = objective(u + t * move)
         at = nxt
+        g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
         if np.max(np.abs(t * move)) < tol:
             break
     else:
@@ -804,7 +807,6 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
             f"inner Newton iteration did not converge in {max_iter} steps"
         )
 
-    g, _ = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
     return GaussResult(
         mode=at.u,
         factor=factor,
@@ -878,8 +880,8 @@ MAX_THETA_DIM = 3
 # precision with initial value 1 starts, that default is 0.00025, and
 # the search first spends tens of evaluations growing it.  (On the
 # 12 x 12 BYM lattice an edge of 0.5 or more leads the search to the
-# higher of two modes, 0.25 or less to the lower.)  A warm search refines
-# its start by Newton steps on the stencil's curvature, and stops once a
+# higher of two modes, 0.25 or less to the lower.)  A warm search uses
+# no SEARCH_STEP and has no fallback: its quasi-Newton steps stop once a
 # step is shorter than SEARCH_XATOL, or once the ascent it predicts is
 # below SEARCH_FATOL, or once halving a step below SEARCH_XATOL still
 # finds no ascent.  Each Laplace evaluation starts from the previous one
@@ -903,12 +905,10 @@ class _ThetaCache:
     first starts at the linearisation point.  That keeps at most one
     SuperLU object alive beyond what the entries keep.
 
-    * A call without ``lp_floor`` keeps the GaussResult.  While
-      ``searching`` is set (Nelder-Mead's evaluations, and the start and
-      step candidates of a Newton refinement; a search reads only lp),
-      a new entry keeps it only if it is the best so far or ties it;
-      earlier results are dropped to ``(lp, None)``, so the search holds
-      a few factors instead of one per evaluation.
+    * A call without ``lp_floor`` returns the GaussResult it computes,
+      and keeps it only while its lp is the best such a call has seen or
+      ties it; earlier bests are dropped to ``(lp, None)``, so a search
+      holds a few factors instead of one per evaluation.
     * A call with ``lp_floor`` keeps the finished grid point
       (``_make_point``) when lp >= lp_floor and nothing otherwise, so no
       SuperLU object outlives the next evaluation; ``lp_floor=inf``
@@ -916,8 +916,7 @@ class _ThetaCache:
       the grid's curvature).  A GaussResult the entry already holds is
       finished without evaluating again.
 
-    A lookup outside the search that finds less than it would keep
-    re-evaluates.
+    A lookup that finds less than it would keep re-evaluates.
     """
 
     def __init__(self, model, lin):
@@ -925,8 +924,7 @@ class _ThetaCache:
         self.lin = lin
         self.cache = {}
         self.last = None
-        self.searching = False
-        self._best = []  # keys that keep their GaussResult during the search
+        self._best = []  # keys that keep their GaussResult
         self._best_lp = -np.inf
 
     def __call__(self, theta, lp_floor=None):
@@ -940,18 +938,16 @@ class _ThetaCache:
         else:
             lp, ga = log_posterior_theta(self.model, self.lin, theta, warm=self.last)
             self.last = ga
-        if lp_floor is not None:
-            kept = _make_point(theta, lp, ga, self.lin) if lp >= lp_floor else None
-        elif self.searching:
-            kept = self._keep_if_best(key, lp, ga)
-        else:
-            kept = ga
+        if lp_floor is None:
+            self.cache[key] = (lp, self._keep_if_best(key, lp, ga))
+            return lp, ga
+        kept = _make_point(theta, lp, ga, self.lin) if lp >= lp_floor else None
         hit = self.cache[key] = (lp, kept)
         return hit
 
     def _lacks(self, hit, lp_floor):
         if lp_floor is None:
-            return not self.searching and not isinstance(hit[1], GaussResult)
+            return not isinstance(hit[1], GaussResult)
         return hit[0] >= lp_floor and not isinstance(hit[1], ThetaPoint)
 
     def _keep_if_best(self, key, lp, ga):
@@ -983,8 +979,8 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
 
     Without ``theta_start`` the mode is searched by Nelder-Mead from the
     hyperparameters' initial values (``_nelder_mead``); with it, the
-    start is refined by Newton steps (``_refine_mode``), which suits a
-    start near the mode.
+    start is refined by quasi-Newton steps (``_refine_mode``), near the
+    mode or far from it.
     ``mode_only`` returns a single-point grid at the mode (used inside
     the outer iterations); ``known_mode`` skips the optimisation
     entirely (the final integration pass of an iterative fit).
@@ -1011,7 +1007,7 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     # curvature at the mode; these evaluations keep only lp
     _, hess = _stencil(lambda t: evals(t, lp_floor=np.inf)[0], theta_hat, lp_hat)
     lam, vec = np.linalg.eigh(-hess)
-    lam = np.maximum(lam, 1e-8 * max(1.0, lam.max()))
+    lam = _floored(lam)
     axes = vec @ np.diag(1.0 / np.sqrt(lam))  # z -> theta displacement
 
     def theta_of(z):
@@ -1051,6 +1047,11 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     return theta_hat, grid, ga_hat
 
 
+def _floored(lam):
+    """Curvature eigenvalues floored at 1e-8 of the largest (at least 1)."""
+    return np.maximum(lam, 1e-8 * max(1.0, lam.max()))
+
+
 def _search_failed(evals, search, start):
     return EngineError(
         f"hyperparameter {search} did not converge within {SEARCH_MAXFEV} "
@@ -1061,7 +1062,6 @@ def _search_failed(evals, search, start):
 def _nelder_mead(evals, start):
     """The mode by Nelder-Mead from the simplex of ``start`` and
     start + SEARCH_STEP e_i, one vertex per axis."""
-    evals.searching = True
     simplex = start + SEARCH_STEP * np.eye(start.size + 1, start.size, k=-1)
     res = optimize.minimize(
         lambda t: -evals(t)[0],
@@ -1071,7 +1071,6 @@ def _nelder_mead(evals, start):
         options={"xatol": SEARCH_XATOL, "fatol": SEARCH_FATOL, "initial_simplex": simplex,
                  "maxfev": SEARCH_MAXFEV, "maxiter": 2 * SEARCH_MAXFEV},
     )
-    evals.searching = False
     if not res.success:
         raise _search_failed(evals, "Nelder-Mead search", start)
     return res.x
@@ -1106,44 +1105,46 @@ def _stencil(lp_at, theta, lp0, cross=True):
 
 
 def _refine_mode(evals, start):
-    """The mode near ``start`` by chord Newton steps s = (-H)^-1 g.
+    """The mode from ``start`` by quasi-Newton steps s = B^-1 g.
 
-    H is the stencil's at ``start`` and is kept; each accepted point gets
-    a fresh central-difference gradient.  A step is halved until lp does
-    not decrease.  Where -H is not positive definite, Nelder-Mead runs
-    from ``start`` instead.  The start and the step candidates are
-    evaluated as search points, so the best keeps its GaussResult; the
+    B starts as the stencil's -H at ``start``, each eigenvalue made
+    positive by its absolute value and ``_floored`` as the grid's
+    curvature is.  After each accepted step it takes the BFGS update from s and
+    y = g - g_new, the central-difference gradient that point gets
+    anyway, so the update costs no evaluation; it is skipped when
+    s^T y <= 0.  A step is halved until lp does not decrease.  The
     stencil's points keep only lp.
     """
     n_calls = 0
 
-    def lp_at(theta, searching=False):
+    def lp_at(theta, lp_floor=None):
         nonlocal n_calls
         if n_calls >= SEARCH_MAXFEV:
             raise _search_failed(evals, "Newton refinement", start)
         n_calls += 1
-        evals.searching = searching
-        lp = evals(theta, lp_floor=None if searching else np.inf)[0]
-        evals.searching = False
-        return lp
+        return evals(theta, lp_floor)[0]
 
-    theta, lp = start, lp_at(start, searching=True)
-    grad, hess = _stencil(lp_at, theta, lp)
-    try:
-        chord = linalg.cho_factor(-hess)
-    except linalg.LinAlgError:
-        return _nelder_mead(evals, start)
+    def stencil_lp(theta):
+        return lp_at(theta, np.inf)
+
+    theta, lp = start, lp_at(start)
+    grad, hess = _stencil(stencil_lp, theta, lp)
+    lam, vec = np.linalg.eigh(-hess)
+    b = (vec * _floored(np.abs(lam))) @ vec.T
     while True:
-        s = linalg.cho_solve(chord, grad)
+        s = np.linalg.solve(b, grad)
         if np.abs(s).max() < SEARCH_XATOL or 0.5 * grad @ s < SEARCH_FATOL:
             return theta
         # a NaN lp counts as a decrease
-        while not (lp_new := lp_at(theta + s, searching=True)) >= lp:
+        while not (lp_new := lp_at(theta + s)) >= lp:
             s = 0.5 * s
             if np.abs(s).max() < SEARCH_XATOL:
                 return theta  # no ascent above lp's jitter
         theta, lp = theta + s, lp_new
-        grad, _ = _stencil(lp_at, theta, lp, cross=False)
+        y = grad - (grad := _stencil(stencil_lp, theta, lp, cross=False)[0])
+        if s @ y > 0:
+            bs = b @ s
+            b = b + np.outer(y, y) / (s @ y) - np.outer(bs, bs) / (s @ bs)
 
 
 def _make_point(theta, lp, ga, lin):
@@ -1183,11 +1184,13 @@ def line_search(eta_fn, u0, u1, eta_bar0, eta_bar1, sigma2, gamma=2.0):
     def v_of(alpha):
         return (1.0 - alpha) * u0 + alpha * u1
 
+    etas = {}  # eta at each alpha evaluated
+
     def exact(alpha):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                r = eta_fn(v_of(alpha)) - eta_bar1
-                val = norm2(r)
+                etas[alpha] = eta_fn(v_of(alpha))
+                val = norm2(etas[alpha] - eta_bar1)
         except (FloatingPointError, EngineError):
             return np.inf
         return val if np.isfinite(val) else np.inf
@@ -1198,23 +1201,16 @@ def line_search(eta_fn, u0, u1, eta_bar0, eta_bar1, sigma2, gamma=2.0):
     k = 0
     f_cur = exact(1.0)
     for direction in (1, -1):
-        if exact(float(gamma) ** direction) < f_cur:
-            k = direction
-            f_cur = exact(float(gamma) ** k)
-            for _ in range(9):
-                nxt = k + direction
-                f_nxt = exact(float(gamma) ** nxt)
-                if f_nxt < f_cur:
-                    k, f_cur = nxt, f_nxt
-                else:
-                    break
+        while abs(k) < 10 and (f_nxt := exact(float(gamma) ** (k + direction))) < f_cur:
+            k, f_cur = k + direction, f_nxt
+        if k != 0:
             break
     if not np.isfinite(f_cur):
         raise EngineError("line search: all candidate norms are non-finite")
 
     alpha_k = float(gamma) ** k
     eta_bar_k = (1.0 - alpha_k) * eta_bar0 + alpha_k * eta_bar1
-    d2 = (eta_fn(v_of(alpha_k)) - eta_bar_k) / alpha_k**2
+    d2 = (etas[alpha_k] - eta_bar_k) / alpha_k**2
 
     a = norm2(d1)
     b = float(np.sum(d1 * d2 * w))
@@ -1404,7 +1400,7 @@ def _record(model, k, theta_hat, point, u0, v, alpha=1.0, line_search_ran=False)
 
 def _finish(model, grid, lin, converged, records, log):
     latent_mean, latent_sd = marginals(grid)
-    pred_sigma2 = _mixture_pred_var(grid)
+    _, pred_sigma2 = _mixture_moments(grid, lambda p: p.pred_mean, lambda p: p.pred_var)
     hyper_summary = _hyper_summary(model, grid)
     return FitResult(
         model=model,
@@ -1423,23 +1419,20 @@ def _finish(model, grid, lin, converged, records, log):
 
 # --- posterior summaries ------------------------------------------------------
 
+def _mixture_moments(grid, mean_of, var_of):
+    """Mean and variance of the grid mixture whose point p has mean
+    ``mean_of(p)`` and variance ``var_of(p)``."""
+    w = np.array([p.weight for p in grid])
+    means = np.stack([mean_of(p) for p in grid])
+    variances = np.stack([var_of(p) for p in grid])
+    mean = w @ means
+    return mean, np.maximum(w @ (variances + means**2) - mean**2, 0.0)
+
+
 def marginals(grid):
     """Grid-mixture mean and sd of each latent coordinate."""
-    w = np.array([p.weight for p in grid])
-    means = np.stack([p.mode for p in grid])
-    variances = np.stack([p.latent_var for p in grid])
-    mean = w @ means
-    second = w @ (variances + means**2)
-    var = np.maximum(second - mean**2, 0.0)
+    mean, var = _mixture_moments(grid, lambda p: p.mode, lambda p: p.latent_var)
     return mean, np.sqrt(var)
-
-
-def _mixture_pred_var(grid):
-    w = np.array([p.weight for p in grid])
-    means = np.stack([p.pred_mean for p in grid])
-    variances = np.stack([p.pred_var for p in grid])
-    mean = w @ means
-    return np.maximum(w @ (variances + means**2) - mean**2, 0.0)
 
 
 def _hyper_summary(model, grid):

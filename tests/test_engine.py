@@ -41,6 +41,7 @@ from iterlace.exprs import parse_expr
 from iterlace.latents import (
     Ar1Model,
     BesagModel,
+    BymModel,
     FixedEffectsModel,
     Graph,
     GaussianPrior,
@@ -51,7 +52,9 @@ from iterlace.latents import (
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
 from iterlace.sparse import CholFactor, SparseSym, chol
-from test_acceptance import build_joint, toy_model  # c5's joint model, c2's toy
+from test_acceptance import (  # c5's joint model, c2's toy
+    build_joint, lattice_graph, sample_icar, toy_model,
+)
 from test_sparse import _public_solve_lt
 
 
@@ -364,16 +367,24 @@ def _gauss_at(model, lin, theta, warm=None):
 
 
 def _newton_states(monkeypatch):
-    """The state of every ``_obs_grad_hess`` call: from a warm start the
-    first is the previous mode (the chord's gradient) and the second is
-    where Newton starts."""
-    states = []
-    real = engine._obs_grad_hess
-    monkeypatch.setattr(
-        engine, "_obs_grad_hess",
-        lambda model, lin, u, *args: states.append(u) or real(model, lin, u, *args),
-    )
-    return states
+    """Every ``_obs_grad_hess`` call as (state, h), from a warm start the
+    previous mode first (the chord's gradient), and the state each Newton
+    step starts at: that of the call whose h builds the step's Q*."""
+    calls, starts = [], []
+    real, real_qstar = engine._obs_grad_hess, Linearisation.qstar
+
+    def grad_hess(model, lin, u, *args):
+        g, h = real(model, lin, u, *args)
+        calls.append((u, h))
+        return g, h
+
+    def qstar(self, q, h):
+        starts.append(next(u for u, hh in calls if hh is h))
+        return real_qstar(self, q, h)
+
+    monkeypatch.setattr(engine, "_obs_grad_hess", grad_hess)
+    monkeypatch.setattr(Linearisation, "qstar", qstar)
+    return calls, starts
 
 
 class TestChordStart:
@@ -384,12 +395,12 @@ class TestChordStart:
     def test_chord_started_mode_matches_a_fresh_newton_run(self, monkeypatch, build, thetas):
         model = build()
         lin = model.linearise(model.prior_mean())  # a fresh run starts at mu
-        states = _newton_states(monkeypatch)
+        _, starts = _newton_states(monkeypatch)
         warm, kept = _gauss_at(model, lin, thetas[0]), 0
         for theta in thetas[1:]:
-            states.clear()
+            starts.clear()
             ga = _gauss_at(model, lin, theta, warm=warm)
-            kept += states[1] is not warm.mode
+            kept += starts[0] is not warm.mode
             fresh = _gauss_at(model, lin, theta)
             assert np.max(np.abs(ga.mode - fresh.mode)) < 1e-7
             if model.constraints is not None:
@@ -405,21 +416,23 @@ class TestChordStart:
         block = ObsBlock(PoissonFamily(), y, parse_expr("f"), {"f": np.arange(1, 9)})
         model = Model([Component("f", IidModel(8))], [block])
         lin = model.linearise(np.zeros(8))
-        states = _newton_states(monkeypatch)
+        calls, starts = _newton_states(monkeypatch)
         logliks = []
         real = PoissonFamily.loglik
         monkeypatch.setattr(PoissonFamily, "loglik",
                             lambda self, *a: logliks.append(real(self, *a)) or logliks[-1])
         for start, theta, finite in ((-8.0, 8.0, False), (-3.0, 3.0, True)):
             warm = _gauss_at(model, lin, [start])
-            states.clear()
+            calls.clear()
+            starts.clear()
             logliks.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 ga = _gauss_at(model, lin, [theta], warm=warm)
             # the log-likelihood at the previous mode, then at the chord's end
             assert np.isfinite(logliks[1]) == finite
-            assert states[1] is warm.mode  # Newton starts at the previous mode
+            assert starts[0] is warm.mode  # Newton starts at the previous mode
+            assert sum(u is warm.mode for u, _ in calls) == 1  # with the chord's g and h
             fresh = _gauss_at(model, lin, [theta])
             assert np.max(np.abs(ga.mode - fresh.mode)) < 1e-7
 
@@ -963,6 +976,23 @@ def _rw1_iid_noise_model():
     return Model(comps, [block])
 
 
+def _bym_lattice_model():
+    """The benchmark's BYM lattice: Poisson counts on a 12 x 12 rook
+    lattice, y ~ Poisson(exp(1.5 + u + v)) with u an intrinsic CAR draw
+    of precision 2 and v iid of precision 10, drawn with default_rng(0).
+    log p(theta | y) has two modes, each switching one half of the BYM
+    off: (0.475, 9.902) and, 4.2 higher, (9.904, 1.361)."""
+    g = lattice_graph(12)
+    rng = np.random.default_rng(0)
+    u = sample_icar(rng, g, tau=2.0)
+    v = rng.normal(scale=1.0 / np.sqrt(10.0), size=g.n)
+    y = rng.poisson(np.exp(1.5 + u + v)).astype(float)
+    comps = [Component("b0", FixedEffectsModel.constant()), Component("s", BymModel(g))]
+    block = ObsBlock(PoissonFamily(), y, parse_expr("b0 + s"),
+                     {"b0": np.ones(g.n), "s": np.arange(1, g.n + 1)})
+    return Model(comps, [block])
+
+
 def _tight_search(monkeypatch):
     """Stop a mode search only at a 1e-8 wide simplex or a 1e-8 step."""
     monkeypatch.setattr(engine, "SEARCH_XATOL", 1e-8)
@@ -1061,24 +1091,49 @@ class TestThetaExplore:
             assert calls["laplace"] < n_cold
             calls["laplace"] = 0
 
-    def test_convex_start_falls_back_to_nelder_mead(self, monkeypatch):
-        # the Laplace log p(theta | y) of this model is convex at theta = 5
+    def test_convex_start_reaches_the_exact_mode_without_nelder_mead(self, monkeypatch):
+        # the Laplace log p(theta | y) of this model is convex at theta = 5;
+        # the refinement takes the stencil's curvature there with its sign
+        # flipped, and its BFGS updates carry it to the mode (22 evaluations)
         model, log_post = _iid_groups_model()
         lin = model.linearise(np.zeros(model.n_latent))
-        methods = []
-        original = optimize.minimize
-
-        def recorded(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine.optimize, "minimize", recorded)
         exact = _exact_scalar_mode(log_post)
-        theta_explore(model, lin, theta_start=[exact + 0.3], mode_only=True)
+        methods = []
+        monkeypatch.setattr(engine.optimize, "minimize",
+                            lambda *args, **kwargs: methods.append(kwargs["method"]))
+        calls = _count_laplace(monkeypatch)
+        for start in (exact + 0.3, 5.0):
+            theta_hat, _, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
+            assert abs(theta_hat[0] - exact) < 1e-4
         assert methods == []
-        theta_hat, _, _ = theta_explore(model, lin, theta_start=[5.0], mode_only=True)
-        assert methods == ["Nelder-Mead"]
-        assert abs(theta_hat[0] - exact) < 1e-4
+        assert calls["laplace"] <= 40
+
+    @pytest.mark.parametrize("build, start, budget, mode", [
+        # c5's seed-0 data: its mode, and a stationary point 48 lower
+        (lambda: build_joint(0), (0.0, 0.0), 60, None),
+        (lambda: build_joint(0), (9.9, 0.0), 40, (9.866, 0.470)),
+        (lambda: build_joint(0), (0.0, 9.9), 125, None),
+        # the BYM lattice: its higher mode, from theta0 too, and its lower one
+        (_bym_lattice_model, (0.0, 0.0), 105, (9.904, 1.361)),
+        (_bym_lattice_model, (9.9, 0.0), 40, (9.904, 1.361)),
+        (_bym_lattice_model, (0.0, 9.9), 35, (0.475, 9.902)),
+    ], ids=["joint-theta0", "joint-9.9,0", "joint-0,9.9", "bym-theta0", "bym-9.9,0", "bym-0,9.9"])
+    def test_refinement_from_far_starts(self, monkeypatch, build, start, budget, mode):
+        # each workload's first linearisation, searched from theta0 and from
+        # either precision at 2e4; measured counts 49, 29, 104, 86, 29, 24
+        model = build()
+        lin = model.linearise(engine._initial_point(model, model.options))
+        calls = _count_laplace(monkeypatch)
+        theta_hat, _, _ = theta_explore(model, lin, theta_start=start, mode_only=True)
+        assert calls["laplace"] <= budget
+        evals = _ThetaCache(model, lin)
+        grad, hess = engine._stencil(lambda t: evals(t)[0], theta_hat, evals(theta_hat)[0])
+        assert np.max(np.abs(np.linalg.solve(hess, grad))) < 1e-3  # a stationary point
+        if mode is None:  # the mode of the cold search
+            mode = theta_explore(model, lin, mode_only=True)[0]
+            assert np.max(np.abs(theta_hat - mode)) < 1e-4
+        else:
+            assert np.max(np.abs(theta_hat - mode)) < 1e-3
 
     def test_tight_refinement_ends_at_the_jitter(self, monkeypatch):
         # with SEARCH_FATOL = 0 only the step rules stop a refinement:
@@ -1243,6 +1298,18 @@ class TestLineSearch:
             + qc * grid**4
         )
         return float(grid[np.argmin(vals)])
+
+    @pytest.mark.parametrize("target, alphas", [
+        (5.0, [1.0, 2.0, 4.0, 8.0]),  # the walk expands to alpha = 4
+        (0.3, [1.0, 2.0, 0.5, 0.25, 0.125]),  # it contracts to alpha = 1/4
+    ])
+    def test_each_alpha_is_evaluated_once(self, target, alphas):
+        # eta(v) = v from u0 = 0 to u1 = 1, so v = alpha: the walk and the
+        # quartic's second difference read eta once per candidate
+        seen = []
+        line_search(lambda u: seen.append(float(u[0])) or u, np.zeros(1), np.ones(1),
+                    np.zeros(1), np.array([target]), np.ones(1))
+        assert seen == alphas
 
     def test_all_non_finite_candidates_error(self):
         with pytest.raises(EngineError, match="non-finite"):
@@ -1685,11 +1752,9 @@ class TestThetaCache:
         res = _fit_rw1_free_precision()
         model = res.model
         evals = _ThetaCache(model, res.linearisation)
-        evals.searching = True
         optimize.minimize(lambda t: -evals(t)[0], model.theta_internal0(),
                           method="Nelder-Mead",
                           options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 500})
-        evals.searching = False
         return evals
 
     def test_search_keeps_only_the_best_result(self):
@@ -1708,6 +1773,7 @@ class TestThetaCache:
         lp, ga = evals(np.array(key))
         assert ga is not None and len(evals.cache) == n
         assert lp == pytest.approx(lp0, abs=1e-8)
+        assert evals.cache[key][1] is None  # returned, but not kept: not the best
         kept = next(k for k, (_, g) in evals.cache.items() if g is not None and k != key)
         assert evals(np.array(kept))[1] is evals.cache[kept][1]
 
