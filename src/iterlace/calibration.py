@@ -136,7 +136,8 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     wide prior can give), or whose fit raises or fails to converge, are
     excluded, each with its reason ("fit did not converge" for the
     last); more than 10% of them aborts the run, and the error names
-    every reason.  ``posterior_sampler(rng, model_k, J)
+    every reason and, when a response draw failed, how many replicates
+    failed at each of the two stages.  ``posterior_sampler(rng, model_k, J)
     -> J values`` replaces the fit-and-sample step, for pipelines with a
     known exact posterior.
     """
@@ -166,14 +167,20 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
     C = model.constraints
     mu = model.prior_mean()
     w_values, ranks, failed = [], [], []
+    draw_failures = 0  # the replicates of ``failed`` dropped at their response draw
 
     def drop(k, err, stage=""):
         failed.append((k, type(err).__name__, stage + str(err)))
         if len(failed) > 0.1 * K:
             reasons = "; ".join(f"replicate {i}: {name}: {msg}" for i, name, msg in failed)
+            if draw_failures:
+                fits = len(failed) - draw_failures
+                what = (f"replicates failed ({fits} fit{'s' * (fits != 1)}, {draw_failures} "
+                        f"prior-predictive response draw{'s' * (draw_failures != 1)})")
+            else:
+                what = "replicate fits failed"
             raise CalibrationError(
-                f"aborting: {len(failed)} of {K} replicate fits failed "
-                f"(more than 10%): {reasons}"
+                f"aborting: {len(failed)} of {K} {what} (more than 10%): {reasons}"
             )
 
     for k in range(K):
@@ -189,6 +196,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
                 for i, b in enumerate(model.obs)
             ]
         except _REPLICATE_ERRORS as err:  # e.g. numpy refusing a huge Poisson rate
+            draw_failures += 1
             drop(k, err, "prior-predictive response draw: ")
             continue
         model_k = _replace_responses(model, ys)

@@ -40,7 +40,10 @@ ratio reads its S, so the hyperparameter posterior stays consistent.
 Precisions are assembled on fixed sparsity patterns, which keep exact
 zeros.  The pattern of Q(theta) is fixed per model (``Model.precision``)
 and that of Q* = Q - B^T diag(h) B per fit (``Linearisation.qstar``),
-since B stores every slope the structure gives, zeros included.  A new
+since B stores every slope the structure gives, zeros included:
+``linearise`` stacks B from the mapper Jacobians' CSR arrays, and the
+built-in mappers keep a row's entries stored when its factor is 0 (a
+quantile derivative that underflows, a zero scale).  A new
 theta writes only Q's data and a Newton step only Q*'s, with the same
 floating-point operations as the scipy expressions they replace.
 Symmetry is validated when Q's pattern is built (and rebuilt, if a
@@ -61,10 +64,10 @@ log-determinant and constraint covariance come from the components'
 closed forms (``Model.prior_terms``), not from factorising Q(theta).  A
 step builds no scipy matrix: Q* is its data on the pattern's arrays
 (``SparseSym._on_pattern``), ``chol`` factors it from that data and the
-pattern's plan, and B^T g reads the B^T the linearisation keeps.  Per
-theta, Q(theta) is the components' data concatenated on the model's
-pattern, and its one scipy matrix is built for its products with the
-state.
+pattern's plan, and the products B u, B^T g and Q d are each one
+``sparse.matmul`` call on the arrays that B and the SparseSym Q hold,
+bit for bit scipy's ``@``.  Per theta, Q(theta) is the components' data
+concatenated on the model's pattern.
 
 Each state is evaluated once.  The step-halving objective runs at
 exactly the point that becomes the next state and hands on its
@@ -73,8 +76,8 @@ next step's gradient and h read that eta, its right-hand side is
 B^T g - Q d, the gradient at the mode reuses the mode's eta and Q d, and
 ``log_posterior_theta`` reads the mode's log-likelihood and d^T Q d off
 the ``GaussResult``.  The factor of a step builds no L (``chol`` keeps
-it raw until it is read), so an evaluation's only scipy matrix is
-Q(theta)'s.
+it raw until it is read), so a warm evaluation builds no scipy matrix
+and makes no scipy sparse ``@`` dispatch.
 
 Marginal variances come from the factor alone, without a solve: a
 ``GaussResult`` takes Q*^-1 once, on the pattern of Q*'s symbolic
@@ -114,7 +117,7 @@ import scipy.sparse as sp
 from scipy import linalg, optimize
 
 from .exprs import AdditiveAll, expr_jacobian, detect_additive
-from .sparse import CholFactor, CholPlan, SparseSym, _same_pattern, _unique_keys, chol
+from .sparse import CholFactor, CholPlan, SparseSym, _same_pattern, _unique_keys, chol, matmul
 
 __all__ = [
     "EngineError",
@@ -181,7 +184,13 @@ class ObsBlock:
 
 @dataclass
 class Linearisation:
-    """eta_bar(u) = delta + B u, anchored so eta_bar(u0) = eta_tilde(u0)."""
+    """eta_bar(u) = delta + B u, anchored so eta_bar(u0) = eta_tilde(u0).
+
+    Products with B and B^T go through ``sparse.matmul`` on B's own CSR
+    arrays, which are B^T's CSC arrays, so neither builds nor dispatches
+    a scipy matrix, and each equals scipy's ``B @ x`` or ``B.T @ g`` bit
+    for bit.
+    """
 
     u0: np.ndarray
     B: sp.csr_matrix  # canonical
@@ -189,15 +198,20 @@ class Linearisation:
     block_slices: list
     _qstar: object = field(default=None, init=False, repr=False, compare=False)
 
+    def b_dot(self, x):
+        """B x for a state vector, or for each column of a state matrix."""
+        B = self.B
+        return matmul("csr", B.indptr, B.indices, B.data, B.shape, x)
+
+    def bt_dot(self, g):
+        """B^T g, for the Newton steps' gradients."""
+        B = self.B
+        return matmul("csc", B.indptr, B.indices, B.data, B.shape[::-1], g)
+
     def eval(self, u):
         """eta_bar at a state vector, or at each column of a state matrix."""
-        bu = self.B @ u
+        bu = self.b_dot(u)
         return self.delta + bu if bu.ndim == 1 else self.delta[:, None] + bu
-
-    @cached_property
-    def BT(self):
-        """B^T, kept for the Newton steps' gradients B^T g."""
-        return self.B.T
 
     @cached_property
     def b_pairs(self):
@@ -213,6 +227,19 @@ class Linearisation:
         if pattern is None or not pattern.fits(q):
             pattern = self._qstar = _QStarPattern(q, self.B)
         return pattern.assemble(q, h, *self.b_pairs)
+
+
+def _csr_of(vals, rows, cols, shape):
+    """The CSR matrix of COO triplets, as scipy's ``sp.csr_matrix((vals,
+    (rows, cols)), shape)`` builds it, bit for bit, from one construction:
+    each row's entries in the order given, then sorted and duplicates
+    summed where they are not already.  Stored zeros stay stored."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    m = sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+    m.sum_duplicates()
+    return m
 
 
 def _structural_product(a, b):
@@ -237,7 +264,9 @@ class _QStarPattern:
     as scipy's sparse product does, and the symmetrisation is
     SparseSym's (M + M^T) / 2; exact zeros stay stored, with the plan.
     Pair p of entries in row ``obs[p]`` of B reads ``B.data`` at ``a[p]``
-    and ``b[p]``, so every B with one stored pattern shares this one.
+    and ``b[p]``, so every B with one stored pattern shares this one, and
+    B's pattern is the model's structure, whatever the values: a fit
+    builds one.
     """
 
     def __init__(self, q, B):
@@ -559,7 +588,7 @@ class Model:
     def linearise(self, u0):
         """First-order expansion of the predictor at u0."""
         u0 = np.asarray(u0, dtype=float)
-        etas, jacs, slices = [], [], []
+        etas, triplets, slices = [], [], []
         start = 0
         for i, block in enumerate(self.obs):
             env = self._block_env(block, u0)
@@ -567,42 +596,46 @@ class Model:
             if not np.all(np.isfinite(eta_pre)):
                 raise EngineError("non-finite predictor at the linearisation point")
 
-            # B before aggregation from one set of COO triplets: each mapper
-            # Jacobian's rows scaled by the formula's derivative, its
-            # columns offset by the component's slice
-            triplets = []
+            # the block's rows of B before aggregation, as triplets read off
+            # each mapper Jacobian's CSR arrays: its rows scaled by the
+            # formula's derivative, its columns offset by the component's slice
+            terms = []
             for key, dvec in expr_jacobian(block.formula, env, list(env)).items():
                 name = key.removesuffix("_latent")
                 comp = self.component(name)
-                inner = sp.coo_matrix(
-                    sp.eye(comp.model.n_latent()) if key != name
-                    else comp.mapper.jacobian(block.inputs[name], u0[self.slice_of(name)])
-                )
-                slopes = inner.data * dvec[inner.row]
+                if key != name:
+                    n = comp.model.n_latent()
+                    indptr, cols, vals = np.arange(n + 1), np.arange(n), np.ones(n)
+                else:
+                    J = comp.mapper.jacobian(block.inputs[name], u0[self.slice_of(name)]).tocsr()
+                    indptr, cols, vals = J.indptr, J.indices, J.data
+                rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+                slopes = vals * dvec[rows]
                 if not np.all(np.isfinite(slopes)):
                     raise EngineError(
                         f"non-finite slope of likelihood {i + 1}'s predictor in "
                         f"component {name!r} at the linearisation point"
                     )
-                triplets.append((slopes, inner.row, inner.col + self.offsets[name][0]))
-            vals, rows, cols = map(np.concatenate, zip(*triplets))
-            # a slope of exactly 0 stays stored: B's pattern is the model's
-            b_block = sp.csr_matrix((vals, (rows, cols)),
-                                    shape=(eta_pre.size, self.n_latent))
+                terms.append((slopes, rows, cols + self.offsets[name][0]))
+            vals, rows, cols = map(np.concatenate, zip(*terms))
 
             eta_b = eta_pre
             if block.aggregation is not None:
                 agg, spec = block.aggregation
-                b_block = _structural_product(agg.jacobian(spec, eta_pre), b_block)
+                b_pre = _csr_of(vals, rows, cols, (eta_pre.size, self.n_latent))
+                b_block = _structural_product(agg.jacobian(spec, eta_pre), b_pre)
                 eta_b = agg.eval(spec, eta_pre)
+                vals, cols = b_block.data, b_block.indices
+                rows = np.repeat(np.arange(eta_b.size), np.diff(b_block.indptr))
             etas.append(eta_b)
-            jacs.append(b_block)
+            triplets.append((vals, rows + start, cols))
             slices.append(slice(start, start + eta_b.size))
             start += eta_b.size
 
         eta_full = np.concatenate(etas)
-        B = sp.vstack(jacs, format="csr")
-        delta = eta_full - B @ u0
+        # a slope of exactly 0 stays stored: B's pattern is the model's
+        B = _csr_of(*map(np.concatenate, zip(*triplets)), (start, self.n_latent))
+        delta = eta_full - matmul("csr", B.indptr, B.indices, B.data, B.shape, u0)
         lin = Linearisation(u0=u0.copy(), B=B, delta=delta, block_slices=slices)
         last, self._last_lin = self._last_lin, lin
         if last is not None and _same_pattern(B.indptr, B.indices, last.B.indptr, last.B.indices):
@@ -679,13 +712,13 @@ class GaussResult:
     def pred_var(self):
         """diag(B Q*^-1 B^T) for the linearisation's B, summed over the
         pairs of entries in each row of B, less the kriging drop."""
-        p, B = self.pattern, self.lin.B
-        b_r, b_c = self.lin.b_pairs
+        p, lin = self.pattern, self.lin
+        b_r, b_c = lin.b_pairs
         var = np.bincount(
-            p.obs, weights=b_r * b_c * self._sigma[1][p.slot], minlength=B.shape[0]
+            p.obs, weights=b_r * b_c * self._sigma[1][p.slot], minlength=lin.B.shape[0]
         )
         if self.kriging is not None:
-            var = var - self.kriging.var_drop(B @ self.kriging.W)
+            var = var - self.kriging.var_drop(lin.b_dot(self.kriging.W))
         return var
 
 
@@ -747,8 +780,6 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
     state: a dropped chord's, at the previous mode, serve the first step.
     """
     C = model.constraints
-    Q = prior_q.csc
-    BT = lin.BT
 
     def objective(u_val):
         eta = lin.eval(u_val)
@@ -756,7 +787,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
         for block, vals, sl in zip(model.obs, obs_vals, lin.block_slices):
             ll += block.family.loglik(block.y, eta[sl], vals)
         d = u_val - mu_prior
-        qd = Q @ d
+        qd = prior_q @ d
         quad = float(d @ qd)
         return _Objective(u_val, ll - 0.5 * quad, eta, qd, ll, quad)
 
@@ -770,7 +801,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
         at = objective(warm.mode)
     g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
     if warm is not None:
-        u = at.u + warm.factor.solve(BT @ g - at.qd)
+        u = at.u + warm.factor.solve(lin.bt_dot(g) - at.qd)
         if warm.kriging is not None:
             u = warm.kriging.project(u)
         with np.errstate(over="ignore", invalid="ignore"):  # a long chord may overflow
@@ -784,7 +815,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
         kriging = _Kriging.of(factor, C)
-        step = factor.solve(BT @ g - at.qd)
+        step = factor.solve(lin.bt_dot(g) - at.qd)
         move = (u + step if kriging is None else kriging.project(u + step)) - u
         # step-halving if the objective got worse or went non-finite
         t = 1.0
@@ -813,7 +844,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
         qstar=qstar,
         lin=lin,
         pattern=lin._qstar,
-        grad_at_mode=BT @ g - at.qd,
+        grad_at_mode=lin.bt_dot(g) - at.qd,
         kriging=kriging,
         loglik=at.loglik,
         prior_quad=at.prior_quad,

@@ -12,7 +12,10 @@ mapper with group/replicate index mappers, Collect concatenates.
 shape (n_latent, S), one state per column, and returns (n_rows,) or
 (n_rows, S).  Every column of a matrix result equals, bit for bit, the
 vector result for that column, so a caller may evaluate many states in
-one call.  ``jacobian`` takes a single state vector.  Aggregation
+one call.  ``jacobian`` takes a single state vector and returns a CSR
+matrix; the index, linear, factor, scale, marginal and collect mappers
+build it straight from its CSR arrays, and scale and marginal keep the
+inner Jacobian's stored pattern when a row's factor is 0.  Aggregation
 mappers sum or log-sum-exp rows into blocks without a loop over blocks:
 a ``BlockSpec`` keeps its rows block by block, the per-block maximum is
 one ``np.maximum.reduceat``, and the per-block sum is one product with
@@ -109,6 +112,22 @@ class BlockSpec:
             (np.ones(self.block.size), self.order, self.bounds),
             shape=(self.n_block, self.block.size),
         )
+
+
+def _csr(data, indices, indptr, n_cols):
+    """The CSR Jacobian with these arrays and ``n_cols`` columns, one row
+    per entry of ``indptr`` but the last; stored zeros stay stored."""
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+
+
+def _scale_rows(d, J):
+    """diag(d) J: row i of the Jacobian J times d[i], with J's stored
+    pattern.  Each value is scipy's ``sp.diags(d) @ J``'s, 0.0 + d_i J_ij,
+    but an entry that comes out 0 (a zero d_i, or a product that
+    underflows) stays stored, as B's zero slopes do, so J's pattern does
+    not follow the values."""
+    J = J.tocsr()
+    return _csr(J.data * np.repeat(d, np.diff(J.indptr)), J.indices, J.indptr, J.shape[1])
 
 
 def _rowwise(values, state):
@@ -220,14 +239,21 @@ class LinearMapper(Mapper):
 
     def jacobian(self, inp, state):
         x = _as_float_array(inp, "covariate")
-        return sp.csr_matrix(x.reshape(-1, 1))
+        stored = x != 0  # a zero covariate stores no entry
+        indptr = np.zeros(x.size + 1, dtype=np.int64)
+        np.cumsum(stored, out=indptr[1:])
+        return _csr(x[stored], np.zeros(indptr[-1], dtype=np.int64), indptr, 1)
 
     def slice_rows(self, inp, rows):
         return _as_float_array(inp, "covariate")[rows]
 
 
 class IndexMapper(Mapper):
-    """Select latent coordinates by 1-based index."""
+    """Select latent coordinates by 1-based index.
+
+    The Jacobian is built from its CSR arrays: a 1 in each row, in the
+    column of its index.
+    """
 
     is_linear = True
 
@@ -249,10 +275,7 @@ class IndexMapper(Mapper):
 
     def jacobian(self, inp, state):
         idx = _as_index_array(inp, self.n)
-        rows = np.arange(idx.size)
-        return sp.csr_matrix(
-            (np.ones(idx.size), (rows, idx - 1)), shape=(idx.size, self.n)
-        )
+        return _csr(np.ones(idx.size), idx - 1, np.arange(idx.size + 1), self.n)
 
     def slice_rows(self, inp, rows):
         return np.asarray(inp)[rows]
@@ -306,11 +329,10 @@ class FactorMapper(Mapper):
 
     def jacobian(self, inp, state):
         cols = self._columns(inp)
-        used = np.where(cols >= 0)[0]
-        return sp.csr_matrix(
-            (np.ones(used.size), (used, cols[used])),
-            shape=(cols.size, self.n_latent()),
-        )
+        used = cols >= 0
+        indptr = np.zeros(cols.size + 1, dtype=np.int64)
+        np.cumsum(used, out=indptr[1:])
+        return _csr(np.ones(indptr[-1]), cols[used], indptr, self.n_latent())
 
     def slice_rows(self, inp, rows):
         return np.asarray(inp)[rows]
@@ -319,7 +341,9 @@ class FactorMapper(Mapper):
 class ScaleMapper(Mapper):
     """Element-wise scaling of an inner mapper's effect.
 
-    Input is ``(scale_values, inner_input)``.
+    Input is ``(scale_values, inner_input)``.  The Jacobian is the inner
+    one with its rows scaled (``_scale_rows``) and its stored pattern:
+    a zero scale keeps its row's entries stored, as zeros.
     """
 
     def __init__(self, inner):
@@ -354,7 +378,7 @@ class ScaleMapper(Mapper):
 
     def jacobian(self, inp, state):
         scale, inner_inp = self._split(inp)
-        return sp.diags(scale).tocsr() @ self.inner.jacobian(inner_inp, state)
+        return _scale_rows(scale, self.inner.jacobian(inner_inp, state))
 
     def slice_rows(self, inp, rows):
         scale, inner_inp = self._split(inp)
@@ -421,6 +445,13 @@ class MarginalMapper(Mapper):
     quantile family, so a standard normal latent gets exactly the target
     marginal.  With ``inner=None`` the state itself is transformed
     (input is then the row count).
+
+    The Jacobian is the inner one with row i scaled by the derivative at
+    t_i (``_scale_rows``), or that diagonal alone without an inner mapper.
+    Its stored pattern is the inner one's whatever the state: past
+    t = -39 the exponential quantile's derivative underflows to 0, and
+    its entries stay stored, so a linearisation there keeps B's pattern,
+    and with it the fit's one Q* pattern.
     """
 
     is_linear = False
@@ -453,10 +484,10 @@ class MarginalMapper(Mapper):
 
     def jacobian(self, inp, state):
         t = self._inner_eval(inp, state)
-        d = sp.diags(self.family.deriv(t)).tocsr()
+        d = self.family.deriv(t)
         if self.inner is None:
-            return d
-        return d @ self.inner.jacobian(inp, state)
+            return _csr(d, np.arange(d.size), np.arange(d.size + 1), d.size)
+        return _scale_rows(d, self.inner.jacobian(inp, state))
 
     def slice_rows(self, inp, rows):
         if self.inner is None:
@@ -799,21 +830,19 @@ class CollectMapper(Mapper):
         return np.concatenate(pieces) if pieces else np.empty(0)
 
     def jacobian(self, inp, state):
+        """The active parts' Jacobians stacked, each in its part's columns,
+        from their CSR arrays."""
         inputs = self._inputs(inp)
         blocks = self._state_blocks(state)
-        active = len(self._active())
-        rows = []
-        for k, (p, i, b) in enumerate(zip(self.parts, inputs, blocks)):
-            if k >= active:
-                break
-            row = []
-            for j, q in enumerate(self.parts):
-                if j == k:
-                    row.append(p.jacobian(i, b))
-                else:
-                    row.append(sp.csr_matrix((p.n_output(i), q.n_latent())))
-            rows.append(sp.hstack(row, format="csr"))
-        return sp.vstack(rows, format="csr")
+        offset = np.cumsum([0] + [p.n_latent() for p in self.parts])
+        data, indices, indptr, nnz = [], [], [np.zeros(1, dtype=np.int64)], 0
+        for k, (p, i, b) in enumerate(zip(self._active(), inputs, blocks)):
+            J = p.jacobian(i, b).tocsr()
+            data.append(J.data)
+            indices.append(J.indices + offset[k])
+            indptr.append(J.indptr[1:] + nnz)
+            nnz += J.nnz
+        return _csr(*map(np.concatenate, (data, indices, indptr)), offset[-1])
 
 
 # --- functional aliases matching the mapper-method vocabulary ---------------

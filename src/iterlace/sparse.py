@@ -20,9 +20,10 @@ and Q*) keeps one plan and attaches it to each SparseSym it builds;
 ``chol`` on a matrix without a plan makes a plan for it first, so every
 factorisation runs the same numeric code.
 
-SuperLU is called through two private entry points of scipy's
-``_superlu`` module, each pinned bit for bit to its public route by a
-parity test in ``tests/test_sparse.py``:
+The layer calls three private entry points of scipy, two of its
+``_superlu`` module and one of its ``_sparsetools`` module, each pinned
+bit for bit to its public route by a parity test in
+``tests/test_sparse.py``:
 
 - ``chol`` calls ``gstrf``, the entry point behind ``spla.splu``,
   because only there can it ask for L and U as raw CSC arrays: ``splu``
@@ -38,6 +39,12 @@ parity test in ``tests/test_sparse.py``:
   arrays, through scipy matrices and their validation, at every call:
   on the 12 x 12 BYM factor that was about nine tenths of a 7-column
   solve.  (``TestPrivateTriangularSolve``.)
+- ``matmul`` calls ``_sparsetools``' ``csr_matvec``/``csr_matvecs`` or
+  ``csc_matvec``/``csc_matvecs``, the routines behind scipy's ``@`` of a
+  sparse matrix and a dense operand, on raw ``(indptr, indices, data)``
+  arrays: the engine's products with B, B^T and Q(theta), several per
+  Newton step, then build and dispatch no scipy matrix.
+  (``TestPrivateProduct``.)
 
 The selected inverse (grid points' variances, the KL diagnostic) and a
 factor's first ``solve_lt`` read ``L``; so does a bench run with
@@ -49,8 +56,10 @@ One built on a pattern its owner keeps (``SparseSym._on_pattern``: the
 engine's Q(theta) and Q*, and the built-in latent precisions) holds the
 pattern's own index arrays and builds its scipy matrix, ``csc``, only
 when something reads it; ``chol`` reads ``data`` and ``plan`` alone, so
-a Newton step's Q* is factorised without a scipy matrix of its own.  It
-keeps its exact zeros, so its pattern and plan do not follow the values.
+a Newton step's Q* is factorised without a scipy matrix of its own, and
+its product with a dense vector or block (``@``) is a ``matmul`` call on
+its arrays.  It keeps its exact zeros, so its pattern and plan do not
+follow the values.
 
 The entries of A^{-1} on the pattern of the symbolic factor -- its
 diagonal, and every entry that A's own pattern holds -- come from the
@@ -81,6 +90,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = [
@@ -90,6 +100,7 @@ __all__ = [
     "CholFactor",
     "CholPlan",
     "chol",
+    "matmul",
 ]
 
 #: relative tolerance used to decide whether construction input is symmetric
@@ -210,10 +221,45 @@ class SparseSym:
         return coo.row[order], coo.col[order], coo.data[order]
 
     def __matmul__(self, other):
+        """A x for a dense vector or block through ``matmul``, without
+        building ``csc``; anything else through ``csc``."""
+        if isinstance(other, np.ndarray):
+            return matmul("csc", self.indptr, self.indices, self.data, (self.n, self.n), other)
         return self.csc @ other
 
     def __repr__(self):
         return f"SparseSym(n={self.n}, nnz={self.data.size})"
+
+
+_MATVEC = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+_MATVECS = {"csr": _sparsetools.csr_matvecs, "csc": _sparsetools.csc_matvecs}
+
+
+def matmul(fmt, indptr, indices, data, shape, x):
+    """M x for the (m, n) sparse matrix M with CSR (``fmt`` "csr") or CSC
+    ("csc") arrays and a dense vector or (n, k) block ``x``, bit for bit
+    scipy's ``M @ x``, with no scipy matrix.
+
+    It makes the call that scipy's ``@`` makes after its dispatch: the
+    ``_sparsetools`` routine ``<fmt>_matvec``, for a vector or an (n, 1)
+    block, or ``<fmt>_matvecs``, on a zero-initialised float64 output and
+    ``x`` as a C-contiguous float64 array.  ``indptr`` and ``indices``
+    should share one integer type, or the routine converts them at every
+    call.  A matrix's CSR arrays are its transpose's CSC arrays, so
+    M^T g is ``matmul("csc", indptr, indices, data, (n, m), g)``.
+    """
+    m, n = shape
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"operand has shape {x.shape}, expected ({n},) or ({n}, k)")
+    if x.ndim == 1 or x.shape[1] == 1:
+        out = np.zeros(m)
+        _MATVEC[fmt](m, n, indptr, indices, data, x.ravel(), out)
+        return out if x.ndim == 1 else out[:, None]
+    k = x.shape[1]
+    out = np.zeros((m, k))
+    _MATVECS[fmt](m, n, k, indptr, indices, data, x.ravel(), out.ravel())
+    return out
 
 
 def sparse_from_triplets(n, rows, cols, vals):

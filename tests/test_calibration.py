@@ -302,7 +302,7 @@ class TestSbcRun:
         with pytest.raises(CalibrationError) as info:
             sbc_run(model, K=20, J=10, seed=0, posterior_sampler=sampler)
         msg = str(info.value)
-        assert "3 of 20 replicate fits failed" in msg
+        assert "3 of 20 replicates failed (0 fits, 3 prior-predictive response draws)" in msg
         for k in (2, 11, 14):
             assert f"replicate {k}: ValueError: {reason}" in msg
 

@@ -732,6 +732,85 @@ class TestStructuralPatterns:
         assert calls["schedule"] == 1
 
 
+    def test_an_underflowed_derivative_keeps_the_patterns(self):
+        # past t = -39 the exponential quantile's derivative underflows to
+        # 0; its slope stays stored, so B keeps its pattern and the next
+        # linearisation shares the Q* pattern, with its plan and schedule
+        comp = Component(
+            "lam", IidModel(2, _precision_hyper(initial=1.0, fixed=True)),
+            mapper=MarginalMapper(ExponentialQuantile(0.5), inner=IndexMapper(2)),
+        )
+        block = ObsBlock(GaussianFamily(fixed_prec=1.0), np.array([0.5, 1.0, 2.0, 0.1]),
+                         parse_expr("lam"), {"lam": np.array([1, 2, 2, 1])})
+        model = Model([comp], [block])
+        q = model.precision(model.natural_values(np.empty(0))[0])
+        h = -np.ones(4)
+        under = model.linearise(np.array([0.3, -40.0]))
+        assert (under.B.data == 0.0).sum() == 2
+        first = under.qstar(q, h)
+        lin = model.linearise(np.array([0.3, 0.5]))
+        assert (lin.B.data != 0.0).all()
+        assert np.array_equal(lin.B.indptr, under.B.indptr)
+        assert np.array_equal(lin.B.indices, under.B.indices)
+        assert lin._qstar is under._qstar
+        second = lin.qstar(q, h)
+        assert second.plan is first.plan and second.indices is first.indices
+
+
+class TestLeanProducts:
+    """Products with B, B^T and Q(theta) go through ``sparse.matmul`` on
+    the arrays the linearisation and the SparseSym hold: bit for bit
+    scipy's ``@``, and a warm Laplace evaluation builds and dispatches no
+    scipy matrix."""
+
+    def test_products_match_scipy_on_the_workload_models(self):
+        rng = np.random.default_rng(81)
+        g = lattice_graph(12)  # the BYM workload's structure; B and Q do not read y
+        bym = Model([Component("b0", FixedEffectsModel.constant()), Component("s", BymModel(g))],
+                    [ObsBlock(PoissonFamily(), np.zeros(g.n), parse_expr("b0 + s"),
+                              {"b0": np.ones(g.n), "s": np.arange(1, g.n + 1)})])
+        for model in (toy_model(np.arange(100) % 7), build_joint(0), bym):
+            u0 = engine._initial_point(model, model.options)
+            lin = model.linearise(u0)
+            q = model.precision(model.natural_values(model.theta_internal0())[0])
+            B, n = lin.B, model.n_latent
+            assert np.array_equal(lin.delta, model.eta(u0) - B @ u0)
+            x = rng.standard_normal((n, 4))
+            g = rng.standard_normal((B.shape[0], 4))
+            for xs, gs in ((x[:, 0], g[:, 0]), (x, g), (x[:, ::3], g[:, ::3]),
+                           (np.asfortranarray(x), np.asfortranarray(g))):
+                assert np.array_equal(lin.b_dot(xs), B @ xs)
+                assert np.array_equal(lin.eval(xs), lin.eval(np.ascontiguousarray(xs)))
+                assert np.array_equal(lin.bt_dot(gs), B.T @ gs)
+                assert np.array_equal(q @ xs, q.csc @ xs)
+
+    def test_a_warm_laplace_evaluation_builds_no_scipy_matrix(self, monkeypatch):
+        import scipy.sparse._base as sp_base
+        import scipy.sparse._compressed as sp_compressed
+
+        model = build_joint(0)
+        res = fit(model)  # c5 seed 0
+        lin = res.linearisation
+        theta = max(res.grid, key=lambda p: p.weight).theta
+        _, warm = log_posterior_theta(model, lin, theta)
+        counts = {"built": 0, "dispatched": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sp_compressed._cs_matrix, "__init__",
+                            counted("built", sp_compressed._cs_matrix.__init__))
+        monkeypatch.setattr(sp_base._spbase, "__matmul__",
+                            counted("dispatched", sp_base._spbase.__matmul__))
+        lp, ga = log_posterior_theta(model, lin, theta + 0.05, warm=warm)
+        monkeypatch.undo()
+        assert np.isfinite(lp) and ga.kriging is not None
+        assert counts == {"built": 0, "dispatched": 0}
+
+
 class TestModelPrecision:
     def _model(self):
         comps = [

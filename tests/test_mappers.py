@@ -628,3 +628,141 @@ class TestStateMatrices:
         assert np.array_equal(spec.bounds, [0, 2, 5, 5])
         assert np.array_equal(spec.indicator.toarray(),
                               [[0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]])
+
+
+# --- Jacobians from CSR arrays ---------------------------------------------------
+
+def _scipy_index_jacobian(n, idx):
+    return sp.csr_matrix(
+        (np.ones(idx.size), (np.arange(idx.size), idx - 1)), shape=(idx.size, n)
+    )
+
+
+def _scipy_factor_jacobian(cols, n_latent):
+    used = np.where(cols >= 0)[0]
+    return sp.csr_matrix(
+        (np.ones(used.size), (used, cols[used])), shape=(cols.size, n_latent)
+    )
+
+
+def _scipy_collect_jacobian(m, inp, state):
+    """CollectMapper's Jacobian by scipy's hstack and vstack, blocks of zeros
+    beside each active part."""
+    rows, start = [], 0
+    starts = np.cumsum([0] + [p.n_latent() for p in m.parts])
+    for k, (p, i) in enumerate(zip(m.parts[:1] if m.hidden else m.parts, inp)):
+        row = [
+            p.jacobian(i, state[starts[k]:starts[k + 1]]) if j == k
+            else sp.csr_matrix((p.n_output(i), q.n_latent()))
+            for j, q in enumerate(m.parts)
+        ]
+        rows.append(sp.hstack(row, format="csr"))
+    return sp.vstack(rows, format="csr")
+
+
+def _stored_zeros_beyond(got, want):
+    """Check that the CSR Jacobian ``got`` has the values and stored pattern
+    of scipy's construction ``want``, except for entries that come out 0,
+    which scipy's diagonal product drops and ``got`` keeps stored; return
+    how many such entries ``got`` stores."""
+    got, want = got.tocsr(copy=True), want.tocsr(copy=True)
+    for m in (got, want):
+        m.sort_indices()
+    assert got.shape == want.shape
+    assert np.array_equal(got.toarray(), want.toarray())
+    kept = got.copy()
+    kept.eliminate_zeros()
+    for a, b in ((kept.indptr, want.indptr), (kept.indices, want.indices),
+                 (kept.data, want.data)):
+        assert np.array_equal(a, b)
+    return got.nnz - want.nnz
+
+
+class TestJacobiansFromArrays:
+    """The built-in mappers build their Jacobians from CSR arrays; each has
+    the values and stored pattern of the scipy construction it replaces,
+    except that a row scaled by an exact 0 keeps its entries stored."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), rows=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_index_linear_and_factor(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(1, n + 1, size=rows)
+        got = IndexMapper(n).jacobian(idx, np.zeros(n))
+        assert _stored_zeros_beyond(got, _scipy_index_jacobian(n, idx)) == 0
+        x = rng.normal(size=rows)
+        x[rng.random(rows) < 0.3] = 0.0  # a zero covariate stores no entry
+        got = LinearMapper().jacobian(x, np.zeros(1))
+        assert _stored_zeros_beyond(got, sp.csr_matrix(x.reshape(-1, 1))) == 0
+        for coding in ("full", "contrast"):
+            m = FactorMapper(["a", "b", "c"][:n] if n <= 3 else ["a", "b"], coding=coding)
+            vals = np.array(m.levels)[rng.integers(0, len(m.levels), size=rows)]
+            want = _scipy_factor_jacobian(m._columns(vals), m.n_latent())
+            assert _stored_zeros_beyond(m.jacobian(vals, np.zeros(m.n_latent())), want) == 0
+
+    @given(seed=st.integers(0, 10_000), zeros=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_scale(self, seed, zeros):
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        scale = rng.normal(size=rows)
+        if zeros:
+            scale[rng.random(rows) < 0.4] = 0.0
+        for inner, inner_inp in ((IndexMapper(n), rng.integers(1, n + 1, size=rows)),
+                                 (LinearMapper(), rng.normal(size=rows))):
+            state = rng.normal(size=inner.n_latent())
+            got = ScaleMapper(inner).jacobian((scale, inner_inp), state)
+            J = inner.jacobian(inner_inp, state)
+            zeros_kept = _stored_zeros_beyond(got, sp.diags(scale).tocsr() @ J)
+            assert zeros_kept == np.count_nonzero(np.repeat(scale == 0, np.diff(J.indptr)))
+
+    @given(seed=st.integers(0, 10_000), gamma=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_marginal(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        fam = GammaQuantile(rng.uniform(0.8, 4.0), 1.5) if gamma else ExponentialQuantile(0.5)
+        n, rows = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        state = rng.uniform(-5.0, 5.0, size=n)
+        idx = rng.integers(1, n + 1, size=rows)
+        d = fam.deriv(state[idx - 1])
+        got = MarginalMapper(fam, inner=IndexMapper(n)).jacobian(idx, state)
+        want = sp.diags(d).tocsr() @ _scipy_index_jacobian(n, idx)
+        assert _stored_zeros_beyond(got, want) == 0
+        got = MarginalMapper(fam).jacobian(n, state)
+        assert _stored_zeros_beyond(got, sp.diags(fam.deriv(state)).tocsr()) == 0
+
+    def test_marginal_keeps_an_underflowed_derivative_stored(self):
+        # the deliberate exception: past t = -39 the exponential quantile's
+        # derivative underflows to 0, and its entry stays stored, so the
+        # Jacobian's pattern does not follow the state
+        fam = ExponentialQuantile(0.5)
+        state = np.array([0.3, -40.0])
+        assert fam.deriv(state[1]) == 0.0
+        idx = np.array([1, 2, 2, 1])
+        for m, inp, want in (
+            (MarginalMapper(fam, inner=IndexMapper(2)), idx,
+             sp.diags(fam.deriv(state[idx - 1])).tocsr() @ _scipy_index_jacobian(2, idx)),
+            (MarginalMapper(fam), 2, sp.diags(fam.deriv(state)).tocsr()),
+        ):
+            got = m.jacobian(inp, state)
+            elsewhere = m.jacobian(inp, np.array([0.3, 0.5]))
+            assert _stored_zeros_beyond(got, want) == (2 if m.inner else 1)
+            assert np.array_equal(got.indptr, elsewhere.indptr)
+            assert np.array_equal(got.indices, elsewhere.indices)
+
+    @given(seed=st.integers(0, 10_000), hidden=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_collect(self, seed, hidden):
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(0, 6)), int(rng.integers(1, 4))
+        m = CollectMapper({"a": IndexMapper(n), "b": LinearMapper(), "c": IndexMapper(2)},
+                          hidden=hidden)
+        x = rng.normal(size=rows)
+        x[rng.random(rows) < 0.3] = 0.0
+        inp = [rng.integers(1, n + 1, size=rows), x, rng.integers(1, 3, size=rows)]
+        state = rng.normal(size=m.n_latent())
+        got, want = m.jacobian(inp, state), _scipy_collect_jacobian(m, inp, state)
+        assert _stored_zeros_beyond(got, want) == 0
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert np.array_equal(a, b)  # in scipy's storage order too

@@ -21,6 +21,7 @@ from iterlace.sparse import (
     SparseSym,
     _splu,
     chol,
+    matmul,
     sparse_from_triplets,
 )
 
@@ -519,6 +520,80 @@ class TestPrivateTriangularSolve:
         assert data.size == f.L.nnz
         for got, want in zip(f.selected_inverse(rows, cols), before):
             np.testing.assert_array_equal(got, want)
+
+
+def _with_index_dtype(m, dtype):
+    """The scipy matrix ``m`` (CSR or CSC) on copies of its index arrays
+    cast to ``dtype``."""
+    out = m.copy()
+    out.indices, out.indptr = m.indices.astype(dtype), m.indptr.astype(dtype)
+    return out
+
+
+def _product_operands(rng, n):
+    z = rng.standard_normal((n, 5))
+    return {
+        "vector": z[:, 0].copy(),
+        "one column": z[:, :1].copy(),
+        "C-ordered": z,
+        "F-ordered": np.asfortranarray(z),
+        "strided vector": z[:, 3],
+        "strided block": z[:, ::2],
+    }
+
+
+def check_product(fmt, m, rng):
+    """``matmul`` on the arrays of the scipy matrix ``m`` (format ``fmt``),
+    and on those of its transpose, equals scipy's ``@`` bit for bit for
+    every kind of operand, which it leaves untouched."""
+    for mat, form in ((m, fmt), (m.T, "csc" if fmt == "csr" else "csr")):
+        for name, x in _product_operands(rng, mat.shape[1]).items():
+            kept = x.copy()
+            want = mat @ x
+            got = matmul(form, m.indptr, m.indices, m.data, mat.shape, x)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.array_equal(got, want), (form, mat.shape, name)
+            assert np.array_equal(x, kept)
+
+
+class TestPrivateProduct:
+    """``matmul`` calls scipy's ``_sparsetools`` product routines on raw
+    arrays; every product must equal, bit for bit, scipy's ``@``."""
+
+    def test_matches_the_public_route(self):
+        rng = np.random.default_rng(71)
+        for fmt in ("csr", "csc"):
+            for shape in ((1, 1), (6, 9), (40, 25), (25, 40)):
+                m = sp.random(*shape, density=0.3, random_state=rng, format=fmt)
+                m.data = rng.standard_normal(m.nnz)
+                # an empty row and an empty column
+                dense = m.toarray()
+                dense[shape[0] // 2] = 0.0
+                dense[:, shape[1] // 2] = 0.0
+                m = sp.csr_matrix(dense) if fmt == "csr" else sp.csc_matrix(dense)
+                for dtype in (np.int32, np.int64):
+                    check_product(fmt, _with_index_dtype(m, dtype), rng)
+
+    def test_all_zero_and_empty_matrices(self):
+        rng = np.random.default_rng(72)
+        for fmt in ("csr", "csc"):
+            for shape in ((5, 3), (0, 3), (3, 0)):
+                m = sp.csr_matrix(shape) if fmt == "csr" else sp.csc_matrix(shape)
+                check_product(fmt, m, rng)
+
+    def test_sparse_sym_products_build_no_csc(self):
+        rng = np.random.default_rng(73)
+        for a in (random_spd(rng, 1), random_spd(rng, 30), intercept_bym_qstar()):
+            lazy = SparseSym._on_pattern(a.data, a.indptr, a.indices)
+            for name, x in _product_operands(rng, a.n).items():
+                assert np.array_equal(lazy @ x, a.csc @ x), name
+            assert lazy._csc is None
+
+    def test_rejects_a_wrong_operand(self):
+        m = sp.random(4, 6, density=0.5, random_state=1, format="csr")
+        for x in (np.ones(4), np.ones((4, 2)), np.ones((6, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="operand has shape"):
+                matmul("csr", m.indptr, m.indices, m.data, m.shape, x)
 
 
 class TestSolve:
