@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineError, Model, ObsBlock, check_expr_refs, expr_env, fit, generate
+from .engine import EngineError, check_expr_refs, expr_env, fit, generate
 from .engine import _draw_block, _Kriging
 from .exprs import Ref, parse_expr
 from .mappers import MapperError
@@ -83,14 +83,6 @@ def _substream(seed, k):
     return np.random.default_rng(
         np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
     )
-
-
-def _replace_responses(model, ys):
-    blocks = [
-        ObsBlock(b.family, y, b.formula, b.inputs, b.aggregation)
-        for b, y in zip(model.obs, ys)
-    ]
-    return Model(model.components, blocks, model.options)
 
 
 def _first_datum_inputs(model, expr):
@@ -199,7 +191,7 @@ def sbc_run(model, h=None, K=100, J=100, n_data=None, seed=0, posterior_sampler=
             draw_failures += 1
             drop(k, err, "prior-predictive response draw: ")
             continue
-        model_k = _replace_responses(model, ys)
+        model_k = model.with_responses(ys)
         h_true = float(
             np.atleast_1d(h_expr.eval(expr_env(model_k, h_expr, u, h_inputs)))[0]
         )

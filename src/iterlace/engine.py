@@ -9,8 +9,10 @@ is fitted by a Laplace/grid scheme:
 * ``gaussian_approx``      -- Newton iteration for the conditional mode
                               and precision of p(u | theta, y),
 * ``log_posterior_theta``  -- Laplace approximation of p(theta | y),
-* ``theta_explore``        -- the theta mode plus an axis grid in
-                              standardised coordinates.  A search with
+* ``theta_explore``        -- the theta mode plus a grid in
+                              standardised coordinates, walked outwards
+                              from the mode point by point, each from a
+                              grid neighbour's mode.  A search with
                               no start runs Nelder-Mead from a simplex
                               of edge ``SEARCH_STEP``; a search from a
                               start (the previous outer iteration's
@@ -81,11 +83,15 @@ and makes no scipy sparse ``@`` dispatch.
 
 Marginal variances come from the factor alone, without a solve: a
 ``GaussResult`` takes Q*^-1 once, on the pattern of Q*'s symbolic
-factor, from the Takahashi recursions (``CholFactor.selected_inverse``),
+factor, from the Takahashi recursions (``CholPlan.selected_inverses``),
 and keeps it.  ``latent_var`` is its diagonal and ``pred_var`` is
 diag(B Q*^-1 B^T), summed over the pairs of latents that share a row of
-B -- the pairs Q*'s pattern was built from, so each lies in it -- both
-less the kriging drop.  Memory grows with nnz(L), not with n^2.
+B -- the pairs Q*'s pattern was built from, so each lies in it, at
+slots looked up once per pattern -- both less the kriging drop.  Grid
+points are finished a line of the grid at a time, with one sweep of the
+recursions for the whole line (``_ThetaCache.finish``); each point's
+values are bit for bit those of a sweep of its own.  Memory grows with
+nnz(L), not with n^2.
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
@@ -108,8 +114,10 @@ bounds the memory a call holds whatever the number of draws.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -117,6 +125,7 @@ import scipy.sparse as sp
 from scipy import linalg, optimize
 
 from .exprs import AdditiveAll, expr_jacobian, detect_additive
+from .mappers import _structural_product
 from .sparse import CholFactor, CholPlan, SparseSym, _same_pattern, _unique_keys, chol, matmul
 
 __all__ = [
@@ -242,17 +251,6 @@ def _csr_of(vals, rows, cols, shape):
     return m
 
 
-def _structural_product(a, b):
-    """The sparse product a @ b on the product of the stored patterns: a
-    sum that cancels to 0, which scipy's product drops, stays stored as a
-    zero, and every value is scipy's, bit for bit (0.0 + v = v)."""
-    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
-    ones = [sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape) for m in (a, b)]
-    p, v = (ones[0] @ ones[1]).tocoo(), (a @ b).tocoo()  # sums of ones cannot cancel
-    ij = (np.concatenate([p.row, v.row]), np.concatenate([p.col, v.col]))
-    return sp.csr_matrix((np.concatenate([0.0 * p.data, v.data]), ij), shape=p.shape)
-
-
 class _QStarPattern:
     """The sparsity pattern of Q* = Q - B^T diag(h) B: the union of Q's and
     B^T B's, in canonical CSC order.
@@ -292,6 +290,12 @@ class _QStarPattern:
         self.obs = row_of[a][order]
         self.a, self.b = a[order], b[order]
         self.plan = CholPlan(self.indptr, self.indices)
+
+    @cached_property
+    def inverse_slots(self):
+        """Where the selected inverse of a Q* factor keeps Q*^-1 on this
+        pattern's entries, looked up once per pattern."""
+        return self.plan.inverse_slots(self.rows, self.cols)
 
     def fits(self, q):
         """Whether the SparseSym Q has the pattern this was built for."""
@@ -645,6 +649,23 @@ class Model:
     def responses(self):
         return np.concatenate([b.y for b in self.obs])
 
+    def with_responses(self, ys):
+        """This model with the responses ``ys``, one array per likelihood
+        block, in place of its own.
+
+        Only the likelihood blocks are new, each checking its responses;
+        everything else is this model's, shared, not built or validated
+        again: an SBC replicate reuses the prior precision's pattern and
+        ``CholPlan`` (``precision``) and, when its B has the same pattern,
+        the last linearisation's Q* pattern, all of which depend on the
+        structure alone."""
+        twin = copy.copy(self)
+        twin.obs = [
+            ObsBlock(b.family, y, b.formula, b.inputs, b.aggregation)
+            for b, y in zip(self.obs, ys)
+        ]
+        return twin
+
 
 # --- Gaussian approximation ------------------------------------------------
 
@@ -696,15 +717,18 @@ class GaussResult:
     kriging: _Kriging = None  # on C u = 0 under Q*; None without constraints
     loglik: float = None  # log p(y | mode)
     prior_quad: float = None  # d^T Q d for d = mode - mu
+    # diag(Q*^-1), and Q*^-1 on the entries of Q*'s pattern, once taken
+    _sigma: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def _sigma(self):
-        """diag(Q*^-1), and Q*^-1 on the entries of Q*'s pattern, from one
-        selected inverse of the factor."""
-        return self.factor.selected_inverse(self.pattern.rows, self.pattern.cols)
+    def _inverse(self):
+        """``_sigma``, from a selected inverse of the factor alone when no
+        block has taken it (``_take_inverses``)."""
+        if self._sigma is None:
+            _take_inverses([self])
+        return self._sigma
 
     def latent_var(self):
-        var = self._sigma[0]
+        var = self._inverse()[0]
         if self.kriging is not None:
             var = var - self.kriging.var_drop(self.kriging.W)
         return var
@@ -715,11 +739,23 @@ class GaussResult:
         p, lin = self.pattern, self.lin
         b_r, b_c = lin.b_pairs
         var = np.bincount(
-            p.obs, weights=b_r * b_c * self._sigma[1][p.slot], minlength=lin.B.shape[0]
+            p.obs, weights=b_r * b_c * self._inverse()[1][p.slot], minlength=lin.B.shape[0]
         )
         if self.kriging is not None:
             var = var - self.kriging.var_drop(lin.b_dot(self.kriging.W))
         return var
+
+
+def _take_inverses(gas):
+    """Take Q*^-1 for each GaussResult in ``gas``, on its diagonal and on
+    Q*'s pattern, by one selected-inverse sweep over every run of results
+    on one Q* pattern; each result's is bit for bit the one it would get
+    alone."""
+    for pattern, run in groupby(gas, key=lambda ga: ga.pattern):
+        run = list(run)
+        d, entries = pattern.plan.selected_inverses([ga.factor for ga in run], pattern.inverse_slots)
+        for ga, d_ga, entries_ga in zip(run, d, entries):
+            ga._sigma = d_ga, entries_ga
 
 
 class _Objective(NamedTuple):
@@ -899,6 +935,23 @@ def log_posterior_theta(model, lin, theta, warm=None):
 
 # --- hyperparameter exploration --------------------------------------------
 
+# The integration grid (Rue, Martino & Chopin 2009, section 3.1) lies in
+# z, theta = theta_hat + axes z, where axes whitens the curvature at the
+# mode; its points are GRID_SPACING apart along each axis, and a point is
+# kept when its lp is at least the mode's less GRID_DROP.  The walk
+# evaluates the mode, then each axis outwards, +1, +2, ... then -1, -2,
+# ..., at most 10 steps a side; the kept axis points span a box.  The box
+# is walked slab by slab along axis 0 (the mode's slab, then +1, +2, ...,
+# then -1, -2, ...), the mode's slab in the same order over the other
+# axes and every other slab in serpentine order (``_box_order``), so each
+# evaluation starts from a grid neighbour's mode.  A point is evaluated
+# only if its parent, the neighbour one step towards the mode along its
+# first non-zero coordinate, was kept: on an axis that is the axis walk's
+# stop at the first point below the floor, and inside the box each
+# column along axis 0 is walked outwards from the mode's slab the same
+# way.  The kept points are those of the whole box at or above the floor
+# whenever each column's are an interval through the mode's slab.  The
+# grid lists them in lexicographic order of z.
 GRID_SPACING = 0.75
 GRID_DROP = 5.0
 MAX_THETA_DIM = 3
@@ -940,12 +993,18 @@ class _ThetaCache:
       and keeps it only while its lp is the best such a call has seen or
       ties it; earlier bests are dropped to ``(lp, None)``, so a search
       holds a few factors instead of one per evaluation.
-    * A call with ``lp_floor`` keeps the finished grid point
-      (``_make_point``) when lp >= lp_floor and nothing otherwise, so no
-      SuperLU object outlives the next evaluation; ``lp_floor=inf``
-      keeps only lp (the stencil's points, for a search's gradient or
-      the grid's curvature).  A GaussResult the entry already holds is
-      finished without evaluating again.
+    * A call with ``lp_floor`` keeps the grid point (``_make_point``)
+      when lp >= lp_floor and nothing otherwise, so no SuperLU object
+      outlives the next evaluation; ``lp_floor=inf`` keeps only lp (the
+      stencil's points, for a search's gradient or the grid's
+      curvature).  A GaussResult the entry already holds is made into a
+      point without evaluating again.
+
+    A kept point's summaries are deferred: the point waits, with the
+    GaussResult on its lean factor, until ``finish`` fills in every
+    waiting point's summaries from one selected-inverse sweep over the
+    block.  The grid walk finishes once per line of the grid, so a block
+    holds at most the 21 points of a line.
 
     A lookup that finds less than it would keep re-evaluates.
     """
@@ -957,6 +1016,7 @@ class _ThetaCache:
         self.last = None
         self._best = []  # keys that keep their GaussResult
         self._best_lp = -np.inf
+        self._waiting = []  # (point, lean GaussResult) until finish()
 
     def __call__(self, theta, lp_floor=None):
         theta = np.asarray(theta, dtype=float)
@@ -972,9 +1032,18 @@ class _ThetaCache:
         if lp_floor is None:
             self.cache[key] = (lp, self._keep_if_best(key, lp, ga))
             return lp, ga
-        kept = _make_point(theta, lp, ga, self.lin) if lp >= lp_floor else None
+        kept = None
+        if lp >= lp_floor:
+            kept, lean = _make_point(theta, lp, ga, self.lin)
+            self._waiting.append((kept, lean))
         hit = self.cache[key] = (lp, kept)
         return hit
+
+    def finish(self):
+        """Fill in the summaries of the points kept since the last call."""
+        if self._waiting:
+            _finish_points(self._waiting)
+            self._waiting = []
 
     def _lacks(self, hit, lp_floor):
         if lp_floor is None:
@@ -1015,6 +1084,13 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     ``mode_only`` returns a single-point grid at the mode (used inside
     the outer iterations); ``known_mode`` skips the optimisation
     entirely (the final integration pass of an iterative fit).
+
+    The grid is walked as the comment above ``GRID_SPACING`` describes:
+    the axes outwards from the mode, then the box they span in
+    ``_box_order``, a point only when its parent was kept.  The kept
+    points of each axis and of each line of the box along the last axis
+    are finished together, by one selected-inverse sweep
+    (``_ThetaCache.finish``).
     """
     _check_theta_dim(model)
     p = len(model.theta_entries)
@@ -1032,7 +1108,8 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     lp_hat, ga_hat = evals(theta_hat)
 
     if mode_only or p == 0:
-        point = _make_point(theta_hat, lp_hat, ga_hat, lin)
+        point, lean = _make_point(theta_hat, lp_hat, ga_hat, lin)
+        _finish_points([(point, lean)])
         return theta_hat, [point], ga_hat
 
     # curvature at the mode; these evaluations keep only lp
@@ -1041,41 +1118,81 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     lam = _floored(lam)
     axes = vec @ np.diag(1.0 / np.sqrt(lam))  # z -> theta displacement
 
-    def theta_of(z):
-        return theta_hat + axes @ z
-
-    # per-axis extents, then the tensor-product grid, dropping low points;
-    # an evaluation at or above the floor is finished into its grid point
     floor = lp_hat - GRID_DROP
-    offsets = []
-    for i in range(p):
-        vals = [0.0]
-        for direction in (1.0, -1.0):
-            k = 1
-            while k <= 10:
-                z = np.zeros(p)
-                z[i] = direction * GRID_SPACING * k
-                if evals(theta_of(z), lp_floor=floor)[0] < floor:
-                    break
-                vals.append(z[i])
-                k += 1
-        offsets.append(sorted(vals))
+    kept = {}  # integer steps along the axes -> grid point, lp >= floor
 
-    points = []
-    mesh = np.meshgrid(*offsets, indexing="ij")
-    zs = np.stack([m.ravel() for m in mesh], axis=-1)
-    order = np.lexsort(zs.T[::-1])
-    for z in zs[order]:
-        lp, point = evals(theta_of(z), lp_floor=floor)
-        if lp < floor:
-            continue
-        points.append(point)
+    def visit(steps):
+        """Evaluate the point ``steps`` grid steps from the mode if its
+        parent is kept; an evaluation at or above the floor is kept."""
+        moved = np.flatnonzero(steps)
+        if moved.size:
+            i = moved[0]
+            parent = steps[:i] + (steps[i] - (1 if steps[i] > 0 else -1),) + steps[i + 1:]
+            if parent not in kept:
+                return
+        z = GRID_SPACING * np.array(steps, dtype=float)
+        lp, point = evals(theta_hat + axes @ z, lp_floor=floor)
+        if lp >= floor:
+            kept[steps] = point
 
+    origin = (0,) * p
+    visit(origin)
+    for i in range(p):  # each axis outwards, at most 10 steps a side
+        for k in (*range(1, 11), *range(-1, -11, -1)):
+            visit(origin[:i] + (k,) + origin[i + 1:])
+        evals.finish()
+    extents = [sorted(s[i] for s in kept if not any(s[:i] + s[i + 1:])) for i in range(p)]
+    for _, line in groupby(_box_order(extents), key=lambda s: s[:-1]):
+        for steps in line:
+            if steps not in kept:
+                visit(steps)
+        evals.finish()
+
+    points = [kept[s] for s in sorted(kept)]  # lexicographic in z
     lps = np.array([pt.log_post for pt in points])
     w = np.exp(lps - lps.max())
     w /= w.sum()
     grid = [replace(pt, weight=float(weight)) for pt, weight in zip(points, w)]
     return theta_hat, grid, ga_hat
+
+
+def _box_order(extents):
+    """The grid box, the product of the sorted steps in ``extents`` (one
+    list per axis, 0 in each), in walk order: slab by slab along the first
+    axis, the mode's slab, then +1, +2, ..., then -1, -2, ....  The mode's
+    slab is walked in this same order over the other axes; every other
+    slab in serpentine order (``_serpentine``), each the previous one
+    reversed, and the first on each side from the corner nearest the
+    point before it.  Each point's parent comes before it, and every
+    slab but the first on a side starts next to where the last one ended."""
+    first, rest = extents[0], extents[1:]
+    sides = [k for k in first if k > 0], [k for k in reversed(first) if k < 0]
+    if not rest:
+        return [(0,)] + [(k,) for side in sides for k in side]
+    order = [(0,) + s for s in _box_order(rest)]
+    for side in sides:
+        slab = None
+        for k in side:
+            slab = _serpentine(rest, order[-1][1:]) if slab is None else slab[::-1]
+            order += [(k,) + s for s in slab]
+    return order
+
+
+def _serpentine(extents, near):
+    """The box of ``extents`` in serpentine order from its corner nearest
+    ``near``: along the first axis, each step walking the rest of the box
+    back the way the previous step walked it."""
+    ks = extents[0]
+    if abs(ks[-1] - near[0]) < abs(ks[0] - near[0]):
+        ks = ks[::-1]
+    if len(extents) == 1:
+        return [(k,) for k in ks]
+    inner = _serpentine(extents[1:], near[1:])
+    order = []
+    for k in ks:
+        order += [(k,) + s for s in inner]
+        inner = inner[::-1]
+    return order
 
 
 def _floored(lam):
@@ -1179,19 +1296,33 @@ def _refine_mode(evals, start):
 
 
 def _make_point(theta, lp, ga, lin):
-    """A grid point of weight 1 from a Laplace evaluation: its summaries,
-    and its factor without the SuperLU object."""
-    return ThetaPoint(
+    """A grid point of weight 1 from a Laplace evaluation, with its factor
+    without the SuperLU object, and the GaussResult on that factor that
+    finishes it: its ``latent_var`` and ``pred_var`` stay None until
+    ``_finish_points``."""
+    lean = replace(ga, factor=ga.factor.without_solver())
+    point = ThetaPoint(
         theta=np.array(theta, dtype=float),
         log_post=float(lp),
         weight=1.0,
         mode=ga.mode,
-        factor=ga.factor.without_solver(),
-        latent_var=ga.latent_var(),
+        factor=lean.factor,
+        latent_var=None,
         pred_mean=lin.eval(ga.mode),
-        pred_var=ga.pred_var(),
+        pred_var=None,
         kriging=ga.kriging,
     )
+    return point, lean
+
+
+def _finish_points(pending):
+    """Fill in the summaries of the grid points in ``pending``, pairs
+    ``(point, ga)`` from ``_make_point``, with one selected-inverse sweep
+    over all their factors."""
+    _take_inverses([ga for _, ga in pending])
+    for point, ga in pending:
+        point.latent_var = ga.latent_var()
+        point.pred_var = ga.pred_var()
 
 
 # --- line search ------------------------------------------------------------

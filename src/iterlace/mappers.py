@@ -130,6 +130,18 @@ def _scale_rows(d, J):
     return _csr(J.data * np.repeat(d, np.diff(J.indptr)), J.indices, J.indptr, J.shape[1])
 
 
+def _structural_product(a, b):
+    """The sparse product a @ b on the product of the stored patterns: a
+    sum that cancels to 0, or a stored zero times anything, which scipy's
+    product drops, stays stored as a zero, and every value is scipy's, bit
+    for bit (0.0 + v = v)."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    ones = [sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape) for m in (a, b)]
+    p, v = (ones[0] @ ones[1]).tocoo(), (a @ b).tocoo()  # sums of ones cannot cancel
+    ij = (np.concatenate([p.row, v.row]), np.concatenate([p.col, v.col]))
+    return sp.csr_matrix((np.concatenate([0.0 * p.data, v.data]), ij), shape=p.shape)
+
+
 def _rowwise(values, state):
     """Per-row ``values`` shaped to broadcast along the rows of ``state``,
     a vector or a matrix with one state per column."""
@@ -643,6 +655,9 @@ class MultiMapper(Mapper):
     is the product of the parts.  Input is a tuple
     ``(main_input, group_index, replicate_index)`` where the trailing
     parts may be None when the corresponding mapper is absent.
+
+    The Jacobian stores each block's main Jacobian as it is stored, zeros
+    included, so its pattern does not follow the state.
     """
 
     def __init__(self, main, group=None, replicate=None):
@@ -714,19 +729,27 @@ class MultiMapper(Mapper):
         n_rows = self.main.n_output(main_inp)
         n_main = self.main.n_latent()
         block, n_blocks = self._flat_blocks(inp, n_rows)
-        out = sp.lil_matrix((n_rows, n_main * n_blocks))
+        rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
         for b in np.unique(block):
-            rows = np.where(block == b)[0]
-            sub = self.main.slice_rows(main_inp, rows)
-            jac = self.main.jacobian(sub, state[b * n_main:(b + 1) * n_main])
-            out[np.ix_(rows, np.arange(b * n_main, (b + 1) * n_main))] = jac.toarray()
-        return out.tocsr()
+            sel = np.where(block == b)[0]
+            sub = self.main.slice_rows(main_inp, sel)
+            jac = self.main.jacobian(sub, state[b * n_main:(b + 1) * n_main]).tocsr()
+            # each block's stored entries, a stored zero included, moved to
+            # the block's rows and columns
+            rows.append(sel[np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))])
+            cols.append(jac.indices + b * n_main)
+            vals.append(jac.data)
+        ij = np.concatenate(rows), np.concatenate(cols)
+        return sp.csr_matrix((np.concatenate(vals), ij), shape=(n_rows, n_main * n_blocks))
 
 
 class PipeMapper(Mapper):
     """Chain mappers: the effect of each stage is the state of the next.
 
-    Input is a list with one entry per stage.
+    Input is a list with one entry per stage.  The Jacobian is the chain
+    of the stages' Jacobians on the product of their stored patterns
+    (``_structural_product``), so a stage's stored zero, or a sum that
+    cancels, stays stored and the pattern does not follow the state.
     """
 
     def __init__(self, stages):
@@ -765,7 +788,7 @@ class PipeMapper(Mapper):
         jac = None
         for stage, stage_inp in zip(self.stages, inputs):
             stage_jac = stage.jacobian(stage_inp, value)
-            jac = stage_jac if jac is None else (stage_jac @ jac).tocsr()
+            jac = stage_jac if jac is None else _structural_product(stage_jac, jac)
             value = stage.eval(stage_inp, value)
         return jac
 

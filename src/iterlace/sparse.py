@@ -44,7 +44,9 @@ bit for bit to its public route by a parity test in
   sparse matrix and a dense operand, on raw ``(indptr, indices, data)``
   arrays: the engine's products with B, B^T and Q(theta), several per
   Newton step, then build and dispatch no scipy matrix.
-  (``TestPrivateProduct``.)
+  (``TestPrivateProduct``.)  The selected inverse's sweep calls
+  ``csr_matvecs`` too, for its sums, which it pins to sums in order by
+  ``np.bincount`` (``TestBlockedSweep``).
 
 The selected inverse (grid points' variances, the KL diagnostic) and a
 factor's first ``solve_lt`` read ``L``; so does a bench run with
@@ -69,9 +71,17 @@ below the diagonal needs only columns that are ancestors of k in the
 elimination tree, so all columns at one depth of the tree are computed
 together, root first.  That schedule depends on the plan's pattern
 alone: the plan lays it out once, on the symbolic factor, and
-``selected_inverse`` reads each factor's L into it (an entry that
-elimination cancelled out of L reads 0) and runs one vectorised sweep
-per depth level.
+``CholPlan.selected_inverses`` reads the L of each factor of a block
+into it (an entry that elimination cancelled out of L reads 0) and runs
+one vectorised sweep per depth level for the whole block; a factor's
+``selected_inverse`` is a block of one.  Where each entry of L lands in
+the schedule is mapped once per L pattern and kept: every factor of a
+plan whose L has the same index arrays reuses the map, and an L that
+lacks an entry is searched for instead.  A block's sums run, for each
+factor, in the order a block of one runs them, so each factor's
+entries are bit for bit the same in any block.  ``inverse_slots`` looks
+up where entries of A^{-1} are kept, which a caller that reads the same
+entries of many factors (the engine's Q* pattern) does once.
 
 Symmetry is validated where a matrix comes in from outside, by the
 public ``SparseSym(...)`` constructor, which ``sparse_from_triplets``
@@ -86,6 +96,8 @@ samples through ``solve_lt`` and gives the selected inverse.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -421,16 +433,10 @@ class CholFactor:
         and the plan's schedule one index triple per pair of entries
         below the diagonal of one of its columns.
         """
-        n = self.n
-        r = self._plan.inverse[np.asarray(rows, dtype=np.int64)]
-        c = self._plan.inverse[np.asarray(cols, dtype=np.int64)]
-        schedule = self._plan.schedule
-        # entry (max, min) of the lower triangle, keyed column-major
-        slots = schedule.find(np.minimum(r, c) * n + np.maximum(r, c))
-        sigma = schedule.sweep(self.L)
-        d = np.empty(n)
-        d[self.perm] = sigma[schedule.diagonal]
-        return d, sigma[slots]
+        plan = self._plan
+        slots = plan.inverse_slots(rows, cols) if len(rows) else ()
+        d, entries = plan.selected_inverses([self], slots)
+        return d[0], entries[0]
 
     def diag_inverse(self):
         """Diagonal of A^{-1}: the diagonal of ``selected_inverse``."""
@@ -533,6 +539,30 @@ class CholPlan:
             self._schedule = _InverseSchedule(n, _unique_keys(keys[keys % n >= keys // n]))
         return self._schedule
 
+    def inverse_slots(self, rows, cols):
+        """Where the selected inverse keeps the entries ``(rows[i],
+        cols[i])`` of A^{-1}, for ``selected_inverses``; a pair outside
+        the symbolic factor's pattern raises ``ValueError``."""
+        r = self.inverse[np.asarray(rows, dtype=np.int64)]
+        c = self.inverse[np.asarray(cols, dtype=np.int64)]
+        # entry (max, min) of the lower triangle, keyed column-major
+        return self.schedule.find(np.minimum(r, c) * self.n + np.maximum(r, c))
+
+    def selected_inverses(self, factors, slots=()):
+        """``(D, E)`` for a block of factors of matrices A_f on this plan,
+        from one sweep of the Takahashi recursions over the whole block:
+        row f of D is the diagonal of A_f^{-1}, and row f of E its entries
+        at ``slots`` (``inverse_slots``).  Each row is bit for bit what
+        the factor gets in a block of its own."""
+        if any(f._plan is not self for f in factors):
+            raise ValueError("every factor of a block must be on this plan")
+        schedule = self.schedule
+        sigma = schedule.sweep([f.L for f in factors])
+        d = np.empty((len(factors), self.n))
+        d[:, self.perm] = sigma[schedule.diagonal].T
+        entries = sigma.take(np.asarray(slots, dtype=np.int64), axis=0)
+        return d, np.ascontiguousarray(entries.T)
+
     def permuted(self, data):
         """``A[perm][:, perm]`` for the matrix with this pattern and CSC
         ``data``; the returned matrix is overwritten by the next call."""
@@ -601,16 +631,21 @@ class _InverseSchedule:
     Storage puts each depth level together, root first: the level's
     entries below the diagonal, then its diagonal entries.  ``levels``
     holds, per level, the storage bounds ``(o0, o1, d1)`` of those two
-    runs and the bounds ``(p0, p1)`` of the level's pairs (i, j) in S x S.
-    Pair p adds l at slot ``pair_l[p]`` times Sigma at slot
-    ``pair_sigma[p]`` to the sum for slot ``o0 + pair_out[p]``, and
-    ``col_local`` takes an entry below the diagonal to its column's place
-    in the level's diagonal run.
+    runs, the level's pairs (i, j) in S x S and two sums.  Pair p adds l
+    at slot ``pair_l[p]`` times Sigma at slot ``pair_sigma[p]`` to the
+    sum for an entry below the diagonal; a level's pairs come in storage
+    order of that entry, and its entries below the diagonal in order of
+    their column, so each sum runs over consecutive terms, and the level
+    keeps the bounds of each sum as a CSR row pointer: ``out_ptr`` over
+    the level's pairs, ``diag_ptr`` over its entries below the diagonal
+    (whose sums give the diagonal run).
+
+    ``sweep`` reads each factor's L into storage through a map from L's
+    storage to slots, kept for one L pattern (``_l_map``).
     """
 
     __slots__ = (
-        "n", "keys", "slot", "diagonal", "diag_of", "col_local", "pair_sigma",
-        "pair_l", "pair_out", "levels",
+        "n", "keys", "slot", "diagonal", "diag_of", "levels", "_off_diagonal", "_ones", "_l_map",
     )
 
     def __init__(self, n, keys):
@@ -618,6 +653,7 @@ class _InverseSchedule:
         while (missing := self._lay_out(keys)) is not None:
             keys = _unique_keys(np.concatenate([keys, missing]))
         self.keys = keys
+        self._l_map = None
 
     def _lay_out(self, keys):
         """Lay the recursions out on the sorted lower-triangle ``keys``
@@ -664,16 +700,24 @@ class _InverseSchedule:
         self.slot = slot
         self.diagonal = slot[start[:-1]]  # by column
         self.diag_of = self.diagonal[cols[storage]]  # by slot
-        self.col_local = self.diag_of - edges[1::2][level[storage]]
+        self._off_diagonal = self.diag_of != np.arange(keys.size)
+        col_local = self.diag_of - edges[1::2][level[storage]]
         out = slot[a]
-        self.pair_sigma, self.pair_l = slot[at], slot[b]
-        self.pair_out = out - edges[0::2][level[a]]
+        pair_sigma, pair_l = slot[at], slot[b]
         p_edges = np.searchsorted(out, edges)
         e, p = edges.tolist(), p_edges.tolist()
-        self.levels = [
-            (e[2 * k], e[2 * k + 1], e[2 * k + 2], p[2 * k], p[2 * k + 1])
-            for k in range(n_levels)
-        ]
+        self.levels = []
+        for k in range(1, n_levels):  # depth 0: roots alone, nothing to sum
+            o0, o1, d1, p0, p1 = e[2 * k], e[2 * k + 1], e[2 * k + 2], p[2 * k], p[2 * k + 1]
+            self.levels.append((
+                o0, o1, d1, pair_l[p0:p1], pair_sigma[p0:p1],
+                np.searchsorted(out[p0:p1], np.arange(o0, o1 + 1)),
+                np.searchsorted(col_local[o0:o1], np.arange(d1 - o1 + 1)),
+            ))
+        # the column indices and values of the sums' CSR rows: every term
+        # is taken once, times 1
+        widest = max((level[3].size for level in self.levels), default=0)
+        self._ones = np.arange(widest), np.ones(widest)
         return None
 
     def find(self, wanted):
@@ -684,28 +728,58 @@ class _InverseSchedule:
             raise ValueError("an entry lies outside the selected inverse's pattern")
         return self.slot[at]
 
-    def sweep(self, L):
-        """Sigma on the pattern, by storage slot, for the factor ``L`` (CSC)
-        of a matrix on the plan this was laid out for."""
+    def _slots_of(self, L):
+        """Storage slots of the entries of the factor ``L``, in L's storage
+        order.  The map of one L pattern is kept, copied, and reused by
+        every L with the same index arrays; an L with another pattern is
+        searched for, and its map replaces the kept one unless it has
+        fewer entries, so an L that lacks an entry of the symbolic factor
+        (elimination cancelled it) does not evict the full pattern's."""
+        kept = self._l_map
+        if kept is not None and _same_pattern(L.indptr, L.indices, kept[0], kept[1]):
+            return kept[2]
         cols = np.repeat(np.arange(self.n), np.diff(L.indptr))
-        lv = np.zeros(self.keys.size)  # an entry L lacks reads 0
-        lv[self.slot[np.searchsorted(self.keys, cols * self.n + L.indices)]] = L.data
-        inv = 1.0 / lv[self.diag_of]  # 1 / L[k, k] at every slot of column k
+        slots = self.slot[np.searchsorted(self.keys, cols * self.n + L.indices)]
+        if kept is None or L.indptr[-1] >= kept[0][-1]:
+            self._l_map = L.indptr.copy(), L.indices.copy(), slots
+        return slots
+
+    def sweep(self, Ls):
+        """Sigma on the pattern for each factor in ``Ls``, a block of CSC
+        factors of matrices on the plan this was laid out for: an array
+        whose row is the storage slot and whose column is the factor.
+
+        One sweep covers the whole block: each level's gathers and
+        products act on every factor at once, and its sums are SciPy's
+        CSR row sums (``csr_matvecs``, each term times 1.0, from 0, in
+        order), one call for the block.  Each factor's Sigma is therefore
+        bit for bit the one it gets in a block of its own."""
+        m = len(Ls)
+        # one factor's arrays are vectors, which numpy gathers fastest by
+        # indexing; a block's are matrices, whose rows it gathers by take
+        per_slot = () if m == 1 else (m,)
+        gather = np.ndarray.__getitem__ if m == 1 else partial(np.ndarray.take, axis=0)
+        lv = np.zeros((self.keys.size,) + per_slot)  # an entry L lacks reads 0
+        for f, L in enumerate(Ls):
+            lv.reshape(-1, m)[self._slots_of(L), f] = L.data
+        inv = 1.0 / gather(lv, self.diag_of)  # 1 / L[k, k] at every slot of column k
         scaled = lv * inv  # L[i, k] / L[k, k]
-        lp = scaled[self.pair_l]
-        # diagonal slots start at 1 / L[k, k]^2; off-diagonal slots are
-        # written before any deeper level reads them
+        # diagonal slots start at 1 / L[k, k]^2, and off-diagonal ones at 0
+        # for their sums, each written before any deeper level reads it
         sigma = inv * inv
-        for o0, o1, d1, p0, p1 in self.levels[1:]:  # depth 0: roots alone
-            t = np.bincount(
-                self.pair_out[p0:p1],
-                weights=lp[p0:p1] * sigma[self.pair_sigma[p0:p1]],
-                minlength=o1 - o0,
-            )
-            np.negative(t, out=sigma[o0:o1])
-            t *= scaled[o0:o1]
-            sigma[o1:d1] += np.bincount(self.col_local[o0:o1], weights=t, minlength=d1 - o1)
-        return sigma
+        sigma[self._off_diagonal] = 0.0
+        cols, ones = self._ones
+        for o0, o1, d1, pair_l, pair_sigma, out_ptr, diag_ptr in self.levels:
+            terms = gather(scaled, pair_l)
+            terms *= gather(sigma, pair_sigma)
+            out = sigma[o0:o1]
+            _sparsetools.csr_matvecs(o1 - o0, pair_l.size, m, out_ptr, cols, ones, terms, out)
+            t = out * scaled[o0:o1]
+            np.negative(out, out=out)
+            diag = np.zeros((d1 - o1,) + per_slot)
+            _sparsetools.csr_matvecs(d1 - o1, o1 - o0, m, diag_ptr, cols, ones, t, diag)
+            sigma[o1:d1] += diag
+        return sigma.reshape(-1, m)
 
 
 def chol(a):

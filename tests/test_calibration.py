@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from iterlace import calibration
+from iterlace import calibration, engine
 from iterlace.calibration import CalibrationError, SbcResult, ks_statistic, sbc_run
 from iterlace.engine import Component, Model, ObsBlock
 from iterlace.engine import fit as engine_fit
@@ -194,6 +194,56 @@ class TestSbcRun:
         np.testing.assert_allclose(res.w_values, want, atol=1e-15)
         assert np.all((res.w_values > 0) & (res.w_values < 1))
         assert np.all(res.w_values > -1.0 / (2 * J) + 1e-15)
+
+    def test_replicates_share_the_template_precision_plan(self, monkeypatch):
+        # a replicate is the template with its responses swapped
+        # (Model.with_responses): it keeps the template's Q pattern and
+        # plan, so no CholPlan is built for Q after the first replicate's
+        # prior draw, and the results are those of a fresh Model per
+        # replicate, bit for bit
+        rng = np.random.default_rng(5)
+        idx = np.repeat(np.arange(1, 6), 3)
+        hyper = _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0))
+        model = Model([Component("u", Rw1Model(5, hyper))],
+                      [ObsBlock(GaussianFamily(fixed_prec=4.0), rng.normal(size=15),
+                                parse_expr("u"), {"u": idx})])
+        fits, q_plans, in_precision = [0], [], []
+        real_fit, real_plan, real_precision = calibration.fit, engine.CholPlan, Model.precision
+
+        def counted_fit(m):
+            fits[0] += 1
+            return real_fit(m)
+
+        def precision(self, comp_vals):
+            in_precision.append(True)
+            try:
+                return real_precision(self, comp_vals)
+            finally:
+                in_precision.pop()
+
+        def plan(*args):
+            if in_precision:
+                q_plans.append(fits[0])
+            return real_plan(*args)
+
+        monkeypatch.setattr(calibration, "fit", counted_fit)
+        monkeypatch.setattr(Model, "precision", precision)
+        monkeypatch.setattr(engine, "CholPlan", plan)
+        shared = sbc_run(model, h=parse_expr("u_latent"), K=4, J=30, seed=2)
+        assert fits[0] == 4 and q_plans == [0]  # the template's, at replicate 0's prior draw
+
+        def fresh(self, ys):
+            return Model(self.components, [
+                ObsBlock(b.family, y, b.formula, b.inputs, b.aggregation)
+                for b, y in zip(self.obs, ys)
+            ], self.options)
+
+        monkeypatch.setattr(Model, "with_responses", fresh)
+        q_plans.clear()
+        alone = sbc_run(model, h=parse_expr("u_latent"), K=4, J=30, seed=2)
+        assert len(q_plans) == 4  # one per replicate's fit, as before
+        assert np.array_equal(shared.w_values, alone.w_values)
+        assert np.array_equal(shared.ranks, alone.ranks)
 
     def test_real_fits_end_to_end(self):
         rng = np.random.default_rng(0)

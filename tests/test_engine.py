@@ -5,6 +5,7 @@ conjugate posteriors, scipy special functions and brute-force searches,
 never from the engine itself.
 """
 
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -50,7 +51,9 @@ from iterlace.latents import (
     _precision_hyper,
 )
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
-from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
+from iterlace.mappers import (
+    ExponentialQuantile, IndexMapper, MarginalMapper, MultiMapper, PipeMapper,
+)
 from iterlace.sparse import CholFactor, SparseSym, chol
 from test_acceptance import (  # c5's joint model, c2's toy
     build_joint, lattice_graph, sample_icar, toy_model,
@@ -756,6 +759,37 @@ class TestStructuralPatterns:
         second = lin.qstar(q, h)
         assert second.plan is first.plan and second.indices is first.indices
 
+    @pytest.mark.parametrize("mapper, inputs, n_latent", [
+        (PipeMapper([IndexMapper(2), MarginalMapper(ExponentialQuantile(0.5))]),
+         [np.array([1, 2, 2, 1]), 4], 2),
+        (MultiMapper(MarginalMapper(ExponentialQuantile(0.5), inner=IndexMapper(2)),
+                     group=IndexMapper(2)),
+         (np.array([1, 2, 2, 1]), np.array([1, 1, 2, 2]), None), 4),
+    ], ids=["pipe", "multi"])
+    def test_composed_mappers_keep_their_patterns(self, mapper, inputs, n_latent):
+        # a Pipe stage's and a Multi block's underflowed derivative stays
+        # stored: the Jacobian keeps one pattern across states, and so the
+        # second linearisation shares the first one's Q* pattern
+        under_state = np.full(n_latent, 0.3)
+        under_state[1] = -40.0
+        states = (under_state, np.full(n_latent, 0.5))
+        jacs = [mapper.jacobian(inputs, u).tocsr() for u in states]
+        assert (jacs[0].data == 0.0).any() and (jacs[1].data != 0.0).all()
+        assert np.array_equal(jacs[0].indptr, jacs[1].indptr)
+        assert np.array_equal(jacs[0].indices, jacs[1].indices)
+
+        comp = Component("lam", IidModel(n_latent, _precision_hyper(initial=1.0, fixed=True)),
+                         mapper=mapper)
+        block = ObsBlock(GaussianFamily(fixed_prec=1.0), np.array([0.5, 1.0, 2.0, 0.1]),
+                         parse_expr("lam"), {"lam": inputs})
+        model = Model([comp], [block])
+        q = model.precision(model.natural_values(np.empty(0))[0])
+        under = model.linearise(states[0])
+        first = under.qstar(q, -np.ones(4))
+        lin = model.linearise(states[1])
+        assert lin._qstar is under._qstar
+        assert lin.qstar(q, -np.ones(4)).plan is first.plan
+
 
 class TestLeanProducts:
     """Products with B, B^T and Q(theta) go through ``sparse.matmul`` on
@@ -1236,8 +1270,8 @@ class TestThetaExplore:
         model = build_joint(0)
         calls = _count_laplace(monkeypatch)
         res = fit(model)
-        assert calls["laplace"] <= 240
-        assert calls["chol"] <= 560
+        assert calls["laplace"] <= 220
+        assert calls["chol"] <= 480
         assert res.converged and len(res.records) == 5
         theta_hat = engine._mode_point(res.grid).theta
         _tight_search(monkeypatch)
@@ -1290,6 +1324,104 @@ class TestThetaExplore:
         _tight_search(monkeypatch)
         tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
         assert np.max(np.abs(theta_hat - tight)) < 1e-3
+
+
+def _explore_recorded(monkeypatch, model, lin, **kwargs):
+    """``theta_explore``'s result and the ``_ThetaCache`` it walked with."""
+    caches = []
+
+    class Recorded(_ThetaCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(engine, "_ThetaCache", Recorded)
+    theta_hat, grid, _ = theta_explore(model, lin, **kwargs)
+    (evals,) = caches
+    return theta_hat, grid, evals
+
+
+def _tensor_grid(evals, theta_hat):
+    """The thetas of the grid by the tensor-product rule, on the walk's own
+    evaluations (a point the walk skipped is evaluated here): each axis
+    walked outwards to its first point below the floor, then every point
+    of the axes' box at or above it, in lexicographic z order."""
+    def lp_at(theta):
+        return evals(theta, lp_floor=np.inf)[0]  # a lookup that keeps nothing new
+
+    lp_hat = lp_at(theta_hat)
+    _, hess = engine._stencil(lp_at, theta_hat, lp_hat)
+    lam, vec = np.linalg.eigh(-hess)
+    axes = vec @ np.diag(1.0 / np.sqrt(engine._floored(lam)))
+    floor = lp_hat - engine.GRID_DROP
+    p = theta_hat.size
+    offsets = []
+    for i in range(p):
+        vals = [0.0]
+        for direction in (1.0, -1.0):
+            for k in range(1, 11):
+                z = np.zeros(p)
+                z[i] = direction * engine.GRID_SPACING * k
+                if lp_at(theta_hat + axes @ z) < floor:
+                    break
+                vals.append(z[i])
+        offsets.append(sorted(vals))
+    thetas = [theta_hat + axes @ np.array(z) for z in itertools.product(*offsets)]
+    return np.array([t for t in thetas if lp_at(t) >= floor])
+
+
+class TestGridWalk:
+    """The grid walks each column outwards from the mode's slab, as it
+    walks the axes, and skips a point whose parent (one step towards the
+    mode along its first non-zero coordinate) fell below the floor."""
+
+    @pytest.mark.parametrize("build", [
+        *[lambda s=s: build_joint(s) for s in range(4)],
+        _rw1_iid_noise_model,
+        lambda: _iid_groups_model()[0],
+    ], ids=["c5-0", "c5-1", "c5-2", "c5-3", "p3", "p1"])
+    def test_same_points_as_the_tensor_product(self, monkeypatch, build):
+        model = build()
+        lin = model.linearise(engine._initial_point(model, model.options))
+        theta_hat, grid, evals = _explore_recorded(monkeypatch, model, lin)
+        assert len(grid) > 1 and not evals._waiting
+        assert all(p.latent_var is not None and p.pred_var is not None for p in grid)
+        want = _tensor_grid(evals, theta_hat)
+        assert np.array_equal(np.array([p.theta for p in grid]), want)
+
+    def test_a_column_cut_off_from_the_mode_is_skipped(self, monkeypatch):
+        # log p(theta | y) replaced by -|z|^2 / 2, z = diag(1, 2) (theta -
+        # theta*), except at the four points (+-1, +-2) grid steps from
+        # theta*, where it is far below the floor: the columns beyond them
+        # are cut off from the mode's slab, and the walk evaluates none of
+        # their points, though (+-2, +-2) and (+-3, +-2) are above the floor
+        model = build_joint(0)
+        lin = model.linearise(engine._initial_point(model, model.options))
+        theta_star = model.theta_internal0()
+        scale = np.array([1.0, 2.0])
+        real = engine.log_posterior_theta
+
+        def steps_of(theta):
+            return np.round(np.abs(scale * (theta - theta_star)) / engine.GRID_SPACING, 6)
+
+        def surface(model, lin, theta, warm=None):
+            _, ga = real(model, lin, theta, warm=warm)
+            lp = -0.5 * float(np.sum((scale * (theta - theta_star)) ** 2))
+            return (-100.0 if tuple(steps_of(theta)) == (1.0, 2.0) else lp), ga
+
+        monkeypatch.setattr(engine, "log_posterior_theta", surface)
+        _, grid, evals = _explore_recorded(monkeypatch, model, lin, known_mode=theta_star)
+        walked = {tuple(steps_of(p.theta)) for p in grid}
+        # the tensor product keeps every point of the 9 x 9 box with
+        # 0.75^2 (a^2 + b^2) <= 10 but the cut ones
+        tensor = [(abs(a), abs(b)) for a in range(-4, 5) for b in range(-4, 5)
+                  if 0.5625 * (a * a + b * b) <= 10.0 and (abs(a), abs(b)) != (1, 2)]
+        skipped = {(2.0, 2.0), (3.0, 2.0)}
+        assert walked == {(float(a), float(b)) for a, b in tensor} - skipped
+        assert len(grid) == len(tensor) - 4 * len(skipped) == 45
+        evaluated = {tuple(steps_of(np.array(key))) for key in evals.cache}
+        assert not evaluated & (skipped | {(4.0, 2.0)})
+        assert (1.0, 2.0) in evaluated
 
 
 # --- line search ---------------------------------------------------------
@@ -1811,7 +1943,10 @@ class TestGridPoints:
 
     def test_summaries_are_computed_once_per_point(self, monkeypatch):
         # one latent_var and one pred_var per outer iteration's mode and
-        # per final grid point; curvature evaluations compute neither
+        # per final grid point, each on a factor that one selected-inverse
+        # sweep took, in a block of at most one grid line: every final grid
+        # point's factor is swept exactly once, and no curvature or
+        # below-floor evaluation is finished
         calls = {"latent_var": 0, "pred_var": 0}
         for name in calls:
             original = getattr(engine.GaussResult, name)
@@ -1821,9 +1956,21 @@ class TestGridPoints:
                 return _original(self, *args)
 
             monkeypatch.setattr(engine.GaussResult, name, counted)
+        swept, blocks = [], []
+        sweep = sparse.CholPlan.selected_inverses
+
+        def counted_sweep(self, factors, slots=()):
+            swept.extend(factors)
+            blocks.append(len(factors))
+            return sweep(self, factors, slots)
+
+        monkeypatch.setattr(sparse.CholPlan, "selected_inverses", counted_sweep)
         res = _fit_rw1_free_precision()
         want = len(res.records) + len(res.grid)
         assert calls == {"latent_var": want, "pred_var": want}
+        assert len(swept) == want and max(blocks) <= 21 and len(blocks) < want
+        assert all(sum(f is p.factor for f in swept) == 1 for p in res.grid)
+        assert all(f._splu is None for f in swept)
 
 
 class TestThetaCache:

@@ -766,3 +766,36 @@ class TestJacobiansFromArrays:
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert np.array_equal(a, b)  # in scipy's storage order too
+
+    @given(seed=st.integers(0, 10_000), under=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_pipe_and_multi(self, seed, under):
+        # against the product and the dense fill they replaced; a state
+        # past -39 underflows the derivative, whose entries stay stored
+        rng = np.random.default_rng(seed)
+        fam = ExponentialQuantile(0.5)
+        n, rows = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        state = rng.uniform(-3.0, 3.0, size=2 * n)
+        if under:
+            state[rng.random(2 * n) < 0.5] = -40.0
+        idx = rng.integers(1, n + 1, size=rows)
+        pipe = PipeMapper([IndexMapper(n), MarginalMapper(fam)])
+        inp = [idx, rows]
+        stages = [s.jacobian(i, v) for s, i, v in zip(
+            pipe.stages, inp, (state[:n], IndexMapper(n).eval(idx, state[:n])))]
+        got = pipe.jacobian(inp, state[:n])
+        zeros = _stored_zeros_beyond(got, (stages[1] @ stages[0]).tocsr())
+        assert zeros == np.count_nonzero(fam.deriv(state[idx - 1]) == 0.0)
+
+        multi = MultiMapper(MarginalMapper(fam, inner=IndexMapper(n)), group=IndexMapper(2))
+        inp = (idx, rng.integers(1, 3, size=rows), None)
+        dense = sp.lil_matrix((rows, 2 * n))
+        block, _ = multi._flat_blocks(inp, rows)
+        for b in np.unique(block):
+            sel = np.where(block == b)[0]
+            jac = multi.main.jacobian(idx[sel], state[b * n:(b + 1) * n])
+            dense[np.ix_(sel, np.arange(b * n, (b + 1) * n))] = jac.toarray()
+        got = multi.jacobian(inp, state)
+        zeros = _stored_zeros_beyond(got, dense.tocsr())
+        flat = block * n + idx - 1
+        assert zeros == np.count_nonzero(fam.deriv(state[flat]) == 0.0)

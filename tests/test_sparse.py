@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg._dsolve import _superlu
 
 from iterlace.engine import Component, Linearisation, Model, ObsBlock, theta_explore
@@ -769,6 +770,105 @@ class TestSelectedInverse:
         assert np.linalg.inv(a.to_dense())[0, 1] != 0.0
         with pytest.raises(ValueError, match="outside the selected inverse's pattern"):
             f.selected_inverse([0], [3])
+
+
+def _reference_sweep(schedule, L):
+    """One factor's Sigma by storage slot, each sum by ``np.bincount`` in
+    pair order: the per-factor sweep that the blocked one replaced."""
+    n = schedule.n
+    cols = np.repeat(np.arange(n), np.diff(L.indptr))
+    lv = np.zeros(schedule.keys.size)
+    lv[schedule.slot[np.searchsorted(schedule.keys, cols * n + L.indices)]] = L.data
+    inv = 1.0 / lv[schedule.diag_of]
+    scaled = lv * inv
+    sigma = inv * inv
+    for o0, o1, d1, pair_l, pair_sigma, out_ptr, diag_ptr in schedule.levels:
+        pair_out = np.repeat(np.arange(o1 - o0), np.diff(out_ptr))
+        t = np.bincount(pair_out, weights=scaled[pair_l] * sigma[pair_sigma], minlength=o1 - o0)
+        np.negative(t, out=sigma[o0:o1])
+        t *= scaled[o0:o1]
+        col_local = np.repeat(np.arange(d1 - o1), np.diff(diag_ptr))
+        sigma[o1:d1] += np.bincount(col_local, weights=t, minlength=d1 - o1)
+    return sigma
+
+
+def _refilled(a, rng):
+    """A matrix on ``a``'s pattern and plan: D A D + I for a random
+    positive diagonal D."""
+    d = rng.uniform(0.5, 2.0, a.n)
+    rows = a.indices
+    cols = np.repeat(np.arange(a.n), np.diff(a.indptr))
+    data = a.data * d[rows] * d[cols] + np.where(rows == cols, 1.0, 0.0)
+    return SparseSym._on_pattern(data, a.indptr, a.indices, a.plan)
+
+
+class TestBlockedSweep:
+    """``CholPlan.selected_inverses`` over a block of factors gives each
+    factor, bit for bit, what it gets alone, and what the per-factor
+    bincount sweep gave."""
+
+    def _check_block(self, factors, rows, cols):
+        plan = factors[0]._plan
+        d, entries = plan.selected_inverses(factors, plan.inverse_slots(rows, cols))
+        assert d.shape == (len(factors), plan.n) and entries.shape == (len(factors), len(rows))
+        for f, d_f, entries_f in zip(factors, d, entries):
+            alone = f.selected_inverse(rows, cols)
+            assert np.array_equal(d_f, alone[0]) and np.array_equal(entries_f, alone[1])
+            sigma = _reference_sweep(plan.schedule, f.L)
+            want = np.empty(plan.n)
+            want[plan.perm] = sigma[plan.schedule.diagonal]
+            assert np.array_equal(d_f, want)
+            assert np.array_equal(entries_f, sigma[plan.inverse_slots(rows, cols)])
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           density=st.sampled_from([0.02, 0.1, 0.3]), m=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_patterns(self, seed, n, density, m):
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n, density)
+        a.plan = CholPlan(a.indptr, a.indices)
+        factors = [chol(_refilled(a, rng)) for _ in range(m)]
+        rows, cols = _factor_pattern(factors[0])
+        self._check_block(factors, rows, cols)
+        # a factor without its solver, and one whose L rows were sorted by
+        # sampling, on the map kept for the first factor's L
+        factors[0].solve_lt(np.ones(n))
+        self._check_block([factors[0].without_solver(), *factors[1:]], rows, cols)
+
+    def test_a_block_with_a_factor_lacking_an_entry(self):
+        # the cancelled factor of test_a_factor_entry_that_cancels_to_zero,
+        # between two full ones: it is searched, and the full pattern's map
+        # stays kept
+        full = sp.csc_matrix(np.ones((3, 3)))
+        plan = CholPlan(full.indptr, full.indices)
+        plan.permuted(full.data)
+        inv = plan.inverse
+        cancelled = np.array([[1.0, 1, 1], [1, 2, 1], [1, 1, 2]])[inv][:, inv]
+        factors = [
+            chol(SparseSym._trusted(sp.csc_matrix(dense), plan))
+            for dense in (np.eye(3) * 3.0 + 1.0, cancelled, np.eye(3) * 2.0 + 1.0)
+        ]
+        assert [f.L.nnz for f in factors] == [6, 5, 6]
+        rows, cols = np.nonzero(np.ones((3, 3)))
+        self._check_block(factors, rows, cols)
+        self._check_block(factors[1:2], rows, cols)
+        assert plan.schedule._l_map[0][-1] == 6  # the full pattern's map
+        self._check_block(factors[::-1], rows, cols)
+
+    def test_bym_lattice_in_blocks(self):
+        a = intercept_bym_qstar(side=12)
+        a.plan = CholPlan(a.indptr, a.indices)
+        rng = np.random.default_rng(61)
+        factors = [chol(_refilled(a, rng)) for _ in range(5)]
+        rows, cols, _ = a.triplets()
+        self._check_block(factors, rows, cols)
+        self._check_block(factors[2:3], rows, cols)
+
+    def test_factors_of_another_plan_are_refused(self):
+        rng = np.random.default_rng(62)
+        f, g = (chol(random_spd(rng, 5)) for _ in range(2))
+        with pytest.raises(ValueError, match="on this plan"):
+            f._plan.selected_inverses([f, g])
 
 
 def _dense_symbolic_keys(plan, rng):
