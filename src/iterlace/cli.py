@@ -18,6 +18,7 @@ fails after argument parsing; failures print an error JSON object.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -38,7 +39,6 @@ from .config import (
     read_table,
     table_from_lists,
     table_to_lists,
-    validate_config,
 )
 from .diagnostics import kl_divergences, linearisation_deviation
 from .engine import fit, generate, predict_summary
@@ -180,20 +180,9 @@ def fit_document(built, result, seed):
             "mean": result.latent_mean[start:end],
             "sd": result.latent_sd[start:end],
         }
-    records = [
-        {
-            "iter": r.iter,
-            "alpha": r.alpha,
-            "max_dev_over_sd": r.max_dev_over_sd,
-            "mean_dev_over_sd": r.mean_dev_over_sd,
-            "theta": r.theta,
-            "line_search_ran": r.line_search_ran,
-        }
-        for r in result.records
-    ]
     return {
         "converged": result.converged,
-        "convergence": records,
+        "convergence": [dataclasses.asdict(r) for r in result.records],
         "components": components,
         "hyperparameters": result.hyper_summary,
         "theta_grid": {
@@ -247,16 +236,8 @@ def _refit_from(path):
     if not isinstance(doc, dict) or "inputs" not in doc:
         raise ConfigError(f"{path} is not a fit file (no 'inputs' section)")
     inputs = doc["inputs"]
-    cfg = inputs["config"]
-    validate_config(cfg)
-    spec = ModelSpec(
-        components=cfg["components"],
-        likelihoods=cfg["likelihoods"],
-        options=dict(cfg.get("options", {})),
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
     built = build_model(
-        spec,
+        ModelSpec.from_config(inputs["config"], path),
         tables={p: table_from_lists(t) for p, t in inputs["tables"].items()},
         graphs={p: graph_from_dict(g) for p, g in inputs["graphs"].items()},
     )

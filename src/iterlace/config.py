@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Component, Model, ObsBlock
+from .engine import DEFAULT_OPTIONS, Component, Model, ObsBlock
 from .exprs import AdditiveAll, ExprError, Ref, parse_expr
 from .latents import (
     Ar1Model,
@@ -28,12 +28,11 @@ from .latents import (
     FixedEffectsModel,
     GaussianPrior,
     Graph,
-    HyperParam,
     IidModel,
     LogGammaPrior,
-    LogitPm1Transform,
-    LogTransform,
     Rw1Model,
+    _precision_hyper,
+    _rho_hyper,
     read_graph,
 )
 from .likelihoods import GaussianFamily, PoissonFamily
@@ -82,6 +81,18 @@ class ModelSpec:
     likelihoods: list
     options: dict = field(default_factory=dict)
     base_dir: str = field(default=".", compare=False, repr=False)
+
+    @classmethod
+    def from_config(cls, cfg, path):
+        """Validate the config ``cfg``, read from the file ``path``, whose
+        directory its paths resolve against."""
+        validate_config(cfg)
+        return cls(
+            components=cfg["components"],
+            likelihoods=cfg["likelihoods"],
+            options=dict(cfg.get("options", {})),
+            base_dir=os.path.dirname(os.path.abspath(path)),
+        )
 
     def to_dict(self):
         return {
@@ -144,10 +155,7 @@ _LIK_KEYS = frozenset(
     {"family", "response", "formula", "data", "response_data", "hyper", "aggregate"}
 )
 _AGG_KEYS = frozenset({"kind", "weights_column", "block_column", "rescale"})
-_OPTION_KEYS = frozenset(
-    {"bru_max_iter", "rel_tol", "gamma", "bru_initial", "bru_verbose",
-     "seed", "force_iterative"}
-)
+_OPTION_KEYS = frozenset(DEFAULT_OPTIONS) | {"seed"}
 _HYPER_KEYS = frozenset({"initial", "fixed", "prior"})
 _MARGINAL_KEYS = frozenset({"distribution", "rate", "shape"})
 
@@ -452,13 +460,7 @@ def load_model(path):
             cfg = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"not valid JSON: {err}", where="") from None
-    validate_config(cfg)
-    return ModelSpec(
-        components=cfg["components"],
-        likelihoods=cfg["likelihoods"],
-        options=dict(cfg.get("options", {})),
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
+    return ModelSpec.from_config(cfg, path)
 
 
 def write_model(spec, path):
@@ -681,7 +683,7 @@ def _build_latent(comp, where, lik_tables, graph_of):
     if model == "ar1":
         return Ar1Model(_component_n(comp, where, lik_tables),
                         prec_hyper=_prec_hyper("prec", hyper_cfg),
-                        rho_hyper=_rho_hyper(hyper_cfg))
+                        rho_hyper=_rho_hyper(**_hyper_settings(hyper_cfg, "rho")))
     if model == "rw1":
         return Rw1Model(_component_n(comp, where, lik_tables),
                         prec_hyper=_prec_hyper("prec", hyper_cfg))
@@ -741,34 +743,25 @@ def _factor_levels(comp, where, lik_tables):
         _fail(where, "factor column values mix types; give explicit 'levels'")
 
 
-def _prec_hyper(name, hyper_cfg):
+def _hyper_settings(hyper_cfg, name):
+    """The keyword arguments of ``_precision_hyper`` or ``_rho_hyper``
+    that the entry ``name`` of a hyper object sets; what it leaves out
+    keeps their default."""
     cfg = hyper_cfg.get(name, {})
-    return HyperParam(
-        name,
-        LogTransform(),
-        _prior(cfg.get("prior")) or LogGammaPrior(1.0, 5e-5),
-        initial=float(cfg.get("initial", 1.0)),
-        fixed=bool(cfg.get("fixed", False)),
-    )
+    out = {}
+    if "initial" in cfg:
+        out["initial"] = float(cfg["initial"])
+    if "fixed" in cfg:
+        out["fixed"] = bool(cfg["fixed"])
+    prior = cfg.get("prior")
+    if prior is not None:
+        out["prior"] = (LogGammaPrior(prior["a"], prior["b"]) if prior["kind"] == "log_gamma"
+                        else GaussianPrior(prior["mean"], prior["prec"]))
+    return out
 
 
-def _rho_hyper(hyper_cfg):
-    cfg = hyper_cfg.get("rho", {})
-    return HyperParam(
-        "rho",
-        LogitPm1Transform(),
-        _prior(cfg.get("prior")) or GaussianPrior(0.0, 0.15),
-        initial=float(cfg.get("initial", 0.0)),
-        fixed=bool(cfg.get("fixed", False)),
-    )
-
-
-def _prior(cfg):
-    if cfg is None:
-        return None
-    if cfg["kind"] == "log_gamma":
-        return LogGammaPrior(cfg["a"], cfg["b"])
-    return GaussianPrior(cfg["mean"], cfg["prec"])
+def _prec_hyper(name, hyper_cfg):
+    return _precision_hyper(name, **_hyper_settings(hyper_cfg, name))
 
 
 def _quantile_family(marg):
@@ -780,17 +773,7 @@ def _quantile_family(marg):
 def _build_family(lik):
     if lik["family"] == "poisson":
         return PoissonFamily()
-    cfg = lik.get("hyper", {}).get("prec")
-    if cfg is None:
-        return GaussianFamily()
-    if cfg.get("fixed", False):
-        return GaussianFamily(fixed_prec=float(cfg.get("initial", 1.0)))
-    return GaussianFamily(prec_hyper=HyperParam(
-        "prec",
-        LogTransform(),
-        _prior(cfg.get("prior")) or LogGammaPrior(),
-        initial=float(cfg.get("initial", 1.0)),
-    ))
+    return GaussianFamily(prec_hyper=_prec_hyper("prec", lik.get("hyper", {})))
 
 
 def _build_aggregation(lik, data, n_y, n_rows, where):

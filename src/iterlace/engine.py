@@ -60,7 +60,7 @@ needs.
 
 A Laplace evaluation factorises once per Newton step and at no other
 time: the curvature at the mode is the last step's factor (that step
-moved the state by less than ``tol``), the chord step that starts it
+moved the state by less than ``NEWTON_TOL``), the chord step that starts it
 solves with the previous evaluation's factor, and the prior's
 log-determinant and constraint covariance come from the components'
 closed forms (``Model.prior_terms``), not from factorising Q(theta).  A
@@ -391,8 +391,10 @@ class Model:
 
         self._validate_refs()
         self._constraints = self._build_constraints()
-        # see precision() and linearise()
-        self._q_blocks = self._q_pattern = self._q_plan = self._last_lin = None
+        # see precision() and linearise(); the last linearisation is kept in
+        # a list that with_responses' twins share
+        self._q_blocks = self._q_pattern = self._q_plan = None
+        self._last_lin = [None]
 
     # -- bookkeeping
 
@@ -641,9 +643,9 @@ class Model:
         B = _csr_of(*map(np.concatenate, zip(*triplets)), (start, self.n_latent))
         delta = eta_full - matmul("csr", B.indptr, B.indices, B.data, B.shape, u0)
         lin = Linearisation(u0=u0.copy(), B=B, delta=delta, block_slices=slices)
-        last, self._last_lin = self._last_lin, lin
+        last, self._last_lin[0] = self._last_lin[0], lin
         if last is not None and _same_pattern(B.indptr, B.indices, last.B.indptr, last.B.indices):
-            lin._qstar = last._qstar  # one Q* pattern per fit, so one plan and one schedule
+            lin._qstar = last._qstar  # one Q* pattern per structure, so one plan and one schedule
         return lin
 
     def responses(self):
@@ -657,8 +659,8 @@ class Model:
         everything else is this model's, shared, not built or validated
         again: an SBC replicate reuses the prior precision's pattern and
         ``CholPlan`` (``precision``) and, when its B has the same pattern,
-        the last linearisation's Q* pattern, all of which depend on the
-        structure alone."""
+        the Q* pattern of the last linearisation of this model or of any
+        of its twins, all of which depend on the structure alone."""
         twin = copy.copy(self)
         twin.obs = [
             ObsBlock(b.family, y, b.formula, b.inputs, b.aggregation)
@@ -788,15 +790,14 @@ def _worse(nxt, at):
     return not np.isfinite(nxt.f) or nxt.f < at.f - 1e-12
 
 
-def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
-                    tol=1e-8, max_iter=50):
+def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None):
     """Newton iteration for the mode and curvature of p(u | theta, y).
 
     Solves (Q - B^T diag(h) B) step = B^T g + Q (mu - u) repeatedly; with
     constraints each candidate is projected back onto Cu = 0 through the
     current precision (conditioning-by-kriging), and step-halving guards
     against overshooting.  One factorisation per step: the curvature at
-    the mode is the last step's Q*, taken less than ``tol`` from the mode
+    the mode is the last step's Q*, taken less than NEWTON_TOL from the mode
     (exactly at it when h does not depend on u, as for Gaussian data).
 
     Without ``warm`` the iteration starts at the linearisation point
@@ -846,7 +847,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
             at = chord
             g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         u = at.u
         qstar = lin.qstar(prior_q, h)
         factor = chol(qstar)
@@ -867,11 +868,11 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None,
             nxt = objective(u + t * move)
         at = nxt
         g, h = _obs_grad_hess(model, lin, at.u, obs_vals, at.eta)
-        if np.max(np.abs(t * move)) < tol:
+        if np.max(np.abs(t * move)) < NEWTON_TOL:
             break
     else:
         raise EngineError(
-            f"inner Newton iteration did not converge in {max_iter} steps"
+            f"inner Newton iteration did not converge in {NEWTON_MAX_ITER} steps"
         )
 
     return GaussResult(
@@ -978,6 +979,11 @@ SEARCH_STEP = 0.1
 SEARCH_FATOL = 1e-8
 SEARCH_XATOL = 1e-4
 SEARCH_MAXFEV = 500
+# Each Laplace evaluation's Newton iteration (``gaussian_approx``) stops
+# once a step moves no latent by NEWTON_TOL or more, and fails after
+# NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 50
 
 
 class _ThetaCache:

@@ -33,14 +33,14 @@ component needs nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
-from .mappers import ConstMapper, FactorMapper, IndexMapper, LinearMapper, Mapper, MapperError
+from .mappers import FactorMapper, IndexMapper, LinearMapper, Mapper, MapperError
 from .sparse import CholPlan, SparseSym, _same_pattern, chol
 
 __all__ = [
@@ -251,14 +251,20 @@ class HyperParam:
         return self.transform.to_internal(self.initial)
 
 
+# The two hyperparameter kinds the built-in components and the Gaussian
+# likelihood use: every default hyperparameter, from the Python API or a
+# config, is built by one of these.
+
 def _precision_hyper(name="prec", initial=1.0, prior=None, fixed=False):
-    return HyperParam(
-        name=name,
-        transform=LogTransform(),
-        prior=prior if prior is not None else LogGammaPrior(1.0, 5e-5),
-        initial=initial,
-        fixed=fixed,
-    )
+    """A precision on the log scale, LogGamma-distributed unless given a prior."""
+    return HyperParam(name, LogTransform(), LogGammaPrior() if prior is None else prior,
+                      initial, fixed)
+
+
+def _rho_hyper(initial=0.0, prior=None, fixed=False):
+    """AR(1)'s rho on (-1, 1), Gaussian on its internal scale unless given a prior."""
+    return HyperParam("rho", LogitPm1Transform(),
+                      GaussianPrior(0.0, 0.15) if prior is None else prior, initial, fixed)
 
 
 # --- latent models --------------------------------------------------------
@@ -444,16 +450,7 @@ class Ar1Model(LatentModel):
         if self.n < 1:
             raise ValueError("ar1 needs n >= 1")
         self._prec = prec_hyper if prec_hyper is not None else _precision_hyper()
-        self._rho = (
-            rho_hyper
-            if rho_hyper is not None
-            else HyperParam(
-                name="rho",
-                transform=LogitPm1Transform(),
-                prior=GaussianPrior(0.0, 0.15),
-                initial=0.0,
-            )
-        )
+        self._rho = rho_hyper if rho_hyper is not None else _rho_hyper()
 
     def n_latent(self):
         return self.n
@@ -534,6 +531,16 @@ class Rw1Model(LatentModel):
         return IndexMapper(self.n)
 
 
+def _component_rows(graph, width):
+    """Sum-to-zero rows, one per connected component of ``graph``, over
+    the first ``graph.n`` of ``width`` latents."""
+    comps = graph.components()
+    c = np.zeros((len(comps), width))
+    for k, members in enumerate(comps):
+        c[k, members] = 1.0
+    return c
+
+
 class BesagModel(LatentModel):
     """Intrinsic CAR on a graph; sum-to-zero over each component."""
 
@@ -558,11 +565,7 @@ class BesagModel(LatentModel):
         return self._structure.terms(_value(self._hyper, values))
 
     def constraints(self):
-        comps = self.graph.components()
-        c = np.zeros((len(comps), self.graph.n))
-        for k, members in enumerate(comps):
-            c[k, members] = 1.0
-        return c
+        return _component_rows(self.graph, self.graph.n)
 
     def default_mapper(self):
         return IndexMapper(self.graph.n)
@@ -611,16 +614,8 @@ class BymModel(LatentModel):
 
     def __init__(self, graph, prec_spatial_hyper=None, prec_iid_hyper=None):
         self.graph = graph
-        self._prec_u = (
-            prec_spatial_hyper
-            if prec_spatial_hyper is not None
-            else _precision_hyper(name="prec_spatial")
-        )
-        self._prec_v = (
-            prec_iid_hyper
-            if prec_iid_hyper is not None
-            else _precision_hyper(name="prec_iid")
-        )
+        self._prec_u = prec_spatial_hyper or _precision_hyper("prec_spatial")
+        self._prec_v = prec_iid_hyper or _precision_hyper("prec_iid")
 
     def n_latent(self):
         return 2 * self.graph.n
@@ -650,11 +645,7 @@ class BymModel(LatentModel):
         return log_det + self.graph.n * np.log(_value(self._prec_v, values)), cov
 
     def constraints(self):
-        comps = self.graph.components()
-        c = np.zeros((len(comps), 2 * self.graph.n))
-        for k, members in enumerate(comps):
-            c[k, members] = 1.0  # structured half only
-        return c
+        return _component_rows(self.graph, 2 * self.graph.n)  # structured half only
 
     def default_mapper(self):
         return BymIndexMapper(self.graph.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .latents import HyperParam, LogGammaPrior, LogTransform
+from .latents import _precision_hyper
 
 __all__ = ["LikelihoodError", "PoissonFamily", "GaussianFamily", "make_family"]
 
@@ -72,25 +72,18 @@ class GaussianFamily:
     """Gaussian observations with identity link and a noise precision.
 
     The precision is a hyperparameter (log scale, gamma prior) unless
-    constructed with ``fixed_prec``.
+    constructed with ``fixed_prec`` or a fixed ``prec_hyper``; a fixed
+    precision must be positive.
     """
 
     name = "gaussian"
 
     def __init__(self, prec_hyper=None, fixed_prec=None):
         if fixed_prec is not None:
-            if not fixed_prec > 0:
-                raise LikelihoodError("observation precision must be positive")
-            self._hyper = HyperParam(
-                "prec", LogTransform(), LogGammaPrior(), initial=float(fixed_prec),
-                fixed=True,
-            )
-        elif prec_hyper is not None:
-            self._hyper = prec_hyper
-        else:
-            self._hyper = HyperParam(
-                "prec", LogTransform(), LogGammaPrior(), initial=1.0
-            )
+            prec_hyper = _precision_hyper(initial=float(fixed_prec), fixed=True)
+        self._hyper = prec_hyper if prec_hyper is not None else _precision_hyper()
+        if self._hyper.fixed and not self._hyper.initial > 0:
+            raise LikelihoodError("observation precision must be positive")
 
     def hypers(self):
         return [] if self._hyper.fixed else [self._hyper]

@@ -520,17 +520,9 @@ def _check_block_weights(spec, need_nonnegative, rescale):
             raise MapperError(f"rescale needs positive total weight; block {bad} has none")
 
 
-class LogSumExpMapper(Mapper):
-    """Per-block log(sum_i w_i exp(s_i)), shift-stabilised.
-
-    With ``rescale=True`` the block sum is divided by the block's total
-    weight inside the log, turning the block into a weighted
-    log-average-exp.  The Jacobian row for a block is the softmax of
-    (s_i + log w_i) within the block, so it is the same for both
-    rescale modes.
-    """
-
-    is_linear = False
+class _BlockMapper(Mapper):
+    """A per-block reduction of one state entry per input row; its input
+    is a BlockSpec of ``n_block`` blocks when ``n_block`` is given."""
 
     def __init__(self, rescale=False, n_block=None):
         self.rescale = bool(rescale)
@@ -551,12 +543,27 @@ class LogSumExpMapper(Mapper):
     def n_output(self, inp):
         return self._spec(inp).n_block
 
-    def _terms(self, spec, state):
+    def _block_state(self, spec, state):
         state = np.asarray(state, dtype=float)
         if state.shape[0] != spec.block.size:
             raise MapperError(
                 f"state length {state.shape[0]} != block rows {spec.block.size}"
             )
+        return state
+
+
+class LogSumExpMapper(_BlockMapper):
+    """Per-block log(sum_i w_i exp(s_i)), shift-stabilised.
+
+    With ``rescale=True`` the block sum is divided by the block's total
+    weight inside the log, turning the block into a weighted
+    log-average-exp.  The Jacobian row for a block is the softmax of
+    (s_i + log w_i) within the block, so it is the same for both
+    rescale modes.
+    """
+
+    def _terms(self, spec, state):
+        state = self._block_state(spec, state)
         _check_block_weights(spec, need_nonnegative=True, rescale=self.rescale)
         with np.errstate(divide="ignore"):  # zero weights drop out as -inf
             return state + _rowwise(np.log(spec.weights), state)
@@ -597,29 +604,10 @@ class LogSumExpMapper(Mapper):
         )
 
 
-class AggregateMapper(Mapper):
+class AggregateMapper(_BlockMapper):
     """Per-block weighted sums (optionally weight-averaged)."""
 
     is_linear = True
-
-    def __init__(self, rescale=False, n_block=None):
-        self.rescale = bool(rescale)
-        self.n_block = n_block
-
-    def _spec(self, inp):
-        if not isinstance(inp, BlockSpec):
-            raise MapperError("aggregation mappers take a BlockSpec input")
-        if self.n_block is not None and inp.n_block != self.n_block:
-            raise MapperError(
-                f"input declares {inp.n_block} blocks, mapper expects {self.n_block}"
-            )
-        return inp
-
-    def n_latent(self):
-        return None
-
-    def n_output(self, inp):
-        return self._spec(inp).n_block
 
     def _matrix(self, spec):
         """The (n_block, rows) weight matrix; the effect is its product
@@ -636,11 +624,7 @@ class AggregateMapper(Mapper):
 
     def eval(self, inp, state):
         spec = self._spec(inp)
-        state = np.asarray(state, dtype=float)
-        if state.shape[0] != spec.block.size:
-            raise MapperError(
-                f"state length {state.shape[0]} != block rows {spec.block.size}"
-            )
+        state = self._block_state(spec, state)
         return self._matrix(spec) @ state
 
     def jacobian(self, inp, state):

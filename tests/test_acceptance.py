@@ -19,25 +19,9 @@ from scipy import stats
 from iterlace.calibration import sbc_run
 from iterlace.cli import main as cli_main
 from iterlace.diagnostics import correction_matrix, kl_divergences
-from iterlace.engine import (
-    Component,
-    FitResult,
-    Linearisation,
-    Model,
-    ObsBlock,
-    ThetaPoint,
-    fit,
-    generate,
-)
+from iterlace.engine import Component, Model, ObsBlock, fit, generate
 from iterlace.exprs import expr_jacobian, parse_expr
-from iterlace.latents import (
-    BesagModel,
-    BymModel,
-    FixedEffectsModel,
-    Graph,
-    IidModel,
-    _precision_hyper,
-)
+from iterlace.latents import BymModel, FixedEffectsModel, IidModel, _precision_hyper
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
 from iterlace.mappers import (
     AggregateMapper,
@@ -54,54 +38,13 @@ from iterlace.mappers import (
     PipeMapper,
     ScaleMapper,
 )
-from iterlace.sparse import SparseSym, chol
+from shared import (
+    TRUE_B1, build_joint, curvature_fixture, exp_predictor_model, fd_jacobian, gls_model,
+    lattice_graph, product_predictor_model, toy_config, toy_model,
+)
 
 
-# --- shared builders --------------------------------------------------------
-
-def toy_model(y, rate=0.5):
-    """Poisson counts with a rate given an exponential prior, reached by
-    pushing one standard-normal latent through the quantile transform."""
-    comp = Component(
-        "lam",
-        IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
-        mapper=MarginalMapper(ExponentialQuantile(rate), inner=IndexMapper(1)),
-    )
-    block = ObsBlock(
-        PoissonFamily(),
-        np.asarray(y, dtype=float),
-        parse_expr("log(lam)"),
-        {"lam": np.ones(len(y), dtype=int)},
-    )
-    return Model([comp], [block])
-
-
-def gls_model(seed=0, n=30, tau=2.0):
-    rng = default_rng(seed)
-    x = rng.normal(size=n)
-    y = 0.5 + 1.5 * x + rng.normal(size=n) / np.sqrt(tau)
-    comps = [
-        Component("b0", FixedEffectsModel.constant()),
-        Component("b1", FixedEffectsModel.linear()),
-    ]
-    block = ObsBlock(
-        GaussianFamily(fixed_prec=tau), y, parse_expr("b0 + b1"),
-        {"b0": np.ones(n), "b1": x},
-    )
-    return Model(comps, [block])
-
-
-def lattice_graph(side):
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            if c + 1 < side:
-                edges.append((i, i + 1))
-            if r + 1 < side:
-                edges.append((i, i + side))
-    return Graph(side * side, edges)
-
+# --- builders ---------------------------------------------------------------
 
 def random_blockspec(rng, n=None):
     nb = int(rng.integers(2, 5))
@@ -241,65 +184,6 @@ def test_c4_linear_predictor_immediacy():
 
 # --- 5: joint two-likelihood model with a product predictor -------------------
 
-TRUE_B1 = 0.5
-
-
-def sample_icar(rng, graph, tau):
-    """Draw from the intrinsic CAR prior by eigen-sampling the non-null
-    spectrum of the degree-minus-adjacency matrix."""
-    n = graph.n
-    W = np.zeros((n, n))
-    for i, j in graph.edges:
-        W[i, j] = W[j, i] = 1.0
-    Q = np.diag(W.sum(axis=1)) - W
-    vals, vecs = np.linalg.eigh(Q)
-    keep = vals > 1e-8
-    coef = rng.standard_normal(keep.sum()) / np.sqrt(tau * vals[keep])
-    x = vecs[:, keep] @ coef
-    return x - x.mean()
-
-
-def build_joint(seed, side=10, reps=3):
-    """Field observed directly (Gaussian, ``reps`` stations per cell so
-    the noise precision is identified by within-cell contrasts) and
-    through aggregated counts (Poisson on 2x2 blocks of cells through a
-    scaling coefficient)."""
-    g = lattice_graph(side)
-    n = g.n
-    rng = default_rng(seed)
-    a0, b0, b1 = 0.5, 1.0, TRUE_B1
-
-    xi = sample_icar(rng, g, tau=1.0)
-    zidx = np.repeat(np.arange(1, n + 1), reps)
-    z = a0 + xi[zidx - 1] + rng.normal(scale=0.5, size=zidx.size)
-    cells = np.arange(n)
-    area = (cells // side) // 2 * (side // 2) + (cells % side) // 2 + 1
-    n_area = (side // 2) ** 2
-    lam = np.bincount(area - 1, weights=np.exp(b0 + b1 * xi), minlength=n_area)
-    counts = rng.poisson(lam).astype(float)
-
-    idx = np.arange(1, n + 1)
-    comps = [
-        Component("xi", BesagModel(g)),
-        Component("alpha0", FixedEffectsModel.constant()),
-        Component("beta0", FixedEffectsModel.constant()),
-        Component("beta1", FixedEffectsModel.constant()),
-    ]
-    z_block = ObsBlock(
-        GaussianFamily(), z, parse_expr("alpha0 + xi"),
-        {"alpha0": np.ones(zidx.size), "xi": zidx},
-    )
-    count_block = ObsBlock(
-        PoissonFamily(), counts, parse_expr("beta0 + beta1 * xi"),
-        {"beta0": np.ones(n), "beta1": np.ones(n), "xi": idx},
-        aggregation=(LogSumExpMapper(), BlockSpec(area, np.ones(n), n_block=n_area)),
-    )
-    return Model(
-        comps, [z_block, count_block],
-        options={"bru_initial": {"beta1": 1.0}, "bru_max_iter": 10},
-    )
-
-
 def test_c5_joint_nonlinear_model():
     """20 replicates: every fit converges within 10 iterations, the
     deviation sequence settles monotonically on >= 18, and the scaling
@@ -328,21 +212,6 @@ def test_c5_joint_nonlinear_model():
 
 
 # --- 6: Jacobian correctness across the mapper/formula algebra ---------------
-
-def fd_jacobian(mapper, inp, state, h=1e-6):
-    state = np.asarray(state, dtype=float)
-    f0 = np.asarray(mapper.eval(inp, state))
-    out = np.zeros((f0.size, state.size))
-    for j in range(state.size):
-        step = h * max(1.0, abs(state[j]))
-        up, dn = state.copy(), state.copy()
-        up[j] += step
-        dn[j] -= step
-        out[:, j] = (
-            np.asarray(mapper.eval(inp, up)) - np.asarray(mapper.eval(inp, dn))
-        ) / (2 * step)
-    return out
-
 
 def mapper_case(rng):
     pick = int(rng.integers(0, 11))
@@ -431,7 +300,7 @@ def test_c6_jacobian_suite():
             mapper, inp, state = mapper_case(rng)
             got = mapper.jacobian(inp, state)
             got = got.toarray() if sp.issparse(got) else np.asarray(got)
-            want = fd_jacobian(mapper, inp, state)
+            want = fd_jacobian(mapper, inp, state, h=1e-6)
             denom = max(1.0, np.abs(want).max()) if want.size else 1.0
             assert np.abs(got - want).max(initial=0.0) <= 1e-6 * denom, (
                 f"seed {seed}: {type(mapper).__name__}")
@@ -456,36 +325,6 @@ def test_c6_jacobian_suite():
 
 # --- 7: linearisation-error diagnostics ---------------------------------------
 
-def hand_fixture(curv):
-    """Single-latent fit with predictor v + curv*v^2, anchored at u0=0
-    with unit Jacobian, y=1, unit-precision likelihood and prior: the
-    linearised precision is 2 and the corrected one 2 - 2*curv."""
-    comp = Component("v", IidModel(1, _precision_hyper(initial=1.0, fixed=True)))
-    block = ObsBlock(
-        GaussianFamily(fixed_prec=1.0), np.array([1.0]),
-        parse_expr(f"v + {curv}*v*v"), {"v": np.array([1])},
-    )
-    model = Model([comp], [block])
-    lin = Linearisation(
-        u0=np.zeros(1),
-        B=sp.csr_matrix(np.array([[1.0]])),
-        delta=np.zeros(1),
-        block_slices=[slice(0, 1)],
-    )
-    point = ThetaPoint(
-        theta=np.array([]), log_post=0.0, weight=1.0, mode=np.zeros(1),
-        factor=chol(SparseSym(sp.csc_matrix(np.array([[2.0]])))),
-        latent_var=np.array([0.5]), pred_mean=np.zeros(1),
-        pred_var=np.array([0.5]),
-    )
-    return FitResult(
-        model=model, grid=[point], linearisation=lin, converged=True,
-        records=[], theta_names=[], latent_mean=np.zeros(1),
-        latent_sd=np.array([np.sqrt(0.5)]), predictor_sigma2=np.array([0.5]),
-        hyper_summary=[], log_lines=[],
-    )
-
-
 def test_c7_divergence_diagnostics():
     """Zero divergence on linear fits; the 1-D hand case hits the
     closed-form Gaussian divergences; the numerically assembled
@@ -496,19 +335,15 @@ def test_c7_divergence_diagnostics():
 
     # 0.5*(ln 2 - ln 1.5 + 1.5/2 - 1) and its reverse, precomputed at
     # 50-digit precision and frozen
-    rep = kl_divergences(hand_fixture(0.25))
+    rep = kl_divergences(curvature_fixture(0.25))
     assert abs(rep.kl_lin_to_nonlin - 0.01884103622589045) <= 1e-6
     assert abs(rep.kl_nonlin_to_lin - 0.0228256304407762) <= 1e-6
 
     # exponential predictor: curvature is diagonal in the mapped latents
     tau = 2.0
-    rng = default_rng(5)
-    idx = np.tile(np.arange(1, 4), 4)
-    y = np.exp([0.2, 0.6, -0.3])[idx - 1] + rng.normal(size=idx.size) / np.sqrt(tau)
-    comp = Component("v", IidModel(3, _precision_hyper(initial=1.0, fixed=True)))
-    block = ObsBlock(GaussianFamily(fixed_prec=tau), y, parse_expr("exp(v)"),
-                     {"v": idx})
-    res = fit(Model([comp], [block]), {"rel_tol": 1e-6, "bru_max_iter": 30})
+    model = exp_predictor_model()
+    y, idx = model.obs[0].y, model.obs[0].inputs["v"]
+    res = fit(model, {"rel_tol": 1e-6, "bru_max_iter": 30})
     u0 = res.linearisation.u0
     g_star = tau * (y - np.exp(u0[idx - 1]))
     want = np.zeros((3, 3))
@@ -519,17 +354,9 @@ def test_c7_divergence_diagnostics():
 
     # product predictor: curvature is the off-diagonal cross term
     tau = 4.0
-    rng = default_rng(9)
-    n = 30
-    x, z = rng.normal(size=n), rng.normal(size=n)
-    y = (1.3 * x) * (0.7 * z) + rng.normal(size=n) / np.sqrt(tau)
-    comps = [
-        Component("a", FixedEffectsModel.linear()),
-        Component("b", FixedEffectsModel.linear()),
-    ]
-    block = ObsBlock(GaussianFamily(fixed_prec=tau), y, parse_expr("a * b"),
-                     {"a": x, "b": z})
-    res = fit(Model(comps, [block]),
+    model = product_predictor_model()
+    y, x, z = model.obs[0].y, model.obs[0].inputs["a"], model.obs[0].inputs["b"]
+    res = fit(model,
               {"rel_tol": 1e-6, "bru_max_iter": 40,
                "bru_initial": {"a": 1.0, "b": 1.0}})
     a0, b0 = res.linearisation.u0
@@ -576,19 +403,7 @@ def test_c9_fit_output_determinism(tmp_path, capsys):
     y = rng.poisson(2.0, size=30)
     lines = ["y"] + [str(int(v)) for v in y]
     (tmp_path / "counts.csv").write_text("\n".join(lines) + "\n")
-    cfg = {
-        "components": [{
-            "name": "lam", "model": "iid", "n": 1,
-            "input": {"kind": "const"},
-            "hyper": {"prec": {"initial": 1.0, "fixed": True}},
-            "marginal": {"distribution": "exponential", "rate": 0.5},
-        }],
-        "likelihoods": [{
-            "family": "poisson", "response": "y", "formula": "~ log(lam)",
-            "data": "counts.csv",
-        }],
-        "options": {"seed": 42},
-    }
+    cfg = dict(toy_config("counts.csv"), options={"seed": 42})
     (tmp_path / "model.json").write_text(json.dumps(cfg))
 
     for out in ("out1", "out2"):

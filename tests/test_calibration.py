@@ -7,13 +7,14 @@ construction.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from iterlace import calibration, engine
+from iterlace import calibration, engine, sparse
 from iterlace.calibration import CalibrationError, SbcResult, ks_statistic, sbc_run
 from iterlace.engine import Component, Model, ObsBlock
 from iterlace.engine import fit as engine_fit
@@ -26,7 +27,7 @@ from iterlace.latents import (
     _precision_hyper,
 )
 from iterlace.likelihoods import GaussianFamily, PoissonFamily
-from iterlace.mappers import ExponentialQuantile, IndexMapper, MarginalMapper
+from shared import toy_model
 
 # --- KS statistic ---------------------------------------------------------
 
@@ -83,19 +84,6 @@ def exact_posterior(rng, model_k, J):
     return rng.normal(y / 2.0, np.sqrt(0.5), size=J)
 
 
-def toy_template(rows=100, rate=0.5):
-    """Acceptance test c3's template: ``rows`` Poisson counts of one rate
-    with an Exp(rate) prior, the quantile transform of one latent."""
-    comp = Component(
-        "lam",
-        IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
-        mapper=MarginalMapper(ExponentialQuantile(rate), inner=IndexMapper(1)),
-    )
-    block = ObsBlock(PoissonFamily(), np.zeros(rows), parse_expr("log(lam)"),
-                     {"lam": np.ones(rows, dtype=int)})
-    return Model([comp], [block])
-
-
 class TestSbcRun:
     def test_h_is_drawn_at_the_first_datum_alone(self, monkeypatch):
         # h = lam is read at the first datum: drawing it there alone gives
@@ -109,14 +97,14 @@ class TestSbcRun:
             return out
 
         monkeypatch.setattr(calibration, "generate", first_datum)
-        cut = sbc_run(toy_template(), K=3, J=1000, seed=0)
+        cut = sbc_run(toy_model(np.zeros(100)), K=3, J=1000, seed=0)
         assert seen == [((1,), (1000, 1))] * 3
 
         monkeypatch.setattr(
             calibration, "generate",
             lambda res, expr, n, rng, inputs=None: real(res, expr, n, rng),
         )
-        full = sbc_run(toy_template(), K=3, J=1000, seed=0)
+        full = sbc_run(toy_model(np.zeros(100)), K=3, J=1000, seed=0)
         assert np.array_equal(cut.w_values, full.w_values)
         assert np.array_equal(cut.ranks, full.ranks)
         assert (cut.K, cut.J, cut.failures) == (full.K, full.J, full.failures) == (3, 1000, 0)
@@ -199,8 +187,10 @@ class TestSbcRun:
         # a replicate is the template with its responses swapped
         # (Model.with_responses): it keeps the template's Q pattern and
         # plan, so no CholPlan is built for Q after the first replicate's
-        # prior draw, and the results are those of a fresh Model per
-        # replicate, bit for bit
+        # prior draw; and the replicates share one Q* pattern, so the whole
+        # run builds one _QStarPattern, one ordering for Q*
+        # (CholPlan._analyse) and one _InverseSchedule; the results are
+        # those of a fresh Model per replicate, bit for bit
         rng = np.random.default_rng(5)
         idx = np.repeat(np.arange(1, 6), 3)
         hyper = _precision_hyper(initial=1.0, prior=GaussianPrior(0.0, 1.0))
@@ -209,6 +199,7 @@ class TestSbcRun:
                                 parse_expr("u"), {"u": idx})])
         fits, q_plans, in_precision = [0], [], []
         real_fit, real_plan, real_precision = calibration.fit, engine.CholPlan, Model.precision
+        built = Counter()
 
         def counted_fit(m):
             fits[0] += 1
@@ -226,11 +217,29 @@ class TestSbcRun:
                 q_plans.append(fits[0])
             return real_plan(*args)
 
+        def counted(owner, attr, key):
+            real = getattr(owner, attr)
+
+            def wrapper(*args):
+                built[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
         monkeypatch.setattr(calibration, "fit", counted_fit)
         monkeypatch.setattr(Model, "precision", precision)
         monkeypatch.setattr(engine, "CholPlan", plan)
+        counted(engine._QStarPattern, "__init__", "pattern")
+        counted(real_plan, "_analyse", "ordering")
+        counted(sparse._InverseSchedule, "__init__", "schedule")
         shared = sbc_run(model, h=parse_expr("u_latent"), K=4, J=30, seed=2)
         assert fits[0] == 4 and q_plans == [0]  # the template's, at replicate 0's prior draw
+        # orderings: Q's, the RW1 structure's (its prior terms) and Q*'s
+        assert built == Counter(pattern=1, ordering=3, schedule=1)
+        toy = toy_model(np.zeros(100))
+        built.clear()
+        toy_shared = sbc_run(toy, K=10, J=50)
+        assert built == Counter(pattern=1, ordering=2, schedule=1)  # Q's and Q*'s orderings
 
         def fresh(self, ys):
             return Model(self.components, [
@@ -244,6 +253,11 @@ class TestSbcRun:
         assert len(q_plans) == 4  # one per replicate's fit, as before
         assert np.array_equal(shared.w_values, alone.w_values)
         assert np.array_equal(shared.ranks, alone.ranks)
+        built.clear()
+        toy_alone = sbc_run(toy, K=10, J=50)
+        assert built == Counter(pattern=10, ordering=10, schedule=10)
+        assert np.array_equal(toy_shared.w_values, toy_alone.w_values)
+        assert np.array_equal(toy_shared.ranks, toy_alone.ranks)
 
     def test_real_fits_end_to_end(self):
         rng = np.random.default_rng(0)

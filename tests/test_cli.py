@@ -8,18 +8,12 @@ import numpy as np
 import pytest
 
 from iterlace.cli import main
+from shared import toy_config, write_csv
 
 
 def run_cli(argv, capsys):
     code = main([str(a) for a in argv])
     return code, capsys.readouterr().out
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def read_csv(path):
@@ -34,19 +28,7 @@ def toy_dir(tmp_path):
     rng = np.random.default_rng(7)
     y = rng.poisson(2.0, size=30)
     write_csv(tmp_path / "counts.csv", ["y"], [[int(v)] for v in y])
-    cfg = {
-        "components": [{
-            "name": "lam", "model": "iid", "n": 1,
-            "input": {"kind": "const"},
-            "hyper": {"prec": {"initial": 1.0, "fixed": True}},
-            "marginal": {"distribution": "exponential", "rate": 0.5},
-        }],
-        "likelihoods": [{
-            "family": "poisson", "response": "y", "formula": "~ log(lam)",
-            "data": "counts.csv",
-        }],
-        "options": {"seed": 42},
-    }
+    cfg = dict(toy_config("counts.csv"), options={"seed": 42})
     (tmp_path / "model.json").write_text(json.dumps(cfg))
     return tmp_path, y
 

@@ -1,6 +1,5 @@
 """Config schema validation, CSV tables, and model assembly."""
 
-import csv
 import json
 
 import numpy as np
@@ -22,15 +21,20 @@ from iterlace.config import (
     write_model,
 )
 from iterlace.engine import fit
-from iterlace.latents import Graph
+from iterlace.latents import (
+    Ar1Model,
+    BesagModel,
+    BymModel,
+    GaussianPrior,
+    Graph,
+    IidModel,
+    Rw1Model,
+    _precision_hyper,
+    _rho_hyper,
+)
+from iterlace.likelihoods import GaussianFamily
 from iterlace.mappers import AggregateMapper, LogSumExpMapper, MarginalMapper
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+from shared import toy_config, write_csv
 
 
 def write_json(path, obj):
@@ -464,19 +468,7 @@ class TestBuildModel:
 
     def test_marginal_wraps_default_mapper(self, tmp_path):
         write_csv(tmp_path / "d.csv", ["y"], [[1], [3]])
-        cfg = {
-            "components": [{
-                "name": "lam", "model": "iid", "n": 1,
-                "input": {"kind": "const"},
-                "hyper": {"prec": {"initial": 1.0, "fixed": True}},
-                "marginal": {"distribution": "exponential", "rate": 0.5},
-            }],
-            "likelihoods": [{
-                "family": "poisson", "response": "y", "formula": "~ log(lam)",
-                "data": "d.csv",
-            }],
-        }
-        built = build_from(tmp_path, cfg)
+        built = build_from(tmp_path, toy_config("d.csv"))
         assert isinstance(built.model.component("lam").mapper, MarginalMapper)
 
     def test_aggregation_bridges_row_counts(self, tmp_path):
@@ -624,6 +616,73 @@ class TestBuildModel:
         assert result.converged
         start, end = built.model.offsets["b1"]
         assert abs(result.latent_mean[start:end][0] - 0.9) < 0.2
+
+
+class TestOneDefinition:
+    """A config and the Python API build every hyperparameter through the
+    same helpers (``_precision_hyper``, ``_rho_hyper``): their defaults
+    agree, and so do a config's settings and the same keyword arguments."""
+
+    MODELS = ("iid", "ar1", "rw1", "besag", "bym")
+    GRAPH = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    HYPER = {"initial": 0.3, "fixed": True, "prior": {"kind": "gaussian", "mean": 0.5, "prec": 2.0}}
+
+    def _from_config(self, tmp_path, hyper):
+        """The five components and the Gaussian likelihood of a config,
+        each hyperparameter set to ``hyper`` unless it is None."""
+        (tmp_path / "map.graph").write_text("n 4\n1 2\n2 3\n3 4\n")
+        write_csv(tmp_path / "d.csv", ["y", "i"], [[0.1, 1], [0.4, 2], [0.2, 3], [0.3, 4]])
+        names = {"ar1": ("prec", "rho"), "bym": ("prec_spatial", "prec_iid")}
+        comps = []
+        for model in self.MODELS:
+            comp = {"name": model, "model": model,
+                    "input": {"kind": "index_column", "column": "i"}}
+            if model in ("besag", "bym"):
+                comp["graph"] = "map.graph"
+            if hyper is not None:
+                comp["hyper"] = {name: hyper for name in names.get(model, ("prec",))}
+            comps.append(comp)
+        lik = {"family": "gaussian", "response": "y", "data": "d.csv",
+               "formula": "~ " + " + ".join(self.MODELS)}
+        if hyper is not None:
+            lik["hyper"] = {"prec": hyper}
+        model = build_from(tmp_path, {"components": comps, "likelihoods": [lik]}).model
+        return [c.model for c in model.components] + [model.obs[0].family]
+
+    def _from_api(self, **settings):
+        def prec(name="prec"):
+            return _precision_hyper(name, **settings)
+
+        g = self.GRAPH
+        return [IidModel(4, prec()), Ar1Model(4, prec(), _rho_hyper(**settings)),
+                Rw1Model(4, prec()), BesagModel(g, prec()),
+                BymModel(g, prec("prec_spatial"), prec("prec_iid")),
+                GaussianFamily(prec_hyper=prec())]
+
+    @staticmethod
+    def _hypers(obj):
+        """Every hyperparameter of a component or family, fixed ones too,
+        as what defines it: name, transform, prior and its parameters,
+        initial value and whether it is fixed."""
+        hypers = [getattr(obj, attr) for attr in ("_hyper", "_prec", "_rho", "_prec_u", "_prec_v")
+                  if hasattr(obj, attr)]
+        return [(h.name, type(h.transform), type(h.prior), h.prior.params(), h.initial, h.fixed)
+                for h in hypers]
+
+    def _check(self, got, want):
+        assert [type(obj) for obj in got] == [type(obj) for obj in want]
+        for a, b in zip(got, want):
+            assert self._hypers(a) == self._hypers(b) and self._hypers(a)
+
+    def test_defaults(self, tmp_path):
+        g = self.GRAPH
+        self._check(self._from_config(tmp_path, None),
+                    [IidModel(4), Ar1Model(4), Rw1Model(4), BesagModel(g), BymModel(g),
+                     GaussianFamily()])
+
+    def test_fixed_initial_and_prior_set(self, tmp_path):
+        self._check(self._from_config(tmp_path, self.HYPER),
+                    self._from_api(initial=0.3, fixed=True, prior=GaussianPrior(0.5, 2.0)))
 
 
 class TestBindNewInputs:

@@ -18,26 +18,15 @@ from iterlace.diagnostics import (
     kl_divergences,
     linearisation_deviation,
 )
-from iterlace.engine import (
-    Component,
-    FitResult,
-    Linearisation,
-    Model,
-    ObsBlock,
-    ThetaPoint,
-    fit,
-)
+from iterlace.engine import Component, Linearisation, Model, ObsBlock, fit
 from iterlace.exprs import parse_expr
 from iterlace.latents import FixedEffectsModel, IidModel, _precision_hyper
-from iterlace.likelihoods import GaussianFamily, PoissonFamily
-from iterlace.mappers import (
-    BlockSpec,
-    ExponentialQuantile,
-    IndexMapper,
-    LogSumExpMapper,
-    MarginalMapper,
+from iterlace.likelihoods import GaussianFamily
+from iterlace.mappers import BlockSpec, LogSumExpMapper
+from shared import (
+    curvature_fixture, exp_predictor_model, gls_model, product_predictor_model, toy_counts,
+    toy_model,
 )
-from iterlace.sparse import SparseSym, chol
 
 # KL(N(0, 1/2) || N(0, 1/1.5)) and its reverse, from the closed form
 # 0.5 * (log(v1/v0) + v0/v1 - 1); the fixture below is built so the
@@ -49,87 +38,6 @@ KL_NONLIN_TO_LIN = 0.0228256304407762
 def gauss_kl(m0, v0, m1, v1):
     """KL(N(m0, v0) || N(m1, v1)) for scalars, the textbook way."""
     return 0.5 * (np.log(v1 / v0) + (v0 + (m0 - m1) ** 2) / v1 - 1.0)
-
-
-def curvature_fixture(curv, sigma2=None):
-    """Hand-assembled single-latent fit with predictor v + curv * v^2.
-
-    Anchored at u0 = 0 with unit Jacobian, observation y = 1 under a
-    unit-precision Gaussian and a unit-precision prior: the linearised
-    precision is 2, the likelihood gradient at the anchor is 1, and the
-    predictor Hessian is 2 * curv.
-    """
-    comp = Component("v", IidModel(1, _precision_hyper(initial=1.0, fixed=True)))
-    block = ObsBlock(
-        GaussianFamily(fixed_prec=1.0),
-        np.array([1.0]),
-        parse_expr(f"v + {curv}*v*v"),
-        {"v": np.array([1])},
-    )
-    model = Model([comp], [block])
-    lin = Linearisation(
-        u0=np.zeros(1),
-        B=sp.csr_matrix(np.array([[1.0]])),
-        delta=np.zeros(1),
-        block_slices=[slice(0, 1)],
-    )
-    point = ThetaPoint(
-        theta=np.array([]),
-        log_post=0.0,
-        weight=1.0,
-        mode=np.zeros(1),
-        factor=chol(SparseSym(sp.csc_matrix(np.array([[2.0]])))),
-        latent_var=np.array([0.5]),
-        pred_mean=np.zeros(1),
-        pred_var=np.array([0.5]),
-    )
-    return FitResult(
-        model=model,
-        grid=[point],
-        linearisation=lin,
-        converged=True,
-        records=[],
-        theta_names=[],
-        latent_mean=np.zeros(1),
-        latent_sd=np.array([np.sqrt(0.5)]),
-        predictor_sigma2=np.array([0.5]) if sigma2 is None else sigma2,
-        hyper_summary=[],
-        log_lines=[],
-    )
-
-
-def make_gls(formula="b0 + b1", seed=0, tau=2.0, n=25):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n)
-    y = 0.5 + 1.5 * x + rng.normal(size=n) / np.sqrt(tau)
-    comps = [
-        Component("b0", FixedEffectsModel.constant()),
-        Component("b1", FixedEffectsModel.linear()),
-    ]
-    block = ObsBlock(
-        family=GaussianFamily(fixed_prec=tau),
-        y=y,
-        formula=parse_expr(formula),
-        inputs={"b0": np.ones(n), "b1": x},
-    )
-    return Model(comps, [block])
-
-
-def make_toy(n=30, rate=0.5, seed=7):
-    rng = np.random.default_rng(seed)
-    y = rng.poisson(1.7, size=n)
-    comp = Component(
-        "lam",
-        IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
-        mapper=MarginalMapper(ExponentialQuantile(rate), inner=IndexMapper(1)),
-    )
-    block = ObsBlock(
-        family=PoissonFamily(),
-        y=y,
-        formula=parse_expr("log(lam)"),
-        inputs={"lam": np.ones(n, dtype=int)},
-    )
-    return Model([comp], [block])
 
 
 # --- KL comparison -------------------------------------------------------
@@ -153,7 +61,7 @@ class TestKlDivergences:
             kl_divergences(curvature_fixture(2.5))
 
     def test_linear_fit_has_negligible_divergence(self):
-        rep = kl_divergences(fit(make_gls()))
+        rep = kl_divergences(fit(gls_model(25)))
         assert abs(rep.kl_lin_to_nonlin) <= 1e-12
         assert abs(rep.kl_nonlin_to_lin) <= 1e-12
         assert rep.g_matrix_norm <= 1e-6
@@ -175,7 +83,7 @@ class TestKlDivergences:
             kl_divergences(res)
 
     def test_nonlinear_fit_invariants(self):
-        rep = kl_divergences(fit(make_toy()))
+        rep = kl_divergences(fit(toy_model(toy_counts())))
         assert rep.kl_lin_to_nonlin >= -1e-12
         assert rep.kl_nonlin_to_lin >= -1e-12
         assert rep.g_matrix_norm > 0
@@ -188,12 +96,8 @@ class TestCorrectionMatrix:
         # eta_i = exp(v_{c(i)}): G is diagonal with entries
         # exp(u0_j) * sum of likelihood gradients mapped to j
         tau = 2.0
-        rng = np.random.default_rng(5)
-        idx = np.tile(np.arange(1, 4), 4)
-        y = np.exp([0.2, 0.6, -0.3])[idx - 1] + rng.normal(size=idx.size) / np.sqrt(tau)
-        comp = Component("v", IidModel(3, _precision_hyper(initial=1.0, fixed=True)))
-        block = ObsBlock(GaussianFamily(fixed_prec=tau), y, parse_expr("exp(v)"), {"v": idx})
-        model = Model([comp], [block])
+        model = exp_predictor_model()
+        y, idx = model.obs[0].y, model.obs[0].inputs["v"]
         res = fit(model, {"rel_tol": 1e-6, "bru_max_iter": 30})
 
         u0 = res.linearisation.u0
@@ -208,18 +112,8 @@ class TestCorrectionMatrix:
         # eta_i = (x_i a)(z_i b): the only curvature is the cross term
         # sum_i g_i x_i z_i
         tau = 4.0
-        rng = np.random.default_rng(9)
-        n = 30
-        x, z = rng.normal(size=n), rng.normal(size=n)
-        y = (1.3 * x) * (0.7 * z) + rng.normal(size=n) / np.sqrt(tau)
-        comps = [
-            Component("a", FixedEffectsModel.linear()),
-            Component("b", FixedEffectsModel.linear()),
-        ]
-        block = ObsBlock(
-            GaussianFamily(fixed_prec=tau), y, parse_expr("a * b"), {"a": x, "b": z}
-        )
-        model = Model(comps, [block])
+        model = product_predictor_model()
+        y, x, z = model.obs[0].y, model.obs[0].inputs["a"], model.obs[0].inputs["b"]
         res = fit(
             model,
             {
@@ -290,7 +184,7 @@ class TestLinearisationDeviation:
     def test_linear_model_is_numerically_exact(self):
         # additive formula, linear mappers: the linearisation is the
         # predictor, so only float roundoff survives
-        res = fit(make_gls(formula=None))
+        res = fit(gls_model(25, formula=None))
         assert linearisation_deviation(res, 400, seed=3) <= 1e-20
 
     def test_exponential_against_closed_form_moments(self):
@@ -410,7 +304,7 @@ def reference_deviation(fit_result, n, seed):
 
 
 class TestBatchedAgainstPerState:
-    @pytest.mark.parametrize("make", [product_fit, lambda: fit(make_toy()),
+    @pytest.mark.parametrize("make", [product_fit, lambda: fit(toy_model(toy_counts())),
                                       lambda: curvature_fixture(0.25)])
     def test_correction_matrix_and_kl_are_bit_identical(self, make, monkeypatch):
         from iterlace import diagnostics
@@ -425,7 +319,7 @@ class TestBatchedAgainstPerState:
         assert kl == kl_divergences(res)
 
     @pytest.mark.parametrize("make", [lambda: product_fit(free_precision=True),
-                                      lambda: fit(make_toy()),
+                                      lambda: fit(toy_model(toy_counts())),
                                       lambda: curvature_fixture(0.25)])
     def test_deviation_is_bit_identical(self, make):
         # curvature_fixture has one predictor row

@@ -55,10 +55,9 @@ from iterlace.mappers import (
     ExponentialQuantile, IndexMapper, MarginalMapper, MultiMapper, PipeMapper,
 )
 from iterlace.sparse import CholFactor, SparseSym, chol
-from test_acceptance import (  # c5's joint model, c2's toy
-    build_joint, lattice_graph, sample_icar, toy_model,
+from shared import (
+    build_joint, gls_model, lattice_graph, public_solve_lt, sample_icar, toy_counts, toy_model,
 )
-from test_sparse import _public_solve_lt
 
 
 # --- dense oracles -----------------------------------------------------
@@ -76,47 +75,6 @@ def condition_on_zero(mean, cov, cmat):
     smat = cmat @ cov @ cmat.T
     gain = cov @ cmat.T @ np.linalg.inv(smat)
     return mean - gain @ (cmat @ mean), cov - gain @ cmat @ cov
-
-
-# --- shared model builders ----------------------------------------------
-
-def make_gls(seed=0, tau=2.0, n=40):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n)
-    y = 0.5 + 1.5 * x + rng.normal(size=n) / np.sqrt(tau)
-    comps = [
-        Component("b0", FixedEffectsModel.constant()),
-        Component("b1", FixedEffectsModel.linear()),
-    ]
-    block = ObsBlock(
-        family=GaussianFamily(fixed_prec=tau),
-        y=y,
-        formula=parse_expr("b0 + b1"),
-        inputs={"b0": np.ones(n), "b1": x},
-    )
-    return Model(comps, [block]), x, y
-
-
-def make_toy(n=30, rate=0.5, seed=7):
-    """One latent through an exponential marginal, Poisson counts.
-
-    The implied prior on lam is Exponential(rate), so the posterior is
-    the conjugate Gamma(1 + sum(y), rate + n).
-    """
-    rng = np.random.default_rng(seed)
-    y = rng.poisson(1.7, size=n)
-    comp = Component(
-        "lam",
-        IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
-        mapper=MarginalMapper(ExponentialQuantile(rate), inner=IndexMapper(1)),
-    )
-    block = ObsBlock(
-        family=PoissonFamily(),
-        y=y,
-        formula=parse_expr("log(lam)"),
-        inputs={"lam": np.ones(n, dtype=int)},
-    )
-    return Model([comp], [block]), y
 
 
 # --- model assembly ------------------------------------------------------
@@ -155,7 +113,7 @@ class TestModelValidation:
             model.linearise(np.zeros(1))
 
     def test_bru_initial_unknown_component(self):
-        model, _, _ = make_gls()
+        model = gls_model(40)
         with pytest.raises(EngineError, match="unknown component"):
             fit(model, {"bru_initial": {"zzz": 1.0}})
 
@@ -210,9 +168,9 @@ class TestModelValidation:
             Model(comps, [block])
 
     def test_is_linear_detection(self):
-        gls, _, _ = make_gls()
+        gls = gls_model(40)
         assert gls.is_linear
-        toy, _ = make_toy()
+        toy = toy_model(toy_counts())
         assert not toy.is_linear
 
 
@@ -220,7 +178,7 @@ class TestModelValidation:
 
 class TestLinearise:
     def test_anchor_matches_nonlinear_predictor(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         rng = np.random.default_rng(5)
         for _ in range(5):
             u0 = rng.normal(size=1)
@@ -228,7 +186,7 @@ class TestLinearise:
             np.testing.assert_allclose(lin.eval(u0), model.eta(u0), atol=1e-10)
 
     def test_linearisation_is_tangent(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         u0 = np.array([0.3])
         lin = model.linearise(u0)
         # the gap to the true predictor must vanish quadratically
@@ -1177,7 +1135,7 @@ class TestThetaExplore:
         assert mix_mean == pytest.approx(oracle_mean, rel=0.02)
 
     def test_zero_free_hypers_single_point(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         lin = model.linearise(np.zeros(1))
         _, grid, _ = theta_explore(model, lin)
         assert len(grid) == 1
@@ -1549,7 +1507,8 @@ class TestLineSearch:
 
 class TestLinearPath:
     def test_matches_dense_gls(self):
-        model, x, y = make_gls()
+        model = gls_model(40)
+        x, y = model.obs[0].inputs["b1"], model.obs[0].y
         res = fit(model)
         n = len(y)
         bmat = np.column_stack([np.ones(n), x])
@@ -1566,7 +1525,7 @@ class TestLinearPath:
         )
 
     def test_forced_iterative_matches_single_pass(self):
-        model, _, _ = make_gls()
+        model = gls_model(40)
         res_direct = fit(model)
         res_forced = fit(model, {"force_iterative": True})
         assert res_forced.converged
@@ -1583,7 +1542,8 @@ class TestLinearPath:
 
 class TestToyFixedPoint:
     def test_fixed_point_is_the_joint_mode(self):
-        model, y = make_toy()
+        y = toy_counts()
+        model = toy_model(y)
         res = fit(model, {"rel_tol": 1e-9, "bru_max_iter": 30})
         assert res.converged
 
@@ -1602,7 +1562,7 @@ class TestToyFixedPoint:
         assert res.linearisation.u0[0] == pytest.approx(opt.x, abs=1e-6)
 
     def test_idempotent_once_converged(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         res = fit(model)
         assert res.converged
         u0 = res.linearisation.u0
@@ -1612,7 +1572,8 @@ class TestToyFixedPoint:
         assert np.max(np.abs(ga.mode - u0) / sd) < 0.1
 
     def test_samples_match_conjugate_posterior(self):
-        model, y = make_toy(n=60, seed=12)
+        y = toy_counts(n=60, seed=12)
+        model = toy_model(y)
         res = fit(model)
         samples = generate(
             res,
@@ -1632,14 +1593,7 @@ class TestToyFixedPoint:
         gamma, n = 5e4, 100
         rng = np.random.default_rng(4)
         y = rng.poisson(rng.exponential(1.0 / gamma), size=n).astype(float)
-        comp = Component(
-            "lam",
-            IidModel(1, _precision_hyper(initial=1.0, fixed=True)),
-            mapper=MarginalMapper(ExponentialQuantile(gamma), inner=IndexMapper(1)),
-        )
-        block = ObsBlock(PoissonFamily(), y, parse_expr("log(lam)"),
-                         {"lam": np.ones(n, dtype=int)})
-        res = fit(Model([comp], [block]))
+        res = fit(toy_model(y, rate=gamma))
         assert res.converged
         lam = generate(res, parse_expr("lam"), 20000, np.random.default_rng(10),
                        inputs={"lam": np.ones(1, dtype=int)})[:, 0]
@@ -1649,7 +1603,7 @@ class TestToyFixedPoint:
         assert stats.kstest(lam, exact.cdf).statistic <= 0.01
 
     def test_far_start_triggers_line_search(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         res = fit(model, {"bru_initial": {"lam": 3.0}})
         assert res.converged
         assert any(r.line_search_ran for r in res.records)
@@ -1658,7 +1612,7 @@ class TestToyFixedPoint:
 
 class TestRunLog:
     def test_iteration_log_structure(self):
-        model, _ = make_toy()
+        model = toy_model(toy_counts())
         res = fit(model)
         lines = res.log_lines
         assert lines[0] == "iinla: Iteration 1 [max:10] (level 1)"
@@ -1739,7 +1693,8 @@ class TestSummaries:
 
 class TestGenerate:
     def test_bit_reproducible(self):
-        model, x, _ = make_gls()
+        model = gls_model(40)
+        x = model.obs[0].inputs["b1"]
         res = fit(model)
         inputs = {"b0": np.ones(3), "b1": x[:3]}
         expr = parse_expr("b0 + b1")
@@ -1750,7 +1705,7 @@ class TestGenerate:
         assert not np.array_equal(s1, s3)
 
     def test_moments_match_marginals(self):
-        model, _, _ = make_gls()
+        model = gls_model(40)
         res = fit(model)
         samples = generate(
             res,
@@ -1764,7 +1719,7 @@ class TestGenerate:
         assert samples[:, 0].std(ddof=1) == pytest.approx(res.latent_sd[0], rel=0.05)
 
     def test_eval_reference_scales_effect(self):
-        model, _, _ = make_gls()
+        model = gls_model(40)
         res = fit(model)
         samples = generate(
             res,
@@ -1790,7 +1745,7 @@ class TestGenerate:
         np.testing.assert_allclose(samples.sum(axis=1), 0.0, atol=1e-8)
 
     def test_nonpositive_count_is_an_error(self):
-        model, _, _ = make_gls()
+        model = gls_model(40)
         res = fit(model)
         with pytest.raises(EngineError, match="n_samples must be positive"):
             generate(res, parse_expr("b0"), 0, rng=1, inputs={"b0": np.ones(1)})
@@ -1851,7 +1806,7 @@ class TestGenerate:
 
         def public(factor, rhs):
             blocks.append(rhs.shape)
-            return _public_solve_lt(factor, rhs)
+            return public_solve_lt(factor, rhs)
 
         monkeypatch.setattr(CholFactor, "solve_lt", public)
         want = generate(res, expr, 500, rng=0)
@@ -2088,7 +2043,8 @@ class TestStateMatrices:
             assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_generate_with_rebound_inputs(self):
-        model, x, _ = make_gls()
+        model = gls_model(40)
+        x = model.obs[0].inputs["b1"]
         res = fit(model)
         inputs = {"b0": np.ones(3), "b1": x[:3]}
         expr = parse_expr("exp(b0 + b1)")

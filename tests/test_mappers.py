@@ -29,21 +29,7 @@ from iterlace.mappers import (
     ibm_n,
     ibm_n_output,
 )
-
-
-def fd_jacobian(mapper, inp, state, h=1e-5):
-    """Central-difference Jacobian, the oracle for analytic ones."""
-    state = np.asarray(state, dtype=float)
-    f0 = mapper.eval(inp, state)
-    out = np.zeros((f0.size, state.size))
-    for j in range(state.size):
-        step = h * max(1.0, abs(state[j]))
-        up = state.copy()
-        up[j] += step
-        dn = state.copy()
-        dn[j] -= step
-        out[:, j] = (mapper.eval(inp, up) - mapper.eval(inp, dn)) / (2 * step)
-    return out
+from shared import fd_jacobian
 
 
 class TestBasicMappers:

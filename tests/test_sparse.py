@@ -25,6 +25,7 @@ from iterlace.sparse import (
     matmul,
     sparse_from_triplets,
 )
+from shared import public_solve_lt
 
 
 def random_spd(rng, n, density=0.4):
@@ -448,16 +449,6 @@ class TestPrivateFactorisation:
         assert exc.value.pivot is None
 
 
-def _public_solve_lt(f, rhs):
-    """``f.solve_lt(rhs)`` by the public route: scipy's
-    ``spsolve_triangular`` with L^T, then un-permuted."""
-    b = rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-    y = spla.spsolve_triangular(f.L.T, b, lower=False)
-    x = np.empty_like(y)
-    x[f.perm] = y
-    return x[:, 0] if rhs.ndim == 1 else x
-
-
 class TestPrivateTriangularSolve:
     """``solve_lt`` calls SuperLU's ``gstrs`` directly on arrays its factor
     prepares once; every solve must equal, bit for bit, the public
@@ -490,7 +481,7 @@ class TestPrivateTriangularSolve:
             lean = f.without_solver()  # before f is sampled from: prepares its own
             rhs = self._rhs(rng, a.n)
             # the public route first, on L as SuperLU hands it out, unsorted
-            want = {name: _public_solve_lt(f, b) for name, b in rhs.items()}
+            want = {name: public_solve_lt(f, b) for name, b in rhs.items()}
             kept = {name: b.copy() for name, b in rhs.items()}
             for factor in (f, lean, "after"):
                 if factor == "after":  # made once f is prepared: shares its arrays
@@ -930,6 +921,49 @@ class TestSymbolicFactor:
             assert a_keys.size < symbolic.size
             grown = sparse._InverseSchedule(a.n, a_keys)
             np.testing.assert_array_equal(grown.keys, symbolic)
+
+
+class TestCancellationGuard:
+    """An entry that cancels to zero in the plan's stand-in factor is
+    restored before the schedule is laid out: one of A's entries by the
+    union with A's permuted lower triangle, a fill entry by the closure
+    of ``_InverseSchedule``."""
+
+    @pytest.mark.parametrize("dropped", ["entry of A", "fill entry"])
+    def test_an_entry_dropped_from_the_stand_in(self, dropped):
+        a = intercept_bym_qstar(side=4)
+        plan = CholPlan(a.indptr, a.indices)
+        plan.permuted(a.data)  # computes the order and the stand-in, not the schedule
+        assert plan._schedule is None
+        n = plan.n
+        indices, indptr = plan._stand_in_l
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        rows = indices[: indptr[-1]]
+        keys = cols * n + rows
+        b = plan._permuted  # A[perm][:, perm]
+        b_cols = np.repeat(np.arange(n), np.diff(b.indptr))
+        a_keys = b_cols * n + b.indices
+        below, in_a = rows > cols, np.isin(keys, a_keys)
+        if dropped == "entry of A":
+            # in a leaf of the elimination tree no pair of entries below
+            # the diagonal of another column implies the entry, so the
+            # closure alone would not restore it
+            parents = {int(min(rows[below & (cols == k)])) for k in np.unique(cols[below])}
+            candidates = np.flatnonzero(below & in_a & ~np.isin(cols, list(parents)))
+        else:
+            candidates = np.flatnonzero(~in_a)
+        at = candidates[0]
+        indptr = indptr.copy()
+        indptr[cols[at] + 1:] -= 1
+        plan._stand_in_l = (np.delete(indices, at), indptr)
+
+        schedule = plan.schedule
+        assert keys[at] in set(schedule.keys.tolist())
+        np.testing.assert_array_equal(schedule.keys, np.sort(keys))  # the whole symbolic factor
+        on_plan = SparseSym._on_pattern(a.data, plan.indptr, plan.indices, plan)
+        f = chol(on_plan)
+        assert f._plan is plan
+        _check_selected(f, on_plan)
 
 
 class TestUniqueKeys:
