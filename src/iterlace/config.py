@@ -282,7 +282,7 @@ def _validate_component(comp, where, names):
                     + (f"; one of {', '.join(valid)}" if valid else "")
                 )
                 _fail(f"{where}/hyper/{hname}", msg)
-            _validate_hyper(hcfg, f"{where}/hyper/{hname}")
+            _validate_hyper(hname, hcfg, f"{where}/hyper/{hname}")
 
     if comp.get("group") is not None:
         _fail(f"{where}/group", "component groups are not supported")
@@ -318,11 +318,17 @@ def _validate_input(inp, where, model):
         _fail(f"{where}/kind", f"model {model!r} takes a {expected} input, not {kind!r}")
 
 
-def _validate_hyper(hcfg, where):
+def _validate_hyper(name, hcfg, where):
+    """The entry of hyperparameter ``name`` (a ``prec*`` precision or an
+    AR(1) ``rho``); its ``initial`` must lie in the hyperparameter's domain."""
     _need_dict(hcfg, where)
     _check_keys(hcfg, _HYPER_KEYS, where)
     if "initial" in hcfg:
-        _need_num(hcfg["initial"], f"{where}/initial")
+        initial = _need_num(hcfg["initial"], f"{where}/initial")
+        if name == "rho" and not -1.0 < initial < 1.0:
+            _fail(f"{where}/initial", "rho must lie strictly between -1 and 1")
+        if name != "rho" and not 0.0 < initial < np.inf:
+            _fail(f"{where}/initial", "a precision must be positive and finite")
     if "fixed" in hcfg:
         _need_bool(hcfg["fixed"], f"{where}/fixed")
     if "prior" in hcfg:
@@ -403,7 +409,7 @@ def _validate_likelihood(lik, where, names):
             if hname != "prec":
                 _fail(f"{where}/hyper/{hname}",
                       "gaussian likelihoods have one hyperparameter, 'prec'")
-            _validate_hyper(hcfg, f"{where}/hyper/{hname}")
+            _validate_hyper(hname, hcfg, f"{where}/hyper/{hname}")
 
     if "aggregate" in lik:
         if "response_data" not in lik:

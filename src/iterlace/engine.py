@@ -25,7 +25,10 @@ is fitted by a Laplace/grid scheme:
                               Each search's first Newton iteration
                               starts at the linearisation point, and
                               each later one at a chord step from the
-                              previous evaluation's mode,
+                              previous evaluation's mode
+                              (``_ThetaCache``).  A search returns its
+                              mode with that mode's evaluation, from
+                              which the grid's origin is made,
 * ``line_search``          -- the predictor-space step-size control,
 * ``fit``                  -- the outer loop choosing successive
                               linearisation points until they stop
@@ -89,7 +92,7 @@ diag(B Q*^-1 B^T), summed over the pairs of latents that share a row of
 B -- the pairs Q*'s pattern was built from, so each lies in it, at
 slots looked up once per pattern -- both less the kriging drop.  Grid
 points are finished a line of the grid at a time, with one sweep of the
-recursions for the whole line (``_ThetaCache.finish``); each point's
+recursions for the whole line (``_finish_points``); each point's
 values are bit for bit those of a sweep of its own.  Memory grows with
 nnz(L), not with n^2.
 
@@ -987,32 +990,18 @@ NEWTON_MAX_ITER = 50
 
 
 class _ThetaCache:
-    """Deterministic memo of log-posterior evaluations, with warm starts.
+    """Laplace evaluations of log p(theta | y) on one linearisation, each
+    warm-started from the one before.
 
-    ``cache`` holds one ``(lp, kept)`` entry per evaluated theta, and
-    ``last`` the GaussResult of the last evaluation, from whose mode and
-    factor the next one starts (``gaussian_approx``'s ``warm``); the
-    first starts at the linearisation point.  That keeps at most one
-    SuperLU object alive beyond what the entries keep.
-
-    * A call without ``lp_floor`` returns the GaussResult it computes,
-      and keeps it only while its lp is the best such a call has seen or
-      ties it; earlier bests are dropped to ``(lp, None)``, so a search
-      holds a few factors instead of one per evaluation.
-    * A call with ``lp_floor`` keeps the grid point (``_make_point``)
-      when lp >= lp_floor and nothing otherwise, so no SuperLU object
-      outlives the next evaluation; ``lp_floor=inf`` keeps only lp (the
-      stencil's points, for a search's gradient or the grid's
-      curvature).  A GaussResult the entry already holds is made into a
-      point without evaluating again.
-
-    A kept point's summaries are deferred: the point waits, with the
-    GaussResult on its lean factor, until ``finish`` fills in every
-    waiting point's summaries from one selected-inverse sweep over the
-    block.  The grid walk finishes once per line of the grid, so a block
-    holds at most the 21 points of a line.
-
-    A lookup that finds less than it would keep re-evaluates.
+    A call evaluates at theta from ``last``, the GaussResult of the
+    previous call, from whose mode and factor it starts
+    (``gaussian_approx``'s ``warm``; the first starts at the
+    linearisation point), records lp in ``cache`` under theta rounded to
+    12 decimals, and returns ``(lp, ga)``.  It keeps no GaussResult but
+    ``last`` and looks nothing up: each search returns its mode's
+    evaluation, which the grid's origin is made from.  The class name,
+    ``__call__`` and ``cache`` stay because the benchmark's tracer wraps
+    the call and reads the cache's size.
     """
 
     def __init__(self, model, lin):
@@ -1020,52 +1009,12 @@ class _ThetaCache:
         self.lin = lin
         self.cache = {}
         self.last = None
-        self._best = []  # keys that keep their GaussResult
-        self._best_lp = -np.inf
-        self._waiting = []  # (point, lean GaussResult) until finish()
 
-    def __call__(self, theta, lp_floor=None):
+    def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        key = tuple(np.round(theta, 12))
-        hit = self.cache.get(key)
-        if hit is not None and not self._lacks(hit, lp_floor):
-            return hit
-        if hit is not None and isinstance(hit[1], GaussResult):
-            lp, ga = hit
-        else:
-            lp, ga = log_posterior_theta(self.model, self.lin, theta, warm=self.last)
-            self.last = ga
-        if lp_floor is None:
-            self.cache[key] = (lp, self._keep_if_best(key, lp, ga))
-            return lp, ga
-        kept = None
-        if lp >= lp_floor:
-            kept, lean = _make_point(theta, lp, ga, self.lin)
-            self._waiting.append((kept, lean))
-        hit = self.cache[key] = (lp, kept)
-        return hit
-
-    def finish(self):
-        """Fill in the summaries of the points kept since the last call."""
-        if self._waiting:
-            _finish_points(self._waiting)
-            self._waiting = []
-
-    def _lacks(self, hit, lp_floor):
-        if lp_floor is None:
-            return not isinstance(hit[1], GaussResult)
-        return hit[0] >= lp_floor and not isinstance(hit[1], ThetaPoint)
-
-    def _keep_if_best(self, key, lp, ga):
-        if lp > self._best_lp:
-            for k in self._best:
-                self.cache[k] = (self.cache[k][0], None)
-            self._best, self._best_lp = [key], lp
-        elif lp == self._best_lp:
-            self._best.append(key)
-        else:
-            return None
-        return ga
+        lp, self.last = log_posterior_theta(self.model, self.lin, theta, warm=self.last)
+        self.cache[tuple(np.round(theta, 12))] = lp
+        return lp, self.last
 
 
 def _check_theta_dim(model):
@@ -1086,73 +1035,76 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     Without ``theta_start`` the mode is searched by Nelder-Mead from the
     hyperparameters' initial values (``_nelder_mead``); with it, the
     start is refined by quasi-Newton steps (``_refine_mode``), near the
-    mode or far from it.
-    ``mode_only`` returns a single-point grid at the mode (used inside
-    the outer iterations); ``known_mode`` skips the optimisation
-    entirely (the final integration pass of an iterative fit).
+    mode or far from it.  Either search returns the mode with its lp and
+    GaussResult; ``known_mode`` skips the search (the final integration
+    pass of an iterative fit) and evaluates the mode alone.  ``mode_only``
+    returns a single-point grid at the mode (used inside the outer
+    iterations).
 
     The grid is walked as the comment above ``GRID_SPACING`` describes:
-    the axes outwards from the mode, then the box they span in
-    ``_box_order``, a point only when its parent was kept.  The kept
-    points of each axis and of each line of the box along the last axis
-    are finished together, by one selected-inverse sweep
-    (``_ThetaCache.finish``).
+    its origin is the mode's evaluation, then the axes are walked
+    outwards from it, then the box they span in ``_box_order``, a point
+    only when its parent was kept.  The kept points wait for their
+    summaries until their axis or their line of the box along the last
+    axis is walked, and are then finished together, by one
+    selected-inverse sweep (``_finish_points``).
     """
     _check_theta_dim(model)
     p = len(model.theta_entries)
     evals = _ThetaCache(model, lin)
 
-    if p == 0:
-        theta_hat = np.empty(0)
-    elif known_mode is not None:
-        theta_hat = np.asarray(known_mode, dtype=float)
+    if p == 0 or known_mode is not None:
+        theta_hat = np.empty(0) if p == 0 else np.asarray(known_mode, dtype=float)
+        lp_hat, ga_hat = evals(theta_hat)
     elif theta_start is None:
-        theta_hat = _nelder_mead(evals, model.theta_internal0())
+        theta_hat, lp_hat, ga_hat = _nelder_mead(evals, model.theta_internal0())
     else:
-        theta_hat = _refine_mode(evals, np.asarray(theta_start, dtype=float).reshape(p))
+        start = np.asarray(theta_start, dtype=float).reshape(p)
+        theta_hat, lp_hat, ga_hat = _refine_mode(evals, start)
 
-    lp_hat, ga_hat = evals(theta_hat)
-
+    point_hat, lean_hat = _make_point(theta_hat, lp_hat, ga_hat, lin)
+    waiting = [(point_hat, lean_hat)]  # kept points and their lean GaussResults
     if mode_only or p == 0:
-        point, lean = _make_point(theta_hat, lp_hat, ga_hat, lin)
-        _finish_points([(point, lean)])
-        return theta_hat, [point], ga_hat
+        _finish_points(waiting)
+        return theta_hat, [point_hat], ga_hat
 
-    # curvature at the mode; these evaluations keep only lp
-    _, hess = _stencil(lambda t: evals(t, lp_floor=np.inf)[0], theta_hat, lp_hat)
+    # curvature at the mode
+    _, hess = _stencil(lambda t: evals(t)[0], theta_hat, lp_hat)
     lam, vec = np.linalg.eigh(-hess)
     lam = _floored(lam)
     axes = vec @ np.diag(1.0 / np.sqrt(lam))  # z -> theta displacement
 
     floor = lp_hat - GRID_DROP
-    kept = {}  # integer steps along the axes -> grid point, lp >= floor
+    origin = (0,) * p
+    kept = {origin: point_hat}  # integer steps along the axes -> grid point, lp >= floor
 
     def visit(steps):
         """Evaluate the point ``steps`` grid steps from the mode if its
         parent is kept; an evaluation at or above the floor is kept."""
-        moved = np.flatnonzero(steps)
-        if moved.size:
-            i = moved[0]
-            parent = steps[:i] + (steps[i] - (1 if steps[i] > 0 else -1),) + steps[i + 1:]
-            if parent not in kept:
-                return
-        z = GRID_SPACING * np.array(steps, dtype=float)
-        lp, point = evals(theta_hat + axes @ z, lp_floor=floor)
+        i = np.flatnonzero(steps)[0]
+        parent = steps[:i] + (steps[i] - (1 if steps[i] > 0 else -1),) + steps[i + 1:]
+        if parent not in kept:
+            return
+        theta = theta_hat + axes @ (GRID_SPACING * np.array(steps, dtype=float))
+        lp, ga = evals(theta)
         if lp >= floor:
-            kept[steps] = point
+            waiting.append(_make_point(theta, lp, ga, lin))
+            kept[steps] = waiting[-1][0]
 
-    origin = (0,) * p
-    visit(origin)
+    def finish():
+        _finish_points(waiting)
+        waiting.clear()
+
     for i in range(p):  # each axis outwards, at most 10 steps a side
         for k in (*range(1, 11), *range(-1, -11, -1)):
             visit(origin[:i] + (k,) + origin[i + 1:])
-        evals.finish()
+        finish()
     extents = [sorted(s[i] for s in kept if not any(s[:i] + s[i + 1:])) for i in range(p)]
     for _, line in groupby(_box_order(extents), key=lambda s: s[:-1]):
         for steps in line:
             if steps not in kept:
                 visit(steps)
-        evals.finish()
+        finish()
 
     points = [kept[s] for s in sorted(kept)]  # lexicographic in z
     lps = np.array([pt.log_post for pt in points])
@@ -1214,11 +1166,26 @@ def _search_failed(evals, search, start):
 
 
 def _nelder_mead(evals, start):
-    """The mode by Nelder-Mead from the simplex of ``start`` and
-    start + SEARCH_STEP e_i, one vertex per axis."""
+    """The mode, its lp and its GaussResult, by Nelder-Mead from the
+    simplex of ``start`` and start + SEARCH_STEP e_i, one vertex per axis.
+
+    The objective keeps the GaussResults of the evaluations tied at the
+    highest lp so far, a few factors instead of one per evaluation, and
+    the search's result is one of them."""
     simplex = start + SEARCH_STEP * np.eye(start.size + 1, start.size, k=-1)
+    best, best_lp = {}, -np.inf  # theta -> (lp, GaussResult) at best_lp
+
+    def neg_lp(theta):
+        nonlocal best, best_lp
+        lp, ga = evals(theta)
+        if lp > best_lp:
+            best, best_lp = {}, lp
+        if lp == best_lp:
+            best[tuple(theta)] = lp, ga
+        return -lp
+
     res = optimize.minimize(
-        lambda t: -evals(t)[0],
+        neg_lp,
         start,
         method="Nelder-Mead",
         # an iteration evaluates at least once, so maxfev binds first
@@ -1227,7 +1194,7 @@ def _nelder_mead(evals, start):
     )
     if not res.success:
         raise _search_failed(evals, "Nelder-Mead search", start)
-    return res.x
+    return res.x, *best[tuple(res.x)]
 
 
 def _stencil(lp_at, theta, lp0, cross=True):
@@ -1259,42 +1226,43 @@ def _stencil(lp_at, theta, lp0, cross=True):
 
 
 def _refine_mode(evals, start):
-    """The mode from ``start`` by quasi-Newton steps s = B^-1 g.
+    """The mode, its lp and its GaussResult, from ``start`` by
+    quasi-Newton steps s = B^-1 g.
 
     B starts as the stencil's -H at ``start``, each eigenvalue made
     positive by its absolute value and ``_floored`` as the grid's
     curvature is.  After each accepted step it takes the BFGS update from s and
     y = g - g_new, the central-difference gradient that point gets
     anyway, so the update costs no evaluation; it is skipped when
-    s^T y <= 0.  A step is halved until lp does not decrease.  The
-    stencil's points keep only lp.
+    s^T y <= 0.  A step is halved until lp does not decrease.  Only the
+    current theta's GaussResult is kept.
     """
     n_calls = 0
 
-    def lp_at(theta, lp_floor=None):
+    def evaluate(theta):
         nonlocal n_calls
         if n_calls >= SEARCH_MAXFEV:
             raise _search_failed(evals, "Newton refinement", start)
         n_calls += 1
-        return evals(theta, lp_floor)[0]
+        return evals(theta)
 
     def stencil_lp(theta):
-        return lp_at(theta, np.inf)
+        return evaluate(theta)[0]
 
-    theta, lp = start, lp_at(start)
+    theta, (lp, ga) = start, evaluate(start)
     grad, hess = _stencil(stencil_lp, theta, lp)
     lam, vec = np.linalg.eigh(-hess)
     b = (vec * _floored(np.abs(lam))) @ vec.T
     while True:
         s = np.linalg.solve(b, grad)
         if np.abs(s).max() < SEARCH_XATOL or 0.5 * grad @ s < SEARCH_FATOL:
-            return theta
+            return theta, lp, ga
         # a NaN lp counts as a decrease
-        while not (lp_new := lp_at(theta + s)) >= lp:
+        while not (trial := evaluate(theta + s))[0] >= lp:
             s = 0.5 * s
             if np.abs(s).max() < SEARCH_XATOL:
-                return theta  # no ascent above lp's jitter
-        theta, lp = theta + s, lp_new
+                return theta, lp, ga  # no ascent above lp's jitter
+        theta, (lp, ga) = theta + s, trial
         y = grad - (grad := _stencil(stencil_lp, theta, lp, cross=False)[0])
         if s @ y > 0:
             bs = b @ s

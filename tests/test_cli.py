@@ -134,17 +134,19 @@ class TestFit:
         assert [r[0] for r in rows] == [str(i + 1) for i in range(len(rows))]
 
     def test_runtime_failure_reports_json(self, tmp_path, capsys):
+        # a valid config whose start overflows the predictor exp(u)
         write_csv(tmp_path / "d.csv", ["y"], [[1], [2]])
         cfg = {
             "components": [{
                 "name": "u", "model": "iid", "n": 1,
                 "input": {"kind": "const"},
-                "hyper": {"prec": {"initial": -1.0, "fixed": True}},
+                "hyper": {"prec": {"initial": 1.0, "fixed": True}},
             }],
             "likelihoods": [{
-                "family": "poisson", "response": "y", "formula": "~ u",
+                "family": "poisson", "response": "y", "formula": "~ exp(u)",
                 "data": "d.csv",
             }],
+            "options": {"bru_initial": {"u": 800}},
         }
         (tmp_path / "model.json").write_text(json.dumps(cfg))
         code, stdout = run_cli(

@@ -1,6 +1,7 @@
 """Config schema validation, CSV tables, and model assembly."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,41 @@ class TestValidateConfig:
         cfg["likelihoods"][0]["formula"] = "~ mu + mu_eval(c(1))"
         with pytest.raises(ConfigError, match="only available when predicting"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("model, name, initial, fixed", [
+        ("iid", "prec", -1.0, True),
+        ("iid", "prec", -1.0, False),
+        ("iid", "prec", 0, True),
+        ("iid", "prec", 0, False),
+        ("bym", "prec_iid", 0.0, False),
+        ("ar1", "rho", 1.5, False),
+        ("ar1", "rho", -1.0, True),
+        ("gaussian", "prec", -1.0, False),  # the likelihood's
+    ])
+    def test_initial_outside_the_domain(self, model, name, initial, fixed):
+        # each of these once passed validation and failed inside the fit
+        # with a runtime error and a numpy RuntimeWarning
+        cfg = minimal_cfg()
+        hyper = {name: {"initial": initial, "fixed": fixed}}
+        if model == "gaussian":
+            cfg["likelihoods"][0]["hyper"] = hyper
+            where = "/likelihoods/0"
+        else:
+            size = {"graph": "g.graph"} if model == "bym" else {"n": 3}
+            cfg["components"][0] = {"name": "u", "model": model, **size, "hyper": hyper}
+            where = "/components/0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as excinfo:
+                validate_config(cfg)
+        assert where_of(excinfo) == f"{where}/hyper/{name}/initial"
+
+    def test_initial_inside_the_domain(self):
+        cfg = minimal_cfg()
+        cfg["components"].append({"name": "u", "model": "ar1", "n": 3, "hyper": {
+            "prec": {"initial": 1e-6}, "rho": {"initial": -0.99, "fixed": True}}})
+        cfg["likelihoods"][0]["hyper"] = {"prec": {"initial": 0.5}}
+        validate_config(cfg)
 
     def test_poisson_has_no_hyper(self):
         cfg = minimal_cfg()

@@ -5,8 +5,10 @@ conjugate posteriors, scipy special functions and brute-force searches,
 never from the engine itself.
 """
 
+import gc
 import itertools
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -1243,10 +1245,10 @@ class TestThetaExplore:
         model = _rw1_iid_noise_model()
         lin = model.linearise(np.zeros(model.n_latent))
         calls = _count_laplace(monkeypatch)
-        theta_hat = engine._nelder_mead(_ThetaCache(model, lin), np.zeros(3))
+        theta_hat, _, _ = engine._nelder_mead(_ThetaCache(model, lin), np.zeros(3))
         assert calls["laplace"] <= 250
         _tight_search(monkeypatch)
-        tight = engine._nelder_mead(_ThetaCache(model, lin), model.theta_internal0())
+        tight, _, _ = engine._nelder_mead(_ThetaCache(model, lin), model.theta_internal0())
         assert np.max(np.abs(theta_hat - tight)) < 1e-3
 
     def test_exhausted_search_names_itself_and_its_start(self, monkeypatch):
@@ -1301,11 +1303,13 @@ def _explore_recorded(monkeypatch, model, lin, **kwargs):
 
 def _tensor_grid(evals, theta_hat):
     """The thetas of the grid by the tensor-product rule, on the walk's own
-    evaluations (a point the walk skipped is evaluated here): each axis
-    walked outwards to its first point below the floor, then every point
-    of the axes' box at or above it, in lexicographic z order."""
+    evaluations read from ``evals.cache`` (a point the walk skipped is
+    evaluated here): each axis walked outwards to its first point below
+    the floor, then every point of the axes' box at or above it, in
+    lexicographic z order."""
     def lp_at(theta):
-        return evals(theta, lp_floor=np.inf)[0]  # a lookup that keeps nothing new
+        lp = evals.cache.get(tuple(np.round(theta, 12)))  # the cache's key
+        return evals(theta)[0] if lp is None else lp
 
     lp_hat = lp_at(theta_hat)
     _, hess = engine._stencil(lp_at, theta_hat, lp_hat)
@@ -1342,7 +1346,7 @@ class TestGridWalk:
         model = build()
         lin = model.linearise(engine._initial_point(model, model.options))
         theta_hat, grid, evals = _explore_recorded(monkeypatch, model, lin)
-        assert len(grid) > 1 and not evals._waiting
+        assert len(grid) > 1
         assert all(p.latent_var is not None and p.pred_var is not None for p in grid)
         want = _tensor_grid(evals, theta_hat)
         assert np.array_equal(np.array([p.theta for p in grid]), want)
@@ -1928,35 +1932,66 @@ class TestGridPoints:
         assert all(f._splu is None for f in swept)
 
 
+def _record_laplace(monkeypatch):
+    """Record (theta, lp, GaussResult) for every ``log_posterior_theta`` call."""
+    evaluations = []
+    real = engine.log_posterior_theta
+
+    def recorded(model, lin, theta, warm=None):
+        lp, ga = real(model, lin, theta, warm=warm)
+        evaluations.append((np.array(theta), lp, ga))
+        return lp, ga
+
+    monkeypatch.setattr(engine, "log_posterior_theta", recorded)
+    return evaluations
+
+
 class TestThetaCache:
-    def _search(self):
-        res = _fit_rw1_free_precision()
-        model = res.model
-        evals = _ThetaCache(model, res.linearisation)
-        optimize.minimize(lambda t: -evals(t)[0], model.theta_internal0(),
-                          method="Nelder-Mead",
-                          options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 500})
-        return evals
+    """Every call evaluates and records one lp; the searches hand on
+    their mode's evaluation, and few factors are alive at a time."""
 
-    def test_search_keeps_only_the_best_result(self):
-        evals = self._search()
-        lps = {key: lp for key, (lp, _) in evals.cache.items()}
-        best = max(lps.values())
-        kept = [key for key, (_, ga) in evals.cache.items() if ga is not None]
-        assert len(evals.cache) > 20  # one entry per evaluated theta
-        assert kept and all(lps[key] == best for key in kept)
-        assert all(lp < best for key, lp in lps.items() if key not in kept)
+    @pytest.mark.parametrize("search", ["_nelder_mead", "_refine_mode"])
+    def test_search_returns_its_modes_evaluation(self, monkeypatch, search):
+        model = build_joint(0)
+        lin = model.linearise(engine._initial_point(model, model.options))
+        evaluations = _record_laplace(monkeypatch)
+        evals = _ThetaCache(model, lin)
+        theta_hat, lp_hat, ga_hat = getattr(engine, search)(evals, model.theta_internal0())
+        assert any(ga is ga_hat and lp == lp_hat for theta, lp, ga in evaluations
+                   if np.array_equal(theta, theta_hat))
+        assert lp_hat == max(evals.cache.values())
+        # one float per evaluation, in evaluation order
+        assert len(evaluations) > 20
+        assert all(isinstance(lp, float) for lp in evals.cache.values())
+        assert list(evals.cache.values()) == [lp for _, lp, _ in evaluations]
 
-    def test_dropped_result_is_re_evaluated_after_the_search(self):
-        evals = self._search()
-        n = len(evals.cache)
-        key, (lp0, _) = next((k, v) for k, v in evals.cache.items() if v[1] is None)
-        lp, ga = evals(np.array(key))
-        assert ga is not None and len(evals.cache) == n
-        assert lp == pytest.approx(lp0, abs=1e-8)
-        assert evals.cache[key][1] is None  # returned, but not kept: not the best
-        kept = next(k for k, (_, g) in evals.cache.items() if g is not None and k != key)
-        assert evals(np.array(kept))[1] is evals.cache[kept][1]
+    def test_few_factors_are_alive_during_a_fit(self, monkeypatch):
+        # a GaussResult keeps its SuperLU object; the searches and the grid
+        # hold at most three of them when an evaluation starts (measured:
+        # three), and the fit none once it returns
+        alive, peaks = [], []
+        real = engine.log_posterior_theta
+
+        def holding_solvers():
+            gc.collect()
+            return sum(ga is not None and ga.factor._splu is not None
+                       for ga in (ref() for ref in alive))
+
+        def watched(*args, **kwargs):
+            peaks.append(holding_solvers())
+            lp, ga = real(*args, **kwargs)
+            alive.append(weakref.ref(ga))
+            return lp, ga
+
+        monkeypatch.setattr(engine, "log_posterior_theta", watched)
+        gc.freeze()  # older objects hold no GaussResult; collect only the fit's
+        try:
+            res = fit(build_joint(0))
+        finally:
+            gc.unfreeze()
+        assert res.converged and len(alive) > 200
+        assert max(peaks) <= 3
+        assert holding_solvers() == 0
 
 
 # --- state matrices ------------------------------------------------------------
