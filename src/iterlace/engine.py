@@ -90,11 +90,12 @@ factor, from the Takahashi recursions (``CholPlan.selected_inverses``),
 and keeps it.  ``latent_var`` is its diagonal and ``pred_var`` is
 diag(B Q*^-1 B^T), summed over the pairs of latents that share a row of
 B -- the pairs Q*'s pattern was built from, so each lies in it, at
-slots looked up once per pattern -- both less the kriging drop.  Grid
-points are finished a line of the grid at a time, with one sweep of the
-recursions for the whole line (``_finish_points``); each point's
-values are bit for bit those of a sweep of its own.  Memory grows with
-nnz(L), not with n^2.
+slots looked up once per pattern -- both less the kriging drop.  The
+theta walk only evaluates; once it is done, ``_grid_points`` makes each
+grid point, a line of the grid along the last axis at a time, with one
+sweep of the recursions for the whole line; each point's values are bit
+for bit those of a sweep of its own.  Memory grows with nnz(L), not
+with n^2.
 
 Joint posterior draws have one path, ``_posterior_draws``: a grid point
 by its weight, then the latent state from that point's Gaussian.  Draws
@@ -146,7 +147,6 @@ __all__ = [
     "marginals",
     "generate",
     "predict_summary",
-    "sample_mode",
 ]
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -601,7 +601,8 @@ class Model:
         start = 0
         for i, block in enumerate(self.obs):
             env = self._block_env(block, u0)
-            eta_pre = np.asarray(block.formula.eval(env), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+                eta_pre = np.asarray(block.formula.eval(env), dtype=float)
             if not np.all(np.isfinite(eta_pre)):
                 raise EngineError("non-finite predictor at the linearisation point")
 
@@ -715,7 +716,6 @@ def _draw_block(mean, factor, kriging, Z):
 class GaussResult:
     mode: np.ndarray
     factor: CholFactor
-    qstar: SparseSym
     lin: Linearisation
     pattern: _QStarPattern  # the pattern Q* was assembled on
     grad_at_mode: np.ndarray  # unconstrained gradient (zero without constraints)
@@ -731,6 +731,10 @@ class GaussResult:
         if self._sigma is None:
             _take_inverses([self])
         return self._sigma
+
+    def without_solver(self):
+        """This result on its factor without the SuperLU object."""
+        return replace(self, factor=self.factor.without_solver())
 
     def latent_var(self):
         var = self._inverse()[0]
@@ -852,8 +856,7 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None):
 
     for _ in range(NEWTON_MAX_ITER):
         u = at.u
-        qstar = lin.qstar(prior_q, h)
-        factor = chol(qstar)
+        factor = chol(lin.qstar(prior_q, h))
         kriging = _Kriging.of(factor, C)
         step = factor.solve(lin.bt_dot(g) - at.qd)
         move = (u + step if kriging is None else kriging.project(u + step)) - u
@@ -881,7 +884,6 @@ def gaussian_approx(model, lin, prior_q, mu_prior, obs_vals, warm=None):
     return GaussResult(
         mode=at.u,
         factor=factor,
-        qstar=qstar,
         lin=lin,
         pattern=lin._qstar,
         grad_at_mode=lin.bt_dot(g) - at.qd,
@@ -944,20 +946,23 @@ def log_posterior_theta(model, lin, theta, warm=None):
 # mode; its points are GRID_SPACING apart along each axis, and a point is
 # kept when its lp is at least the mode's less GRID_DROP.  The walk
 # evaluates the mode, then each axis outwards, +1, +2, ... then -1, -2,
-# ..., at most 10 steps a side; the kept axis points span a box.  The box
-# is walked slab by slab along axis 0 (the mode's slab, then +1, +2, ...,
-# then -1, -2, ...), the mode's slab in the same order over the other
-# axes and every other slab in serpentine order (``_box_order``), so each
-# evaluation starts from a grid neighbour's mode.  A point is evaluated
-# only if its parent, the neighbour one step towards the mode along its
-# first non-zero coordinate, was kept: on an axis that is the axis walk's
-# stop at the first point below the floor, and inside the box each
-# column along axis 0 is walked outwards from the mode's slab the same
-# way.  The kept points are those of the whole box at or above the floor
-# whenever each column's are an interval through the mode's slab.  The
-# grid lists them in lexicographic order of z.
+# ..., at most GRID_MAX_STEPS a side; the kept axis points span a box.
+# The box is walked slab by slab along axis 0 (the mode's slab, then +1,
+# +2, ..., then -1, -2, ...), the mode's slab in the same order over the
+# other axes and every other slab in serpentine order (``_box_order``),
+# so each evaluation starts from a grid neighbour's mode.  A point is
+# evaluated only if its parent, the neighbour one step towards the mode
+# along its first non-zero coordinate, was kept: on an axis that is the
+# axis walk's stop at the first point below the floor, and inside the
+# box each column along axis 0 is walked outwards from the mode's slab
+# the same way.  The kept points are those of the whole box at or above
+# the floor whenever each column's are an interval through the mode's
+# slab.  The walk only evaluates; once it is done, ``_grid_points`` makes
+# the grid in lexicographic order of z, a line along the last axis (at
+# most 2 GRID_MAX_STEPS + 1 points) at a time.
 GRID_SPACING = 0.75
 GRID_DROP = 5.0
+GRID_MAX_STEPS = 10
 MAX_THETA_DIM = 3
 # Mode searches.  A cold search (no start) runs Nelder-Mead from the
 # start and one vertex SEARCH_STEP further along each axis, and stops
@@ -1044,10 +1049,9 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
     The grid is walked as the comment above ``GRID_SPACING`` describes:
     its origin is the mode's evaluation, then the axes are walked
     outwards from it, then the box they span in ``_box_order``, a point
-    only when its parent was kept.  The kept points wait for their
-    summaries until their axis or their line of the box along the last
-    axis is walked, and are then finished together, by one
-    selected-inverse sweep (``_finish_points``).
+    only when its parent was kept.  The walk keeps the evaluations at or
+    above the floor, and ``_grid_points`` makes the grid from them once
+    it is done.  Returns ``(theta_hat, grid)``.
     """
     _check_theta_dim(model)
     p = len(model.theta_entries)
@@ -1062,21 +1066,18 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
         start = np.asarray(theta_start, dtype=float).reshape(p)
         theta_hat, lp_hat, ga_hat = _refine_mode(evals, start)
 
-    point_hat, lean_hat = _make_point(theta_hat, lp_hat, ga_hat, lin)
-    waiting = [(point_hat, lean_hat)]  # kept points and their lean GaussResults
+    origin = (0,) * p
+    # integer steps along the axes -> (theta, lp, GaussResult without its solver), lp >= floor
+    kept = {origin: (theta_hat, lp_hat, ga_hat.without_solver())}
     if mode_only or p == 0:
-        _finish_points(waiting)
-        return theta_hat, [point_hat], ga_hat
+        return theta_hat, _grid_points(kept, lin)
 
     # curvature at the mode
     _, hess = _stencil(lambda t: evals(t)[0], theta_hat, lp_hat)
     lam, vec = np.linalg.eigh(-hess)
     lam = _floored(lam)
     axes = vec @ np.diag(1.0 / np.sqrt(lam))  # z -> theta displacement
-
     floor = lp_hat - GRID_DROP
-    origin = (0,) * p
-    kept = {origin: point_hat}  # integer steps along the axes -> grid point, lp >= floor
 
     def visit(steps):
         """Evaluate the point ``steps`` grid steps from the mode if its
@@ -1088,30 +1089,48 @@ def theta_explore(model, lin, theta_start=None, mode_only=False, known_mode=None
         theta = theta_hat + axes @ (GRID_SPACING * np.array(steps, dtype=float))
         lp, ga = evals(theta)
         if lp >= floor:
-            waiting.append(_make_point(theta, lp, ga, lin))
-            kept[steps] = waiting[-1][0]
+            kept[steps] = theta, lp, ga.without_solver()
 
-    def finish():
-        _finish_points(waiting)
-        waiting.clear()
-
-    for i in range(p):  # each axis outwards, at most 10 steps a side
-        for k in (*range(1, 11), *range(-1, -11, -1)):
+    for i in range(p):  # each axis outwards
+        for k in (*range(1, GRID_MAX_STEPS + 1), *range(-1, -GRID_MAX_STEPS - 1, -1)):
             visit(origin[:i] + (k,) + origin[i + 1:])
-        finish()
     extents = [sorted(s[i] for s in kept if not any(s[:i] + s[i + 1:])) for i in range(p)]
-    for _, line in groupby(_box_order(extents), key=lambda s: s[:-1]):
-        for steps in line:
-            if steps not in kept:
-                visit(steps)
-        finish()
+    for steps in _box_order(extents):
+        if steps not in kept:
+            visit(steps)
+    return theta_hat, _grid_points(kept, lin)
 
-    points = [kept[s] for s in sorted(kept)]  # lexicographic in z
-    lps = np.array([pt.log_post for pt in points])
+
+def _grid_points(kept, lin):
+    """The grid of the walk's ``kept`` evaluations: one ThetaPoint per
+    entry, in lexicographic order of its steps, weighted by one
+    normalisation of exp(lp).  The points of each line along the last
+    axis are made together, on one selected-inverse sweep over their
+    factors, and that line's evaluations are then dropped from ``kept``."""
+    steps = sorted(kept)
+    lps = np.array([kept[s][1] for s in steps])
     w = np.exp(lps - lps.max())
     w /= w.sum()
-    grid = [replace(pt, weight=float(weight)) for pt, weight in zip(points, w)]
-    return theta_hat, grid, ga_hat
+    weights = iter(w)
+    grid = []
+    for _, line in groupby(steps, key=lambda s: s[:-1]):
+        evaluations = [kept.pop(s) for s in line]
+        _take_inverses([ga for _, _, ga in evaluations])
+        grid += [
+            ThetaPoint(
+                theta=np.array(theta, dtype=float),
+                log_post=float(lp),
+                weight=float(next(weights)),
+                mode=ga.mode,
+                factor=ga.factor,
+                latent_var=ga.latent_var(),
+                pred_mean=lin.eval(ga.mode),
+                pred_var=ga.pred_var(),
+                kriging=ga.kriging,
+            )
+            for theta, lp, ga in evaluations
+        ]
+    return grid
 
 
 def _box_order(extents):
@@ -1269,36 +1288,6 @@ def _refine_mode(evals, start):
             b = b + np.outer(y, y) / (s @ y) - np.outer(bs, bs) / (s @ bs)
 
 
-def _make_point(theta, lp, ga, lin):
-    """A grid point of weight 1 from a Laplace evaluation, with its factor
-    without the SuperLU object, and the GaussResult on that factor that
-    finishes it: its ``latent_var`` and ``pred_var`` stay None until
-    ``_finish_points``."""
-    lean = replace(ga, factor=ga.factor.without_solver())
-    point = ThetaPoint(
-        theta=np.array(theta, dtype=float),
-        log_post=float(lp),
-        weight=1.0,
-        mode=ga.mode,
-        factor=lean.factor,
-        latent_var=None,
-        pred_mean=lin.eval(ga.mode),
-        pred_var=None,
-        kriging=ga.kriging,
-    )
-    return point, lean
-
-
-def _finish_points(pending):
-    """Fill in the summaries of the grid points in ``pending``, pairs
-    ``(point, ga)`` from ``_make_point``, with one selected-inverse sweep
-    over all their factors."""
-    _take_inverses([ga for _, ga in pending])
-    for point, ga in pending:
-        point.latent_var = ga.latent_var()
-        point.pred_var = ga.pred_var()
-
-
 # --- line search ------------------------------------------------------------
 
 def line_search(eta_fn, u0, u1, eta_bar0, eta_bar1, sigma2, gamma=2.0):
@@ -1446,7 +1435,7 @@ def fit(model, options=None):
     if model.is_linear and not opts["force_iterative"]:
         log.say(f"iinla: Iteration 1 [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
-        theta_hat, grid, _ = theta_explore(model, lin)
+        theta_hat, grid = theta_explore(model, lin)
         point = _mode_point(grid)
         records.append(_record(model, 1, theta_hat, point, u0, point.mode))
         return _finish(model, grid, lin, True, records, log)
@@ -1455,9 +1444,7 @@ def fit(model, options=None):
     for k in range(1, max_iter + 1):
         log.say(f"iinla: Iteration {k} [max:{max_iter}] (level 1)")
         lin = model.linearise(u0)
-        theta_hat, (point,), _ = theta_explore(
-            model, lin, theta_start=theta_warm, mode_only=True
-        )
+        theta_hat, (point,) = theta_explore(model, lin, theta_start=theta_warm, mode_only=True)
         theta_warm = theta_hat
         u_hat = point.mode
 
@@ -1501,7 +1488,7 @@ def fit(model, options=None):
 
     log.say(f"iinla: Iteration {final_iter + 1} [max:{max_iter}] (level 1)")
     lin = model.linearise(u0)
-    _, grid, _ = theta_explore(model, lin, known_mode=theta_warm)
+    _, grid = theta_explore(model, lin, known_mode=theta_warm)
     return _finish(model, grid, lin, converged, records, log)
 
 
@@ -1716,20 +1703,4 @@ def predict_summary(samples, quantiles=(0.025, 0.5, 0.975)):
     }
     for q in quantiles:
         out[f"q{float(q)!r}"] = np.quantile(samples, q, axis=0)
-    return out
-
-
-def sample_mode(samples):
-    """Histogram mode estimate: mean of the fullest of 512 bins."""
-    samples = np.asarray(samples, dtype=float)
-    out = np.empty(samples.shape[1])
-    for j in range(samples.shape[1]):
-        col = samples[:, j]
-        if col.max() == col.min():
-            out[j] = col[0]
-            continue
-        counts, edges = np.histogram(col, bins=512)
-        b = int(np.argmax(counts))
-        mask = (col >= edges[b]) & (col <= edges[b + 1])
-        out[j] = col[mask].mean()
     return out

@@ -351,10 +351,6 @@ class LatentModel:
     def default_mapper(self):
         raise NotImplementedError
 
-    def default_input(self, n_rows):
-        """The input the default mapper uses when none is given."""
-        raise MapperError(f"{type(self).__name__} needs an explicit input column")
-
 
 class IidModel(LatentModel):
     """Independent effects with a common precision."""
@@ -387,7 +383,8 @@ class FixedEffectsModel(LatentModel):
     """Fixed effects: diagonal precision held constant (no hypers).
 
     Covers single coefficients (``linear``), intercepts (``constant``,
-    a coefficient on an all-ones column) and factor effects.
+    a coefficient on the all-ones column that ``config._bind_input``
+    supplies) and factor effects.
     """
 
     def __init__(self, n=1, mean=0.0, prec=0.001, mapper=None):
@@ -422,19 +419,12 @@ class FixedEffectsModel(LatentModel):
 
     @classmethod
     def constant(cls, mean=0.0, prec=0.001):
-        m = cls(n=1, mean=mean, prec=prec, mapper=LinearMapper())
-        m._constant = True
-        return m
+        return cls(n=1, mean=mean, prec=prec, mapper=LinearMapper())
 
     @classmethod
     def factor(cls, levels, coding="full", mean=0.0, prec=0.001):
         mapper = FactorMapper(levels, coding=coding)
         return cls(n=mapper.n_latent(), mean=mean, prec=prec, mapper=mapper)
-
-    def default_input(self, n_rows):
-        if getattr(self, "_constant", False):
-            return np.ones(n_rows)
-        return super().default_input(n_rows)
 
 
 class Ar1Model(LatentModel):

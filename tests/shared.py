@@ -186,6 +186,14 @@ def public_solve_lt(f, rhs):
     return x[:, 0] if rhs.ndim == 1 else x
 
 
+def factored_matrix(f):
+    """The dense matrix the CholFactor ``f`` factors, P^T L L^T P: the
+    contract ``L @ L.T == A[perm][:, perm]`` read backwards."""
+    a = np.empty((f.n, f.n))
+    a[np.ix_(f.perm, f.perm)] = (f.L @ f.L.T).toarray()
+    return a
+
+
 def curvature_fixture(curv, sigma2=None):
     """Hand-assembled single-latent fit with predictor v + curv * v^2.
 

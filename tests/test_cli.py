@@ -154,6 +154,7 @@ class TestFit:
         assert code == 2
         err = json.loads(stdout)["error"]
         assert err["type"] == "runtime"
+        assert err["message"] == "non-finite predictor at the linearisation point"
 
     def test_config_error_reports_pointer(self, tmp_path, capsys):
         cfg = {"components": [], "likelihoods": []}

@@ -36,7 +36,6 @@ from iterlace.engine import (
     log_posterior_theta,
     marginals,
     predict_summary,
-    sample_mode,
     theta_explore,
 )
 from iterlace.diagnostics import linearisation_deviation
@@ -58,7 +57,8 @@ from iterlace.mappers import (
 )
 from iterlace.sparse import CholFactor, SparseSym, chol
 from shared import (
-    build_joint, gls_model, lattice_graph, public_solve_lt, sample_icar, toy_counts, toy_model,
+    build_joint, factored_matrix, gls_model, lattice_graph, public_solve_lt, sample_icar,
+    toy_counts, toy_model,
 )
 
 
@@ -236,7 +236,7 @@ class TestGaussianApprox:
         )
         ga = self._run(Model([comp], [block]))
         assert ga.mode[0] == pytest.approx(1.0, abs=1e-10)
-        assert ga.qstar.to_dense()[0, 0] == pytest.approx(2.0, abs=1e-10)
+        assert factored_matrix(ga.factor)[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_poisson_zero_count(self):
         # y = 0, eta = u, N(0,1) prior: mode solves u = -exp(u),
@@ -251,7 +251,7 @@ class TestGaussianApprox:
         ga = self._run(Model([comp], [block]))
         omega = float(lambertw(1.0).real)
         assert ga.mode[0] == pytest.approx(-omega, abs=1e-8)
-        assert ga.qstar.to_dense()[0, 0] == pytest.approx(1.0 + np.exp(-omega), abs=1e-8)
+        assert factored_matrix(ga.factor)[0, 0] == pytest.approx(1.0 + np.exp(-omega), abs=1e-8)
 
     def test_empty_data_returns_prior(self):
         comp = Component("b", FixedEffectsModel.linear(mean=0.7, prec=2.0))
@@ -263,7 +263,7 @@ class TestGaussianApprox:
         )
         ga = self._run(Model([comp], [block]))
         assert ga.mode[0] == pytest.approx(0.7, abs=1e-12)
-        assert ga.qstar.to_dense()[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert factored_matrix(ga.factor)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_constrained_matches_dense_conditioning(self):
         rng = np.random.default_rng(3)
@@ -415,7 +415,7 @@ class TestPosteriorVariances:
 
     @staticmethod
     def _dense_cov(ga, model):
-        cov = np.linalg.inv(ga.qstar.to_dense())
+        cov = np.linalg.inv(factored_matrix(ga.factor))
         cmat = model.constraints
         if cmat is not None:
             _, cov = condition_on_zero(np.zeros(cov.shape[0]), cov, cmat)
@@ -449,7 +449,7 @@ class TestPosteriorVariances:
         at = np.argsort(factor.perm)[:2]  # where latents 0 and 1 sit in L
         coo = factor.L.tocoo()
         assert (at.max(), at.min()) not in set(zip(coo.row, coo.col))
-        ga = engine.GaussResult(mode=np.zeros(4), factor=factor, qstar=qstar, lin=lin,
+        ga = engine.GaussResult(mode=np.zeros(4), factor=factor, lin=lin,
                                 pattern=lin._qstar, grad_at_mode=np.zeros(4))
         cov = np.linalg.inv(qstar.to_dense())
         np.testing.assert_allclose(ga.latent_var(), np.diag(cov), rtol=1e-12)
@@ -923,7 +923,9 @@ class TestLogPosteriorTheta:
 
         factored, gradients = [], []
         real_chol, real_grad_hess = engine.chol, engine._obs_grad_hess
-        monkeypatch.setattr(engine, "chol", lambda a: factored.append(a) or real_chol(a))
+        monkeypatch.setattr(
+            engine, "chol", lambda a: factored.append(real_chol(a)) or factored[-1]
+        )
         monkeypatch.setattr(
             engine, "_obs_grad_hess",
             lambda *args: gradients.append(1) or real_grad_hess(*args),
@@ -932,7 +934,7 @@ class TestLogPosteriorTheta:
         newton_steps = len(gradients) - 1  # one gradient per step, one at the mode
         assert newton_steps >= 3
         assert len(factored) == newton_steps
-        assert ga.qstar is factored[-1]
+        assert ga.factor is factored[-1]
 
     def test_scipy_matrices_built_per_evaluation_do_not_grow_with_steps(self, monkeypatch):
         # once a warm-up evaluation has built the patterns, their plans and
@@ -1110,7 +1112,7 @@ class TestThetaExplore:
         )
         model = Model([comp], [block])
         lin = model.linearise(np.zeros(groups))
-        theta_hat, grid, _ = theta_explore(model, lin)
+        theta_hat, grid = theta_explore(model, lin)
 
         weights = np.array([p.weight for p in grid])
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -1139,7 +1141,7 @@ class TestThetaExplore:
     def test_zero_free_hypers_single_point(self):
         model = toy_model(toy_counts())
         lin = model.linearise(np.zeros(1))
-        _, grid, _ = theta_explore(model, lin)
+        _, grid = theta_explore(model, lin)
         assert len(grid) == 1
         assert grid[0].weight == 1.0
 
@@ -1148,7 +1150,7 @@ class TestThetaExplore:
         # log p(theta | y) exact, so the mode is a scalar minimisation
         model, log_post = _iid_groups_model()
         lin = model.linearise(np.zeros(model.n_latent))
-        theta_hat, _, _ = theta_explore(model, lin, mode_only=True)
+        theta_hat, _ = theta_explore(model, lin, mode_only=True)
         assert abs(theta_hat[0] - _exact_scalar_mode(log_post)) < 1e-4
 
     def test_warm_search_refines_to_the_exact_mode(self, monkeypatch):
@@ -1159,7 +1161,7 @@ class TestThetaExplore:
         theta_explore(model, lin, mode_only=True)
         n_cold, calls["laplace"] = calls["laplace"], 0
         for start in (exact + 0.3, exact - 0.3):
-            theta_hat, _, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
+            theta_hat, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
             assert abs(theta_hat[0] - exact) < 1e-4
             assert calls["laplace"] < n_cold
             calls["laplace"] = 0
@@ -1176,7 +1178,7 @@ class TestThetaExplore:
                             lambda *args, **kwargs: methods.append(kwargs["method"]))
         calls = _count_laplace(monkeypatch)
         for start in (exact + 0.3, 5.0):
-            theta_hat, _, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
+            theta_hat, _ = theta_explore(model, lin, theta_start=[start], mode_only=True)
             assert abs(theta_hat[0] - exact) < 1e-4
         assert methods == []
         assert calls["laplace"] <= 40
@@ -1197,7 +1199,7 @@ class TestThetaExplore:
         model = build()
         lin = model.linearise(engine._initial_point(model, model.options))
         calls = _count_laplace(monkeypatch)
-        theta_hat, _, _ = theta_explore(model, lin, theta_start=start, mode_only=True)
+        theta_hat, _ = theta_explore(model, lin, theta_start=start, mode_only=True)
         assert calls["laplace"] <= budget
         evals = _ThetaCache(model, lin)
         grad, hess = engine._stencil(lambda t: evals(t)[0], theta_hat, evals(theta_hat)[0])
@@ -1217,7 +1219,7 @@ class TestThetaExplore:
         _tight_search(monkeypatch)
         monkeypatch.setattr(engine, "SEARCH_FATOL", 0.0)
         for start in (theta_hat + 0.3, theta_hat - np.array([0.2, -0.1])):
-            refined, _, _ = theta_explore(
+            refined, _ = theta_explore(
                 model, res.linearisation, theta_start=start, mode_only=True
             )
             assert np.max(np.abs(refined - theta_hat)) < 1e-4
@@ -1235,7 +1237,7 @@ class TestThetaExplore:
         assert res.converged and len(res.records) == 5
         theta_hat = engine._mode_point(res.grid).theta
         _tight_search(monkeypatch)
-        tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
+        tight, _ = theta_explore(model, res.linearisation, mode_only=True)
         assert np.max(np.abs(theta_hat - tight)) < 1e-3
 
     def test_cold_search_from_zero_on_three_hyperparameters(self, monkeypatch):
@@ -1282,7 +1284,7 @@ class TestThetaExplore:
         assert sum(p.weight for p in res.grid) == pytest.approx(1.0, abs=1e-12)
         theta_hat = engine._mode_point(res.grid).theta
         _tight_search(monkeypatch)
-        tight, _, _ = theta_explore(model, res.linearisation, mode_only=True)
+        tight, _ = theta_explore(model, res.linearisation, mode_only=True)
         assert np.max(np.abs(theta_hat - tight)) < 1e-3
 
 
@@ -1296,7 +1298,7 @@ def _explore_recorded(monkeypatch, model, lin, **kwargs):
             caches.append(self)
 
     monkeypatch.setattr(engine, "_ThetaCache", Recorded)
-    theta_hat, grid, _ = theta_explore(model, lin, **kwargs)
+    theta_hat, grid = theta_explore(model, lin, **kwargs)
     (evals,) = caches
     return theta_hat, grid, evals
 
@@ -1571,9 +1573,9 @@ class TestToyFixedPoint:
         assert res.converged
         u0 = res.linearisation.u0
         lin = model.linearise(u0)
-        _, _, ga = theta_explore(model, lin, mode_only=True)
-        sd = np.sqrt(ga.latent_var())
-        assert np.max(np.abs(ga.mode - u0) / sd) < 0.1
+        _, (point,) = theta_explore(model, lin, mode_only=True)
+        sd = np.sqrt(point.latent_var)
+        assert np.max(np.abs(point.mode - u0) / sd) < 0.1
 
     def test_samples_match_conjugate_posterior(self):
         y = toy_counts(n=60, seed=12)
@@ -1687,12 +1689,6 @@ class TestSummaries:
         out = predict_summary(samples, (0.1234561, 0.1234562, 0.5))
         assert {"q0.1234561", "q0.1234562", "q0.5"} <= set(out)
         assert np.array_equal(out["q0.1234562"], np.quantile(samples, 0.1234562, axis=0))
-
-    def test_sample_mode_picks_densest_bin(self):
-        rng = np.random.default_rng(0)
-        col = np.concatenate([rng.normal(3.0, 0.05, size=2000), [12.0, -7.0]])
-        mode = sample_mode(col[:, None])
-        assert mode[0] == pytest.approx(3.0, abs=0.1)
 
 
 class TestGenerate:
@@ -1905,7 +1901,9 @@ class TestGridPoints:
         # per final grid point, each on a factor that one selected-inverse
         # sweep took, in a block of at most one grid line: every final grid
         # point's factor is swept exactly once, and no curvature or
-        # below-floor evaluation is finished
+        # below-floor evaluation is finished.  The final pass's blocks,
+        # after one per outer iteration, list the grid's factors in grid
+        # order
         calls = {"latent_var": 0, "pred_var": 0}
         for name in calls:
             original = getattr(engine.GaussResult, name)
@@ -1927,7 +1925,12 @@ class TestGridPoints:
         res = _fit_rw1_free_precision()
         want = len(res.records) + len(res.grid)
         assert calls == {"latent_var": want, "pred_var": want}
-        assert len(swept) == want and max(blocks) <= 21 and len(blocks) < want
+        line = 2 * engine.GRID_MAX_STEPS + 1
+        assert len(swept) == want and max(blocks) <= line and len(blocks) < want
+        assert blocks[: len(res.records)] == [1] * len(res.records)
+        final = swept[len(res.records):]
+        assert len(final) == len(res.grid)
+        assert all(f is p.factor for f, p in zip(final, res.grid))
         assert all(sum(f is p.factor for f in swept) == 1 for p in res.grid)
         assert all(f._splu is None for f in swept)
 

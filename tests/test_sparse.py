@@ -329,7 +329,7 @@ class TestCholPlan:
         block = ObsBlock(PoissonFamily(), rng.poisson(4.0, size=15).astype(float),
                          parse_expr("f"), {"f": np.arange(1, 16)})
         model = Model([comp], [block])
-        _, grid, _ = theta_explore(model, model.linearise(np.zeros(15)))
+        _, grid = theta_explore(model, model.linearise(np.zeros(15)))
         assert len(grid) > 1
         # one ordering for Q*'s pattern and one for RW1's R + c I, however
         # many factorisations run
